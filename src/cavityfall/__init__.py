@@ -43,7 +43,6 @@ from .interferometry import (
     snr_trace,
 )
 from .propagator import (
-    AbsorbingLayer,
     GaussianMoments,
     Grid1D,
     PropagationScenario,
@@ -55,7 +54,6 @@ from .propagator import (
     init_gaussian,
     observables,
     propagate,
-    step,
 )
 from .scenario import (
     OutputSettings,
@@ -66,8 +64,6 @@ from .scenario import (
     scenario_to_dict,
 )
 from .units import (
-    CODATA,
-    Constants,
     UnitScaling,
     from_dimensionless,
     make_scaling,
@@ -79,8 +75,6 @@ __all__ = [
     "CavityFallError",
     "DomainError",
     "ValidationError",
-    "Constants",
-    "CODATA",
     "UnitScaling",
     "make_scaling",
     "to_dimensionless",
@@ -103,7 +97,6 @@ __all__ = [
     "freefall_trajectory",
     "phase_gradient",
     "Grid1D",
-    "AbsorbingLayer",
     "WaveState",
     "PropagationScenario",
     "Trace",
@@ -111,7 +104,6 @@ __all__ = [
     "GaussianMoments",
     "init_gaussian",
     "observables",
-    "step",
     "propagate",
     "analytic_gaussian_oracle",
     "exact_accelerating_gaussian",

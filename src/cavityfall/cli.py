@@ -35,8 +35,8 @@ from .dispersion import dispersion_table, effective_mass
 from .errors import DomainError, ValidationError
 from .gravity import freefall_trajectory, phase_gradient
 from .interferometry import snr_trace, q_threshold
-from .propagator import Grid1D, PropagationScenario, init_gaussian, propagate
-from .scenario import ScenarioFile, load_scenario, scenario_to_dict
+from .propagator import Grid1D, PropagationScenario, init_gaussian, propagate, recording_schedule
+from .scenario import WIDTH_MODEL_ALIASES, ScenarioFile, load_scenario, scenario_to_dict
 from .units import c, hbar, make_scaling, to_dimensionless
 
 DEFAULT_Q_SWEEP = (3e10, 5e10, 7e10)
@@ -94,14 +94,6 @@ def _derived_block(scenario: ScenarioFile) -> dict:
     return derived
 
 
-def _recording_schedule(n_steps: int, stride: int) -> list[int]:
-    steps = [0]
-    steps += [i for i in range(stride, n_steps + 1, stride)]
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return steps
-
-
 def _resolve_stride(scenario: ScenarioFile, n_steps: int) -> int:
     if scenario.output.stride is not None:
         return scenario.output.stride
@@ -128,7 +120,7 @@ def _run_dispersion(scenario: ScenarioFile, out_dir: Path, args: dict) -> list[P
 
 def _run_freefall_analytic(scenario: ScenarioFile, out_dir: Path, stride: int, n_steps: int) -> list[Path]:
     cav, profile, prop = scenario.cavity, scenario.gravity, scenario.propagation
-    times = np.array([i * prop.dt for i in _recording_schedule(n_steps, stride)])
+    times = np.array([i * prop.dt for i in recording_schedule(n_steps, stride)])
     states = [freefall_trajectory(cav, profile, float(t)) for t in times]
     grads = np.array([phase_gradient(cav.omega0, profile, float(t)) for t in times])
     path = out_dir / "freefall_analytic.csv"
@@ -156,13 +148,6 @@ def _run_freefall_numeric(
         y_max=to_dimensionless(prop.y_max, "length", scaling),
         n_points=prop.n_points,
     )
-    boundary = None
-    if prop.boundary is not None:
-        boundary = replace(
-            prop.boundary,
-            width=to_dimensionless(prop.boundary.width, "length", scaling),
-            strength=prop.boundary.strength * scaling.T_ref,
-        )
     dt_scaled = to_dimensionless(prop.dt, "time", scaling)
     run = PropagationScenario(
         mass=1.0,
@@ -170,15 +155,13 @@ def _run_freefall_numeric(
         dt=dt_scaled,
         t_final=n_steps * dt_scaled,
         record_stride=stride,
-        boundary=boundary,
     )
     state = init_gaussian(grid, sigma0=to_dimensionless(prop.sigma0, "length", scaling))
-    state.scaling = scaling
     _, trace = propagate(state, run)
 
     # exact SI recording times (multiples of the SI step), bit-identical to
     # the analytic command's time column
-    times_si = np.array([i * prop.dt for i in _recording_schedule(n_steps, stride)])
+    times_si = np.array([i * prop.dt for i in recording_schedule(n_steps, stride)])
     path = out_dir / "freefall_numeric.csv"
     _write_csv(
         path,
@@ -223,9 +206,10 @@ def _run_fig2b(scenario: ScenarioFile, out_dir: Path, args: dict) -> tuple[list[
         traces_summary.append(
             {"Q": q, "t_peak": trace.t_peak, "sn_peak": trace.sn_peak, "t_cross": trace.t_cross}
         )
+        other = "corrected" if base.width_model == "paper_verbatim" else "paper_verbatim"
         peak_by_model = {
-            model: snr_trace(replace(base, Q=q, width_model=model), n_samples=_FIG2B_SAMPLES).sn_peak
-            for model in ("paper_verbatim", "corrected")
+            base.width_model: trace.sn_peak,
+            other: snr_trace(replace(base, Q=q, width_model=other), n_samples=_FIG2B_SAMPLES).sn_peak,
         }
         divergence.append(
             {
@@ -301,10 +285,11 @@ def run(
     if width_model is not None:
         if scenario.experiment is None:
             raise ValidationError(f"--width-model given but {command} scenario has no experiment section")
-        canonical = {"paper": "paper_verbatim", "paper_verbatim": "paper_verbatim", "corrected": "corrected"}
-        if width_model not in canonical:
+        if width_model not in WIDTH_MODEL_ALIASES:
             raise ValidationError(f"unknown width model {width_model!r}")
-        scenario = replace(scenario, experiment=replace(scenario.experiment, width_model=canonical[width_model]))
+        scenario = replace(
+            scenario, experiment=replace(scenario.experiment, width_model=WIDTH_MODEL_ALIASES[width_model])
+        )
 
     command_args: dict = {}
     convergence: dict | None = None

@@ -4,13 +4,15 @@ Sections (each optional; commands check for the ones they need):
 
     cavity       {L, j | lambda0, n_s, Q}     exactly one of (L, j) or lambda0
     gravity      {g, n_s}
-    propagation  {grid{y_min, y_max, n_points}, dt, t_final, sigma0, boundary}
+    propagation  {grid{y_min, y_max, n_points}, dt, t_final, sigma0}
     experiment   {lambda0, sigma0, y_out, P_avg, eta_det, T_int, Q,
                   n_s, g, width_model}
     output       {directory, stride}
 
 Unknown keys are rejected with the offending path; values must be plain JSON
-numbers (no unit suffixes: "1064nm" is an error, 1.064e-6 is a meter).
+numbers (no unit suffixes: "1064nm" is an error, 1.064e-6 is a meter).  The
+propagation grid is periodic and takes no boundary key: the packet must keep
+4 sigma of clearance from the grid edges throughout the run.
 """
 
 from __future__ import annotations
@@ -23,23 +25,21 @@ from .dispersion import CavitySpec
 from .errors import ValidationError
 from .gravity import GravityProfile
 from .interferometry import ExperimentConfig
-from .propagator import AbsorbingLayer
 from .units import g_earth
 
 _SECTION_KEYS = {
     "": {"cavity", "gravity", "propagation", "experiment", "output"},
     "cavity": {"L", "j", "lambda0", "n_s", "Q"},
     "gravity": {"g", "n_s"},
-    "propagation": {"grid", "dt", "t_final", "sigma0", "boundary"},
+    "propagation": {"grid", "dt", "t_final", "sigma0"},
     "propagation.grid": {"y_min", "y_max", "n_points"},
-    "propagation.boundary": {"type", "width", "strength"},
     "experiment": {
         "lambda0", "sigma0", "y_out", "P_avg", "eta_det", "T_int", "Q", "n_s", "g", "width_model",
     },
     "output": {"directory", "stride"},
 }
 
-_WIDTH_MODEL_ALIASES = {"paper": "paper_verbatim", "paper_verbatim": "paper_verbatim", "corrected": "corrected"}
+WIDTH_MODEL_ALIASES = {"paper": "paper_verbatim", "paper_verbatim": "paper_verbatim", "corrected": "corrected"}
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,6 @@ class PropagationSettings:
     dt: float
     t_final: float
     sigma0: float
-    boundary: AbsorbingLayer | None = None
 
     def __post_init__(self) -> None:
         if not self.y_max > self.y_min:
@@ -66,8 +65,6 @@ class PropagationSettings:
             raise ValidationError("propagation.t_final: must be >= dt")
         if not self.sigma0 > 0.0:
             raise ValidationError("propagation.sigma0: must be > 0")
-        if self.boundary is not None and self.boundary.width >= 0.25 * (self.y_max - self.y_min):
-            raise ValidationError("propagation.boundary.width: must be below a quarter of the domain")
 
 
 @dataclass(frozen=True)
@@ -157,21 +154,6 @@ def _parse_gravity(section: dict, cavity: CavitySpec | None) -> GravityProfile:
     return GravityProfile(g=g, n_s=n_s)
 
 
-def _parse_boundary(section) -> AbsorbingLayer | None:
-    mapping = _mapping("propagation.boundary", section)
-    kind = mapping.get("type", "periodic")
-    if kind == "periodic":
-        if "width" in mapping or "strength" in mapping:
-            raise ValidationError("propagation.boundary: periodic boundary takes no width/strength")
-        return None
-    if kind == "absorbing":
-        return AbsorbingLayer(
-            width=_number("propagation.boundary.width", mapping.get("width")),
-            strength=_number("propagation.boundary.strength", mapping.get("strength"), minimum=0.0),
-        )
-    raise ValidationError(f"propagation.boundary.type: expected 'periodic' or 'absorbing', got {kind!r}")
-
-
 def _parse_propagation(section: dict) -> PropagationSettings:
     if "grid" not in section:
         raise ValidationError("propagation.grid: required")
@@ -182,7 +164,6 @@ def _parse_propagation(section: dict) -> PropagationSettings:
     for key in ("dt", "t_final", "sigma0"):
         if key not in section:
             raise ValidationError(f"propagation.{key}: required")
-    boundary = _parse_boundary(section["boundary"]) if "boundary" in section else None
     return PropagationSettings(
         y_min=_number("propagation.grid.y_min", grid["y_min"]),
         y_max=_number("propagation.grid.y_max", grid["y_max"]),
@@ -190,7 +171,6 @@ def _parse_propagation(section: dict) -> PropagationSettings:
         dt=_number("propagation.dt", section["dt"]),
         t_final=_number("propagation.t_final", section["t_final"]),
         sigma0=_number("propagation.sigma0", section["sigma0"]),
-        boundary=boundary,
     )
 
 
@@ -200,10 +180,10 @@ def _parse_experiment(section: dict) -> ExperimentConfig:
         if key not in section:
             raise ValidationError(f"experiment.{key}: required")
     model_raw = section.get("width_model", "corrected")
-    model = _WIDTH_MODEL_ALIASES.get(model_raw)
+    model = WIDTH_MODEL_ALIASES.get(model_raw)
     if model is None:
         raise ValidationError(
-            f"experiment.width_model: expected one of {sorted(set(_WIDTH_MODEL_ALIASES))}, got {model_raw!r}"
+            f"experiment.width_model: expected one of {sorted(set(WIDTH_MODEL_ALIASES))}, got {model_raw!r}"
         )
     try:
         return ExperimentConfig(
@@ -273,15 +253,11 @@ def scenario_to_dict(scenario: ScenarioFile, resolved_stride: int | None = None)
         document["gravity"] = {"g": scenario.gravity.g, "n_s": scenario.gravity.n_s}
     if scenario.propagation is not None:
         prop = scenario.propagation
-        boundary = {"type": "periodic"}
-        if prop.boundary is not None:
-            boundary = {"type": "absorbing", "width": prop.boundary.width, "strength": prop.boundary.strength}
         document["propagation"] = {
             "grid": {"y_min": prop.y_min, "y_max": prop.y_max, "n_points": prop.n_points},
             "dt": prop.dt,
             "t_final": prop.t_final,
             "sigma0": prop.sigma0,
-            "boundary": boundary,
         }
     if scenario.experiment is not None:
         exp = scenario.experiment

@@ -35,23 +35,6 @@ G: Final[float] = 6.674_30e-11
 g_earth: Final[float] = 9.81
 
 
-@dataclass(frozen=True)
-class Constants:
-    """The fixed constant set, as a value type for callers that want one."""
-
-    c: float = c
-    hbar: float = hbar
-    G: float = G
-    g_earth: float = g_earth
-
-    def __post_init__(self) -> None:
-        for name in ("c", "hbar", "G", "g_earth"):
-            if not getattr(self, name) > 0.0:
-                raise ValidationError(f"constant {name} must be strictly positive")
-
-
-CODATA: Final[Constants] = Constants()
-
 # dimension tag -> exponents (a, b, c) of L_ref^a * T_ref^b * M_ref^c
 _DIMENSIONS: Final[dict[str, tuple[int, int, int]]] = {
     "length": (1, 0, 0),

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityfall import (
-    AbsorbingLayer,
     CavitySpec,
     DomainError,
     GravityProfile,
@@ -19,7 +20,6 @@ from cavityfall import (
     observables,
     phase_gradient,
     propagate,
-    step,
 )
 from cavityfall.units import hbar as hbar_si
 
@@ -28,6 +28,21 @@ GRID = Grid1D(-32.0, 32.0, 1024)
 
 def l2_distance(u, v, dy):
     return math.sqrt(float(np.sum(np.abs(u - v) ** 2)) * dy)
+
+
+def strang_reference(u, grid, mass, g_tilde, dt, n_steps):
+    """Step-by-step complex128 Strang loop: the scheme propagate composes in
+    closed form.  Reference only; half potential, full kinetic, half potential."""
+    half_potential = np.exp(-0.5j * mass * g_tilde * grid.y_values() * dt)
+    kinetic = np.exp(-0.5j * grid.k_values() ** 2 * dt / mass)
+    for _ in range(n_steps):
+        u = half_potential * np.fft.ifft(kinetic * np.fft.fft(half_potential * u))
+    return u
+
+
+def propagate_steps(state, dt, mass=1.0, g_tilde=0.0, n_steps=1):
+    final, _ = propagate(state, PropagationScenario(mass=mass, g_tilde=g_tilde, dt=dt, t_final=n_steps * dt))
+    return final
 
 
 class TestGrid1D:
@@ -62,13 +77,6 @@ class TestScenarioValidation:
             PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.5, t_final=0.25)
         with pytest.raises(ValidationError):
             PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.1, t_final=1.0, record_stride=0)
-
-    def test_absorber_width_bounded_by_domain(self):
-        wide = PropagationScenario(
-            mass=1.0, g_tilde=0.0, dt=0.1, t_final=1.0, boundary=AbsorbingLayer(width=20.0, strength=1.0)
-        )
-        with pytest.raises(ValidationError, match="quarter"):
-            step(init_gaussian(GRID, 1.0), wide)
 
 
 class TestInitGaussian:
@@ -124,10 +132,10 @@ class TestObservables:
 
 
 class TestStep:
+    """Single and double steps of propagate (one step is one Strang step)."""
+
     def test_free_step_preserves_norm_and_centroid(self):
-        scenario = PropagationScenario(mass=1.0, g_tilde=0.0, dt=0.05, t_final=0.05)
-        state = init_gaussian(GRID, 1.0)
-        after = step(state, scenario)
+        after = propagate_steps(init_gaussian(GRID, 1.0), dt=0.05)
         rec = observables(after)
         assert after.t == 0.05
         assert rec.norm == pytest.approx(1.0, abs=1e-14)
@@ -138,8 +146,7 @@ class TestStep:
         # Strang splitting reproduces it to roundoff (splitting errors are
         # global phases for linear potentials)
         mass, g_tilde, dt = 2.0, 1.5, 0.02
-        scenario = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=dt, t_final=dt)
-        after = step(init_gaussian(GRID, 1.0), scenario)
+        after = propagate_steps(init_gaussian(GRID, 1.0), dt, mass, g_tilde)
         rec = observables(after, mass, g_tilde)
         assert rec.mean_k == pytest.approx(-mass * g_tilde * dt, abs=1e-12)
 
@@ -149,9 +156,8 @@ class TestStep:
         state = init_gaussian(GRID, 1.0)
         deviations = []
         for dt in (0.25, 0.125):
-            full = step(state, PropagationScenario(mass=1.0, g_tilde=4.0, dt=dt, t_final=dt))
-            half_scn = PropagationScenario(mass=1.0, g_tilde=4.0, dt=dt / 2, t_final=dt / 2)
-            halves = step(step(state, half_scn), half_scn)
+            full = propagate_steps(state, dt, g_tilde=4.0)
+            halves = propagate_steps(state, dt / 2, g_tilde=4.0, n_steps=2)
             deviations.append(l2_distance(full.amplitudes, halves.amplitudes, GRID.dy))
         ratio = deviations[0] / deviations[1]
         assert deviations[0] < 0.25**3
@@ -161,7 +167,37 @@ class TestStep:
         state = init_gaussian(GRID, 1.0)
         state.amplitudes[100] = np.nan
         with pytest.raises(DomainError, match="non-finite"):
-            step(state, PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.1, t_final=0.1))
+            propagate_steps(state, dt=0.1, g_tilde=1.0)
+
+    def test_overflowing_step_raises_non_finite(self):
+        # t^3 overflows to inf in the composed phase; the run must stop with
+        # a DomainError naming the step, not return NaN observables
+        with pytest.raises(DomainError, match="non-finite amplitudes after step 1"):
+            propagate_steps(init_gaussian(GRID, 1.0), dt=1e120, g_tilde=1.0)
+
+
+class TestStrangComposition:
+    """propagate against the step-by-step Strang loop it replaces."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        mass=st.floats(0.5, 4.0),
+        g_tilde=st.floats(0.0, 2.0),
+        n_steps=st.integers(1, 2000),
+        span=st.floats(0.01, 1.0),
+    )
+    def test_composed_state_matches_stepped_state(self, mass, g_tilde, n_steps, span):
+        # t_final keeps the packet clear of the edges: a fall of at most 8
+        # and a width of at most 2 leave >= 12 sigma to the nearest edge
+        # (>= 8 sigma initially, where the edges are 32 sigma away)
+        t_max = min(2.0 * math.sqrt(3.0) * mass, math.sqrt(16.0 / g_tilde) if g_tilde > 0 else math.inf)
+        dt = span * t_max / n_steps
+        state = init_gaussian(GRID, 1.0)
+        final = propagate_steps(state, dt, mass, g_tilde, n_steps)
+        stepped = strang_reference(state.amplitudes, GRID, mass, g_tilde, dt, n_steps)
+        rec = observables(final, mass, g_tilde)
+        assert rec.centroid - 8.0 * rec.width > GRID.y_min and rec.centroid + 8.0 * rec.width < GRID.y_max
+        assert l2_distance(final.amplitudes, stepped, GRID.dy) <= 1e-12
 
 
 class TestPropagate:
@@ -204,17 +240,6 @@ class TestPropagate:
         state.amplitudes[0] = np.inf
         with pytest.raises(DomainError):
             propagate(state, PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.1, t_final=0.5))
-
-    def test_absorbing_layer_removes_norm_monotonically(self):
-        # launch the packet into the absorber; norm must only decrease
-        layer = AbsorbingLayer(width=8.0, strength=4.0)
-        scenario = PropagationScenario(
-            mass=1.0, g_tilde=0.0, dt=1 / 32, t_final=6.0, record_stride=16, boundary=layer
-        )
-        state = init_gaussian(GRID, 1.0, y_center=0.0, k0=8.0 * 2.0 * math.pi / 64.0 * 8)
-        _, trace = propagate(state, scenario)
-        assert trace.norm[-1] < 0.5
-        assert np.all(np.diff(trace.norm) <= 1e-12)
 
 
 class TestAnalyticOracle:

@@ -121,18 +121,11 @@ class TestPropagationSection:
         with pytest.raises(ValidationError, match="power of two"):
             parse(doc)
 
-    def test_boundary_periodic_default_and_absorbing(self):
-        sc = parse(FULL_FREEFALL)
-        assert sc.propagation.boundary is None
+    def test_boundary_key_rejected(self):
+        # the grid is periodic and takes no boundary section
         doc = json.loads(json.dumps(FULL_FREEFALL))
         doc["propagation"]["boundary"] = {"type": "absorbing", "width": 5.0, "strength": 10.0}
-        sc = parse(doc)
-        assert sc.propagation.boundary.width == 5.0
-        doc["propagation"]["boundary"] = {"type": "periodic", "width": 5.0}
-        with pytest.raises(ValidationError, match="periodic"):
-            parse(doc)
-        doc["propagation"]["boundary"] = {"type": "reflecting"}
-        with pytest.raises(ValidationError, match="boundary.type"):
+        with pytest.raises(ValidationError, match="propagation.boundary: unknown key"):
             parse(doc)
 
     def test_missing_required_keys_reported(self):
