@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 
 from .dispersion import (
     CavitySpec,
-    DispersionPoint,
-    dispersion_table,
     effective_mass,
     group_velocity,
     kg_residual,
@@ -47,7 +45,6 @@ from .propagator import (
     Grid1D,
     PropagationScenario,
     Trace,
-    TraceRecord,
     WaveState,
     analytic_gaussian_oracle,
     exact_accelerating_gaussian,
@@ -80,12 +77,10 @@ __all__ = [
     "to_dimensionless",
     "from_dimensionless",
     "CavitySpec",
-    "DispersionPoint",
     "effective_mass",
     "photon_energy",
     "group_velocity",
     "kg_residual",
-    "dispersion_table",
     "GravityProfile",
     "FreefallState",
     "proper_time_factor",
@@ -100,7 +95,6 @@ __all__ = [
     "WaveState",
     "PropagationScenario",
     "Trace",
-    "TraceRecord",
     "GaussianMoments",
     "init_gaussian",
     "observables",

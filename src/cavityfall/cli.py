@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -31,11 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dispersion import dispersion_table, effective_mass
+from .dispersion import CavitySpec, effective_mass, group_velocity, photon_energy
 from .errors import DomainError, ValidationError
 from .gravity import freefall_trajectory, phase_gradient
 from .interferometry import snr_trace, q_threshold
-from .propagator import Grid1D, PropagationScenario, init_gaussian, propagate, recording_schedule
+from .propagator import MAX_ROWS, Grid1D, PropagationScenario, init_gaussian, propagate, recording_schedule
 from .scenario import WIDTH_MODEL_ALIASES, ScenarioFile, load_scenario, scenario_to_dict
 from .units import c, hbar, make_scaling, to_dimensionless
 
@@ -77,16 +78,14 @@ def _require(scenario: ScenarioFile, command: str, *sections: str) -> None:
 
 def _derived_block(scenario: ScenarioFile) -> dict:
     derived: dict = {}
-    if scenario.cavity is not None:
-        cav = scenario.cavity
+    cav = scenario.cavity
+    if cav is None and scenario.experiment is not None:
+        # the experiment's photon, as the half-wave cavity of its rest wavelength
+        cav = CavitySpec.from_rest_wavelength(scenario.experiment.lambda0, scenario.experiment.n_s)
+    if cav is not None:
         derived["omega0"] = cav.omega0
         derived["m_parallel"] = cav.rest_energy / c**2
         derived["m_s_parallel"] = effective_mass(cav)
-    elif scenario.experiment is not None:
-        exp = scenario.experiment
-        derived["omega0"] = exp.omega0
-        derived["m_parallel"] = hbar * exp.omega0 / c**2
-        derived["m_s_parallel"] = exp.n_s**2 * hbar * exp.omega0 / c**2
     if scenario.gravity is not None:
         derived["g_tilde"] = scenario.gravity.g_tilde
     elif scenario.experiment is not None:
@@ -106,21 +105,22 @@ def _run_dispersion(scenario: ScenarioFile, out_dir: Path, args: dict) -> list[P
     k_max = args["k_max"] if args["k_max"] is not None else 2.0 * cav.omega0 / cav.c_medium
     if not k_max > args["k_min"]:
         raise ValidationError(f"dispersion needs k_max > k_min, got {k_max!r} <= {args['k_min']!r}")
+    if not 1 <= args["k_points"] <= MAX_ROWS:
+        raise ValidationError(f"--k-points: must be between 1 and {MAX_ROWS}, got {args['k_points']!r}")
     args["k_max"] = k_max
     k_grid = np.linspace(args["k_min"], k_max, args["k_points"])
-    points = dispersion_table(cav, k_grid)
     path = out_dir / "dispersion.csv"
     _write_csv(
         path,
         ("k_par", "omega", "v_g"),
-        [k_grid, np.array([p.omega for p in points]), np.array([p.v_g for p in points])],
+        [k_grid, photon_energy(cav, k_grid) / hbar, group_velocity(cav, k_grid)],
     )
     return [path]
 
 
-def _run_freefall_analytic(scenario: ScenarioFile, out_dir: Path, stride: int, n_steps: int) -> list[Path]:
+def _run_freefall_analytic(scenario: ScenarioFile, out_dir: Path, stride: int) -> list[Path]:
     cav, profile, prop = scenario.cavity, scenario.gravity, scenario.propagation
-    times = np.array([i * prop.dt for i in recording_schedule(n_steps, stride)])
+    times = np.array([i * prop.dt for i in recording_schedule(prop.n_steps, stride)])
     states = [freefall_trajectory(cav, profile, float(t)) for t in times]
     grads = np.array([phase_gradient(cav.omega0, profile, float(t)) for t in times])
     path = out_dir / "freefall_analytic.csv"
@@ -138,22 +138,21 @@ def _run_freefall_analytic(scenario: ScenarioFile, out_dir: Path, stride: int, n
     return [path]
 
 
-def _run_freefall_numeric(
-    scenario: ScenarioFile, out_dir: Path, stride: int, n_steps: int
-) -> tuple[list[Path], dict]:
+def _run_freefall_numeric(scenario: ScenarioFile, out_dir: Path, stride: int) -> tuple[list[Path], dict]:
     cav, profile, prop = scenario.cavity, scenario.gravity, scenario.propagation
+    n_steps = prop.n_steps
     scaling = make_scaling(mass=effective_mass(cav), length=prop.sigma0)
     grid = Grid1D(
-        y_min=to_dimensionless(prop.y_min, "length", scaling),
-        y_max=to_dimensionless(prop.y_max, "length", scaling),
-        n_points=prop.n_points,
+        y_min=to_dimensionless(prop.grid.y_min, "length", scaling),
+        y_max=to_dimensionless(prop.grid.y_max, "length", scaling),
+        n_points=prop.grid.n_points,
     )
     dt_scaled = to_dimensionless(prop.dt, "time", scaling)
     run = PropagationScenario(
         mass=1.0,
         g_tilde=to_dimensionless(profile.g_tilde, "acceleration", scaling),
         dt=dt_scaled,
-        t_final=n_steps * dt_scaled,
+        n_steps=n_steps,
         record_stride=stride,
     )
     state = init_gaussian(grid, sigma0=to_dimensionless(prop.sigma0, "length", scaling))
@@ -269,7 +268,7 @@ def run(
     out_dir,
     *,
     width_model: str | None = None,
-    q_values=None,
+    q_values=DEFAULT_Q_SWEEP,
     q_lo: float = 1e9,
     q_hi: float = 1e12,
     k_min: float = 0.0,
@@ -300,17 +299,13 @@ def run(
         outputs = _run_dispersion(scenario, out_path, command_args)
     elif command in ("freefall-analytic", "freefall-numeric"):
         _require(scenario, command, "cavity", "gravity", "propagation")
-        prop = scenario.propagation
-        n_steps = int(round(prop.t_final / prop.dt))
-        if n_steps < 1:
-            raise ValidationError("propagation.t_final: must cover at least one step")
-        resolved_stride = _resolve_stride(scenario, n_steps)
+        resolved_stride = _resolve_stride(scenario, scenario.propagation.n_steps)
         if command == "freefall-analytic":
-            outputs = _run_freefall_analytic(scenario, out_path, resolved_stride, n_steps)
+            outputs = _run_freefall_analytic(scenario, out_path, resolved_stride)
         else:
-            outputs, convergence = _run_freefall_numeric(scenario, out_path, resolved_stride, n_steps)
+            outputs, convergence = _run_freefall_numeric(scenario, out_path, resolved_stride)
     elif command == "fig2b":
-        command_args = {"q_values": list(q_values if q_values is not None else DEFAULT_Q_SWEEP)}
+        command_args = {"q_values": list(q_values)}
         outputs, command_args = _run_fig2b(scenario, out_path, command_args)
     elif command == "qthreshold":
         outputs, command_args = _run_qthreshold(scenario, out_path, {"q_lo": q_lo, "q_hi": q_hi})
@@ -342,58 +337,49 @@ def run(
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # run()'s signature is the one home of the option defaults: options not
+    # given stay out of the namespace, and the help text quotes the signature
+    defaults = {name: p.default for name, p in inspect.signature(run).parameters.items()}
     parser = argparse.ArgumentParser(
         prog="cavityfall",
         description="Massive cavity photons: dispersion, gravitational free fall, interferometer SNR.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--scenario", required=True, help="path to a JSON scenario file (SI units)")
-        p.add_argument("--out", default=None, help="output directory (default: scenario output.directory)")
-        p.add_argument("--quiet", action="store_true", help="suppress per-file progress lines")
+        p.add_argument("--out", help="output directory (default: scenario output.directory)")
+        p.add_argument("--quiet", action="store_true", default=False, help="suppress per-file progress lines")
+        return p
 
-    p_disp = sub.add_parser("dispersion", help="dump (k_par, omega, v_g) over a wavenumber grid")
-    common(p_disp)
-    p_disp.add_argument("--k-min", type=float, default=0.0)
-    p_disp.add_argument("--k-max", type=float, default=None, help="default: 2*omega0/c_medium")
-    p_disp.add_argument("--k-points", type=int, default=256)
+    p_disp = command("dispersion", "dump (k_par, omega, v_g) over a wavenumber grid")
+    p_disp.add_argument("--k-min", type=float, help=f"default: {defaults['k_min']}")
+    p_disp.add_argument("--k-max", type=float, help="default: 2*omega0/c_medium")
+    p_disp.add_argument("--k-points", type=int, help=f"default: {defaults['k_points']}")
 
-    common(sub.add_parser("freefall-analytic", help="closed-form free-fall trace"))
-    common(sub.add_parser("freefall-numeric", help="propagated envelope free-fall trace"))
+    command("freefall-analytic", "closed-form free-fall trace")
+    command("freefall-numeric", "propagated envelope free-fall trace")
 
-    p_fig = sub.add_parser("fig2b", help="interference SNR traces over a Q sweep")
-    common(p_fig)
-    p_fig.add_argument("--width-model", choices=("paper", "corrected"), default=None)
-    p_fig.add_argument("--q", type=float, nargs="+", default=None, help="Q sweep (default: 3e10 5e10 7e10)")
+    p_fig = command("fig2b", "interference SNR traces over a Q sweep")
+    p_fig.add_argument("--width-model", choices=("paper", "corrected"), help="default: the scenario's")
+    q_sweep = " ".join(f"{q:g}" for q in defaults["q_values"])
+    p_fig.add_argument("--q", dest="q_values", metavar="Q", type=float, nargs="+", help=f"Q sweep (default: {q_sweep})")
 
-    p_qt = sub.add_parser("qthreshold", help="bisect for the smallest Q with peak SNR >= 1")
-    common(p_qt)
-    p_qt.add_argument("--width-model", choices=("paper", "corrected"), default=None)
-    p_qt.add_argument("--q-lo", type=float, default=1e9)
-    p_qt.add_argument("--q-hi", type=float, default=1e12)
+    p_qt = command("qthreshold", "bisect for the smallest Q with peak SNR >= 1")
+    p_qt.add_argument("--width-model", choices=("paper", "corrected"), help="default: the scenario's")
+    p_qt.add_argument("--q-lo", type=float, help=f"default: {defaults['q_lo']:g}")
+    p_qt.add_argument("--q-hi", type=float, help=f"default: {defaults['q_hi']:g}")
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    options = vars(_build_parser().parse_args(argv))
+    command, scenario_path, out = options.pop("command"), options.pop("scenario"), options.pop("out", None)
     try:
-        scenario = load_scenario(args.scenario)
-        out_dir = args.out if args.out is not None else scenario.output.directory
-        run(
-            args.command,
-            scenario,
-            out_dir,
-            width_model=getattr(args, "width_model", None),
-            q_values=getattr(args, "q", None),
-            q_lo=getattr(args, "q_lo", 1e9),
-            q_hi=getattr(args, "q_hi", 1e12),
-            k_min=getattr(args, "k_min", 0.0),
-            k_max=getattr(args, "k_max", None),
-            k_points=getattr(args, "k_points", 256),
-            quiet=args.quiet,
-        )
+        scenario = load_scenario(scenario_path)
+        run(command, scenario, out if out is not None else scenario.output.directory, **options)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -80,15 +80,6 @@ class CavitySpec:
         return hbar * self.omega0
 
 
-@dataclass(frozen=True)
-class DispersionPoint:
-    """One sample (k_par, omega, v_g) of the in-plane dispersion."""
-
-    k_par: float
-    omega: float
-    v_g: float
-
-
 def effective_mass(cavity: CavitySpec) -> float:
     """Rest mass of the confined photon [kg].
 
@@ -131,10 +122,3 @@ def kg_residual(cavity: CavitySpec, k_par, omega):
     w0 = cavity.omega0
     return -k * k + (w - w0) * (w + w0) / cavity.c_medium**2
 
-
-def dispersion_table(cavity: CavitySpec, k_values) -> list[DispersionPoint]:
-    """Evaluate (k, omega, v_g) over a wavenumber grid."""
-    k = np.asarray(k_values, dtype=float)
-    omega = photon_energy(cavity, k) / hbar
-    v_g = group_velocity(cavity, k)
-    return [DispersionPoint(float(ki), float(wi), float(vi)) for ki, wi, vi in zip(k, omega, v_g)]

@@ -23,11 +23,12 @@ to roundoff, which is what lets the free-fall parabola be certified at 1e-8
 and beyond.  Each record costs one double-precision FFT pair, and the norm
 is conserved to roundoff independently of the step count.
 
-Everything here is in scaled units (units.make_scaling); SI conversion
-happens at the CLI boundary.  The linear potential is discontinuous across
-the periodic wrap, so the formula holds only while the packet stays clear
-of the edges: runs must keep it at least 4 sigma away (enforced at every
-record).
+Propagation runs in scaled units (units.make_scaling); SI conversion
+happens at the CLI boundary.  Grid1D itself carries no unit: scenario files
+hold it in meters and the CLI rescales it.  The linear potential is
+discontinuous across the periodic wrap, so the formula holds only while the
+packet stays clear of the edges: runs must keep it at least 4 sigma away
+(enforced at every record).
 """
 
 from __future__ import annotations
@@ -41,9 +42,16 @@ import numpy as np
 from .errors import DomainError, ValidationError
 
 
+#: Largest grid a run may allocate: a 2**20-point complex128 state is 16 MiB.
+MAX_GRID_POINTS = 2**20
+#: Largest number of rows (recorded samples, wavenumbers) a command may write.
+MAX_ROWS = 10**6
+
+
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid on [y_min, y_max); n_points a power of two >= 64."""
+    """Uniform periodic grid on [y_min, y_max); n_points a power of two in
+    [64, MAX_GRID_POINTS]."""
 
     y_min: float
     y_max: float
@@ -55,6 +63,8 @@ class Grid1D:
         n = self.n_points
         if not (isinstance(n, int) and n >= 64 and (n & (n - 1)) == 0):
             raise ValidationError(f"n_points must be a power of two >= 64, got {n!r}")
+        if n > MAX_GRID_POINTS:
+            raise ValidationError(f"n_points must be <= {MAX_GRID_POINTS} (grid budget), got {n!r}")
 
     @property
     def extent(self) -> float:
@@ -82,12 +92,13 @@ class WaveState:
 
 @dataclass(frozen=True)
 class PropagationScenario:
-    """Parameters of one propagation run (scaled units, hbar = 1)."""
+    """Parameters of one propagation run (scaled units, hbar = 1): n_steps
+    Strang steps of size dt, recording every record_stride-th step."""
 
     mass: float
     g_tilde: float
     dt: float
-    t_final: float
+    n_steps: int
     record_stride: int = 1
 
     def __post_init__(self) -> None:
@@ -97,40 +108,23 @@ class PropagationScenario:
             raise ValidationError(f"g_tilde must be >= 0, got {self.g_tilde!r}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValidationError(f"dt must be > 0, got {self.dt!r}")
-        if not (self.t_final >= self.dt):
-            raise ValidationError(f"t_final must be >= dt, got {self.t_final!r}")
+        if not (isinstance(self.n_steps, int) and self.n_steps >= 1):
+            raise ValidationError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
         if not (isinstance(self.record_stride, int) and self.record_stride >= 1):
             raise ValidationError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
 
 
-class TraceRecord(NamedTuple):
-    """One recorded sample of the propagation observables."""
+class Trace(NamedTuple):
+    """Observables of one state (floats) or of a run (one numpy column per
+    field, one row per recorded sample)."""
 
-    t: float
-    centroid: float
-    width: float
-    mean_k: float
-    norm: float
-    energy: float
-    phase_gradient: float
-
-
-@dataclass
-class Trace:
-    """Time series of observables, one numpy column per field."""
-
-    t: np.ndarray
-    centroid: np.ndarray
-    width: np.ndarray
-    mean_k: np.ndarray
-    norm: np.ndarray
-    energy: np.ndarray
-    phase_gradient: np.ndarray
-
-    @classmethod
-    def from_records(cls, records: list[TraceRecord]) -> "Trace":
-        cols = np.array(records, dtype=float).T
-        return cls(*cols)
+    t: float | np.ndarray
+    centroid: float | np.ndarray
+    width: float | np.ndarray
+    mean_k: float | np.ndarray
+    norm: float | np.ndarray
+    energy: float | np.ndarray
+    phase_gradient: float | np.ndarray
 
 
 class GaussianMoments(NamedTuple):
@@ -179,7 +173,7 @@ def _phase_gradient_at_centroid(u: np.ndarray, y: np.ndarray, centroid: float) -
     return float(coeffs[1])
 
 
-def observables(state: WaveState, mass: float = 1.0, g_tilde: float = 0.0) -> TraceRecord:
+def observables(state: WaveState, mass: float = 1.0, g_tilde: float = 0.0) -> Trace:
     """Measure (centroid, width, <k>, norm, <H>, phase gradient) of a state.
 
     mass and g_tilde define the Hamiltonian for <H>; for a linear potential
@@ -203,11 +197,16 @@ def observables(state: WaveState, mass: float = 1.0, g_tilde: float = 0.0) -> Tr
     kinetic = float(spectrum @ (k**2)) / spectrum_total / (2.0 * mass)
     energy = kinetic + mass * g_tilde * centroid
     phase_grad = _phase_gradient_at_centroid(u, y, centroid)
-    return TraceRecord(state.t, centroid, width, mean_k, norm, energy, phase_grad)
+    return Trace(state.t, centroid, width, mean_k, norm, energy, phase_grad)
 
 
 def recording_schedule(n_steps: int, stride: int) -> list[int]:
-    """Recorded step indices: 0, every stride-th step, and always n_steps."""
+    """Recorded step indices: 0, every stride-th step, and always n_steps;
+    at most MAX_ROWS of them, checked before the list is built."""
+    if n_steps // stride + 2 > MAX_ROWS:
+        raise ValidationError(
+            f"output.stride: recording {n_steps} steps at stride {stride} is over the budget of {MAX_ROWS} rows"
+        )
     steps = list(range(0, n_steps + 1, stride))
     if steps[-1] != n_steps:
         steps.append(n_steps)
@@ -215,7 +214,7 @@ def recording_schedule(n_steps: int, stride: int) -> list[int]:
 
 
 def propagate(state: WaveState, scenario: PropagationScenario) -> tuple[WaveState, Trace]:
-    """Evolve to t_final, recording observables every record_stride steps.
+    """Evolve n_steps steps, recording observables every record_stride steps.
 
     Each record is the composed Strang state at its step index, evaluated
     directly from the initial spectrum (see the module docstring), so the
@@ -227,11 +226,9 @@ def propagate(state: WaveState, scenario: PropagationScenario) -> tuple[WaveStat
     run naming the step.
     """
     grid = state.grid
-    n_steps = int(round(scenario.t_final / scenario.dt))
-    if n_steps < 1:
-        raise ValidationError("t_final must cover at least one step")
+    schedule = recording_schedule(scenario.n_steps, scenario.record_stride)
 
-    def check_record(rec: TraceRecord, step_index: int, initial_norm: float) -> None:
+    def check_record(rec: Trace, step_index: int, initial_norm: float) -> None:
         if rec.norm > initial_norm * (1.0 + 1e-12):
             raise DomainError(f"norm grew beyond roundoff at step {step_index}: {rec.norm!r}")
         clearance = 4.0 * rec.width
@@ -252,7 +249,7 @@ def propagate(state: WaveState, scenario: PropagationScenario) -> tuple[WaveStat
     y = grid.y_values()
     mass, dt = scenario.mass, scenario.dt
     force = mass * scenario.g_tilde
-    for i in recording_schedule(n_steps, scenario.record_stride)[1:]:
+    for i in schedule[1:]:
         t = i * dt
         # products, not float powers: t**3 would raise OverflowError where
         # t*t*t gives inf, which the non-finite check below reports
@@ -268,7 +265,7 @@ def propagate(state: WaveState, scenario: PropagationScenario) -> tuple[WaveStat
         check_record(rec, i, initial_norm)
         records.append(rec)
 
-    return current, Trace.from_records(records)
+    return current, Trace(*np.array(records, dtype=float).T)
 
 
 def analytic_gaussian_oracle(

@@ -11,8 +11,10 @@ Sections (each optional; commands check for the ones they need):
 
 Unknown keys are rejected with the offending path; values must be plain JSON
 numbers (no unit suffixes: "1064nm" is an error, 1.064e-6 is a meter).  The
-propagation grid is periodic and takes no boundary key: the packet must keep
-4 sigma of clearance from the grid edges throughout the run.
+propagation grid (a propagator.Grid1D in meters) is periodic and takes no
+boundary key: the packet must keep 4 sigma of clearance from the grid edges
+throughout the run.  An experiment next to cavity or gravity must agree with
+them on the rest frequency, n_s and g.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .dispersion import CavitySpec
 from .errors import ValidationError
 from .gravity import GravityProfile
 from .interferometry import ExperimentConfig
+from .propagator import Grid1D
 from .units import g_earth
 
 _SECTION_KEYS = {
@@ -44,27 +47,28 @@ WIDTH_MODEL_ALIASES = {"paper": "paper_verbatim", "paper_verbatim": "paper_verba
 
 @dataclass(frozen=True)
 class PropagationSettings:
-    """SI-valued propagation request, converted to scaled units by the runner."""
+    """SI-valued propagation request (grid and sigma0 in meters, dt and
+    t_final in seconds), converted to scaled units by the runner."""
 
-    y_min: float
-    y_max: float
-    n_points: int
+    grid: Grid1D
     dt: float
     t_final: float
     sigma0: float
 
     def __post_init__(self) -> None:
-        if not self.y_max > self.y_min:
-            raise ValidationError("propagation.grid: y_max must exceed y_min")
-        n = self.n_points
-        if not (isinstance(n, int) and n >= 64 and (n & (n - 1)) == 0):
-            raise ValidationError(f"propagation.grid.n_points: must be a power of two >= 64, got {n!r}")
         if not self.dt > 0.0:
             raise ValidationError("propagation.dt: must be > 0")
         if not self.t_final >= self.dt:
             raise ValidationError("propagation.t_final: must be >= dt")
+        if not math.isfinite(self.t_final / self.dt):
+            raise ValidationError(f"propagation.t_final: t_final/dt must be finite, got {self.t_final!r}/{self.dt!r}")
         if not self.sigma0 > 0.0:
             raise ValidationError("propagation.sigma0: must be > 0")
+
+    @property
+    def n_steps(self) -> int:
+        """Number of dt steps covering t_final (at least 1); the only place it is rounded."""
+        return int(round(self.t_final / self.dt))
 
 
 @dataclass(frozen=True)
@@ -164,10 +168,15 @@ def _parse_propagation(section: dict) -> PropagationSettings:
     for key in ("dt", "t_final", "sigma0"):
         if key not in section:
             raise ValidationError(f"propagation.{key}: required")
+    y_min = _number("propagation.grid.y_min", grid["y_min"])
+    y_max = _number("propagation.grid.y_max", grid["y_max"])
+    n_points = _integer("propagation.grid.n_points", grid["n_points"])
+    try:
+        grid_si = Grid1D(y_min=y_min, y_max=y_max, n_points=n_points)
+    except ValidationError as exc:
+        raise ValidationError(f"propagation.grid: {exc}") from None
     return PropagationSettings(
-        y_min=_number("propagation.grid.y_min", grid["y_min"]),
-        y_max=_number("propagation.grid.y_max", grid["y_max"]),
-        n_points=_integer("propagation.grid.n_points", grid["n_points"]),
+        grid=grid_si,
         dt=_number("propagation.dt", section["dt"]),
         t_final=_number("propagation.t_final", section["t_final"]),
         sigma0=_number("propagation.sigma0", section["sigma0"]),
@@ -214,6 +223,26 @@ def _parse_output(section: dict) -> OutputSettings:
     )
 
 
+def _check_shared_physics(
+    experiment: ExperimentConfig, cavity: CavitySpec | None, gravity: GravityProfile | None
+) -> None:
+    """The experiment describes the photon of the cavity section in the field
+    of the gravity section, so the values they share must agree."""
+    # the two rest frequencies come from different float paths
+    # (2*pi*c/lambda0 vs pi*j*c/(L*n_s)), so equality is to 1e-12
+    if cavity is not None and abs(experiment.omega0 - cavity.omega0) > 1e-12 * cavity.omega0:
+        raise ValidationError(
+            f"experiment.lambda0: rest frequency {experiment.omega0!r} rad/s disagrees with cavity's {cavity.omega0!r}"
+        )
+    medium, section = (cavity, "cavity") if cavity is not None else (gravity, "gravity")
+    if medium is not None and experiment.n_s != medium.n_s:
+        raise ValidationError(
+            f"experiment.n_s: must match {section}.n_s (single medium), got {experiment.n_s!r} vs {medium.n_s!r}"
+        )
+    if gravity is not None and experiment.g != gravity.g:
+        raise ValidationError(f"experiment.g: must match gravity.g, got {experiment.g!r} vs {gravity.g!r}")
+
+
 def parse_scenario(text: str) -> ScenarioFile:
     """Parse and validate a scenario document; every violation is reported
     with the path of the offending key."""
@@ -227,6 +256,8 @@ def parse_scenario(text: str) -> ScenarioFile:
     gravity = _parse_gravity(_mapping("gravity", root["gravity"]), cavity) if "gravity" in root else None
     propagation = _parse_propagation(_mapping("propagation", root["propagation"])) if "propagation" in root else None
     experiment = _parse_experiment(_mapping("experiment", root["experiment"])) if "experiment" in root else None
+    if experiment is not None:
+        _check_shared_physics(experiment, cavity, gravity)
     output = _parse_output(_mapping("output", root["output"])) if "output" in root else OutputSettings()
 
     return ScenarioFile(
@@ -254,7 +285,7 @@ def scenario_to_dict(scenario: ScenarioFile, resolved_stride: int | None = None)
     if scenario.propagation is not None:
         prop = scenario.propagation
         document["propagation"] = {
-            "grid": {"y_min": prop.y_min, "y_max": prop.y_max, "n_points": prop.n_points},
+            "grid": {"y_min": prop.grid.y_min, "y_max": prop.grid.y_max, "n_points": prop.grid.n_points},
             "dt": prop.dt,
             "t_final": prop.t_final,
             "sigma0": prop.sigma0,

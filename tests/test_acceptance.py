@@ -74,7 +74,7 @@ def test_criterion_1_parabolic_free_fall(shipped_numeric_run):
     exact = exact_accelerating_gaussian(GRID, 1.0, 1.0, 1.0, 2.0)
     errors = []
     for dt in dts:
-        scn = PropagationScenario(mass=1.0, g_tilde=1.0, dt=dt, t_final=2.0, record_stride=10**9)
+        scn = PropagationScenario(mass=1.0, g_tilde=1.0, dt=dt, n_steps=int(2.0 / dt), record_stride=10**9)
         final, _ = propagate(init_gaussian(GRID, 1.0), scn)
         errors.append(math.sqrt(float(np.sum(np.abs(final.amplitudes - exact) ** 2)) * GRID.dy))
     slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
@@ -94,7 +94,7 @@ def test_criterion_2_equivalence_principle():
     g_tilde, t_final = 0.25, 1.0
     traces = []
     for mass in (0.1, 1.0, 10.0, 100.0):
-        scn = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=1 / 64, t_final=t_final, record_stride=8)
+        scn = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=1 / 64, n_steps=64, record_stride=8)
         _, trace = propagate(init_gaussian(grid, 1.0), scn)
         traces.append(trace.centroid)
     final_drop = 0.5 * g_tilde * t_final**2
@@ -107,7 +107,7 @@ def test_criterion_3_dielectric_drag():
     ns_squared = NS_CAF2**2
     centroids = {}
     for label, g_tilde in (("vacuum", 1.0), ("dielectric", 1.0 / ns_squared)):
-        scn = PropagationScenario(mass=1.0, g_tilde=g_tilde, dt=1 / 64, t_final=1.5, record_stride=8)
+        scn = PropagationScenario(mass=1.0, g_tilde=g_tilde, dt=1 / 64, n_steps=96, record_stride=8)
         _, trace = propagate(init_gaussian(GRID, 1.0), scn)
         centroids[label] = trace.centroid
     ratio = centroids["vacuum"][1:] / centroids["dielectric"][1:]
@@ -132,7 +132,7 @@ def test_criterion_4_phase_gradient(shipped_numeric_run):
         "vacuum": (1.0, 0.5),
         "dielectric": (ns_squared, 0.5 / ns_squared),
     }.items():
-        scn = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=1 / 64, t_final=2.0, record_stride=16)
+        scn = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=1 / 64, n_steps=128, record_stride=16)
         _, trace = propagate(init_gaussian(GRID, 1.0), scn)
         gradients[label] = trace.phase_gradient[1:]
     worst_pair = np.max(np.abs(gradients["vacuum"] - gradients["dielectric"]) / np.abs(gradients["vacuum"]))
@@ -222,7 +222,7 @@ def test_criterion_7_q_threshold():
 
 def test_criterion_8_conservation_suite():
     mass, g_tilde = 4.0, 0.125
-    scn = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=1e-3, t_final=10.0, record_stride=500)
+    scn = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=1e-3, n_steps=10000, record_stride=500)
     _, trace = propagate(init_gaussian(GRID, 1.0), scn)
     assert len(trace.t) - 1 == 20  # 1e4 steps, recorded every 500
 

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cavityfall import load_scenario, parse_scenario
 from cavityfall.cli import main, run
@@ -253,3 +257,75 @@ class TestMainEntryPoint:
         assert paper["traces"][0]["sn_peak"] > 1.0
         assert corrected["traces"][0]["sn_peak"] < 0.01
         assert sha256(tmp_path / "p" / "fig2b_Q7e+10.csv") != sha256(tmp_path / "c" / "fig2b_Q7e+10.csv")
+
+    @pytest.mark.parametrize("k_points", ["-1", "0", str(10**12)])
+    def test_k_points_out_of_range_exit_two(self, scenario_dir, tmp_path, capsys, k_points):
+        # rejected before np.linspace allocates anything
+        argv = ["dispersion", "--scenario", str(scenario_dir / "freefall_caf2.json"), "--out", str(tmp_path)]
+        assert main(argv + ["--k-points", k_points, "--quiet"]) == 2
+        assert "--k-points" in capsys.readouterr().err
+        assert not (tmp_path / "dispersion.csv").exists()
+
+    def test_experiment_disagreeing_with_cavity_exit_two(self, scenario_dir, tmp_path, capsys):
+        reference = json.loads((scenario_dir / "caf2_wgmc.json").read_text())
+        doc = {"cavity": {"lambda0": 1.55e-6, "n_s": 1.43}, "experiment": reference["experiment"]}
+        scenario_path = tmp_path / "mixed.json"
+        scenario_path.write_text(json.dumps(doc))
+        argv = ["fig2b", "--scenario", str(scenario_path), "--q", "7e10", "--quiet"]
+        assert main(argv + ["--out", str(tmp_path / "bad")]) == 2
+        assert "experiment.lambda0" in capsys.readouterr().err
+        doc["cavity"]["lambda0"] = reference["experiment"]["lambda0"]
+        scenario_path.write_text(json.dumps(doc))
+        assert main(argv + ["--out", str(tmp_path / "good")]) == 0
+        manifest = json.loads((tmp_path / "good" / "run_manifest.json").read_text())
+        assert manifest["derived"]["omega0"] == pytest.approx(2 * np.pi * c_si / 1.064e-6, rel=1e-12)
+
+
+_SMALL_GRID = (-6.4, 6.4, 1024)
+
+
+def _log_uniform(low_exp, high_exp):
+    return st.floats(low_exp, high_exp).map(lambda e: 10.0**e)
+
+
+class TestExitCodes:
+    """Every propagation document ends in a documented exit code, never a
+    traceback."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        command=st.sampled_from(["freefall-numeric", "freefall-analytic"]),
+        dt=_log_uniform(-300, 300),
+        t_final=_log_uniform(-300, 300),
+        # (y_min, y_max, n_points): the small valid grid half of the time,
+        # otherwise edges and point counts that include invalid values
+        grid=st.one_of(
+            st.just(_SMALL_GRID),
+            st.tuples(
+                st.sampled_from([-6.4, -1e300, 0.0, 6.4]),
+                st.sampled_from([6.4, 1e300, 0.0]),
+                st.sampled_from([1024, 64, 1000, 32, 2**40]),
+            ),
+        ),
+        stride=st.one_of(st.none(), st.integers(1, 8)),
+        expected=st.none(),
+    )
+    # overflowing step counts: 1e8 steps whose composed phase overflows
+    # (exit 3 from the non-finite check or the |v| limit), and a t_final/dt
+    # that is not a finite number (exit 2)
+    @example(command="freefall-numeric", dt=1e300, t_final=1e308, grid=_SMALL_GRID, stride=None, expected=3)
+    @example(command="freefall-analytic", dt=1e300, t_final=1e308, grid=_SMALL_GRID, stride=None, expected=3)
+    @example(command="freefall-numeric", dt=1e-300, t_final=1e10, grid=_SMALL_GRID, stride=None, expected=2)
+    @example(command="freefall-analytic", dt=1e-300, t_final=1e10, grid=_SMALL_GRID, stride=None, expected=2)
+    def test_generated_documents_exit_documented(self, command, dt, t_final, grid, stride, expected):
+        doc = json.loads(json.dumps(SMALL_FREEFALL))
+        doc["propagation"].update(dt=dt, t_final=t_final)
+        doc["propagation"]["grid"] = dict(zip(("y_min", "y_max", "n_points"), grid))
+        doc["output"] = {} if stride is None else {"stride": stride}
+        with tempfile.TemporaryDirectory() as work:
+            scenario_path = Path(work) / "scenario.json"
+            scenario_path.write_text(json.dumps(doc))
+            code = main([command, "--scenario", str(scenario_path), "--out", str(Path(work) / "out"), "--quiet"])
+        assert code in (0, 2, 3, 4)
+        if expected is not None:
+            assert code == expected

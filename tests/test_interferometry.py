@@ -88,7 +88,7 @@ class TestModeWidth:
         mass = cfg.n_s**2 * hbar * cfg.omega0 / c**2
         scaling = make_scaling(mass, cfg.sigma0)
         grid = Grid1D(-32.0, 32.0, 1024)
-        scenario = PropagationScenario(mass=1.0, g_tilde=0.0, dt=0.05, t_final=4.0, record_stride=20)
+        scenario = PropagationScenario(mass=1.0, g_tilde=0.0, dt=0.05, n_steps=80, record_stride=20)
         _, trace = propagate(init_gaussian(grid, 1.0), scenario)
         for i, t_scaled in enumerate(trace.t[1:], start=1):
             t_si = float(t_scaled) * scaling.T_ref

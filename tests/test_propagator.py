@@ -21,6 +21,7 @@ from cavityfall import (
     phase_gradient,
     propagate,
 )
+from cavityfall.propagator import MAX_ROWS, recording_schedule
 from cavityfall.units import hbar as hbar_si
 
 GRID = Grid1D(-32.0, 32.0, 1024)
@@ -41,7 +42,7 @@ def strang_reference(u, grid, mass, g_tilde, dt, n_steps):
 
 
 def propagate_steps(state, dt, mass=1.0, g_tilde=0.0, n_steps=1):
-    final, _ = propagate(state, PropagationScenario(mass=mass, g_tilde=g_tilde, dt=dt, t_final=n_steps * dt))
+    final, _ = propagate(state, PropagationScenario(mass=mass, g_tilde=g_tilde, dt=dt, n_steps=n_steps))
     return final
 
 
@@ -55,7 +56,7 @@ class TestGrid1D:
         assert k[0] == 0.0
         assert np.max(k) == pytest.approx(math.pi / GRID.dy, rel=1e-2)
 
-    @pytest.mark.parametrize("n", [32, 100, 1023])
+    @pytest.mark.parametrize("n", [32, 100, 1023, 2**40])
     def test_rejects_bad_point_counts(self, n):
         with pytest.raises(ValidationError):
             Grid1D(-1.0, 1.0, n)
@@ -65,18 +66,33 @@ class TestGrid1D:
             Grid1D(1.0, -1.0, 128)
 
 
+class TestRecordingSchedule:
+    def test_steps_stride_and_final_partial_stride(self):
+        assert recording_schedule(10, 3) == [0, 3, 6, 9, 10]
+        assert recording_schedule(10, 5) == [0, 5, 10]
+
+    def test_row_budget_checked_before_building_the_list(self):
+        # 10**12 rows would need terabytes; the check must come first
+        with pytest.raises(ValidationError, match="output.stride"):
+            recording_schedule(10**12, 1)
+        with pytest.raises(ValidationError, match=f"budget of {MAX_ROWS}"):
+            recording_schedule(MAX_ROWS - 1, 1)
+
+
 class TestScenarioValidation:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValidationError):
-            PropagationScenario(mass=0.0, g_tilde=1.0, dt=0.1, t_final=1.0)
+            PropagationScenario(mass=0.0, g_tilde=1.0, dt=0.1, n_steps=10)
         with pytest.raises(ValidationError):
-            PropagationScenario(mass=1.0, g_tilde=-1.0, dt=0.1, t_final=1.0)
+            PropagationScenario(mass=1.0, g_tilde=-1.0, dt=0.1, n_steps=10)
         with pytest.raises(ValidationError):
-            PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.0, t_final=1.0)
+            PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.0, n_steps=10)
+        with pytest.raises(ValidationError, match="n_steps"):
+            PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.5, n_steps=0)
+        with pytest.raises(ValidationError, match="n_steps"):
+            PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.5, n_steps=2.5)
         with pytest.raises(ValidationError):
-            PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.5, t_final=0.25)
-        with pytest.raises(ValidationError):
-            PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.1, t_final=1.0, record_stride=0)
+            PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.1, n_steps=10, record_stride=0)
 
 
 class TestInitGaussian:
@@ -125,7 +141,7 @@ class TestObservables:
             observables(dead)
 
     def test_energy_is_conserved_along_a_run(self):
-        scenario = PropagationScenario(mass=1.0, g_tilde=0.5, dt=1 / 64, t_final=2.0, record_stride=16)
+        scenario = PropagationScenario(mass=1.0, g_tilde=0.5, dt=1 / 64, n_steps=128, record_stride=16)
         _, trace = propagate(init_gaussian(GRID, 1.0), scenario)
         drift = np.max(np.abs(trace.energy - trace.energy[0]) / abs(trace.energy[0]))
         assert drift < 1e-10
@@ -202,14 +218,14 @@ class TestStrangComposition:
 
 class TestPropagate:
     def test_free_packet_spreads_on_schedule(self):
-        scenario = PropagationScenario(mass=1.0, g_tilde=0.0, dt=1 / 64, t_final=4.0, record_stride=32)
+        scenario = PropagationScenario(mass=1.0, g_tilde=0.0, dt=1 / 64, n_steps=256, record_stride=32)
         _, trace = propagate(init_gaussian(GRID, 1.0), scenario)
         assert np.max(np.abs(trace.centroid)) < 1e-12
         expected = np.sqrt(1.0 + (trace.t / 2.0) ** 2)
         assert np.max(np.abs(trace.width - expected) / expected) < 1e-6
 
     def test_centroid_falls_on_the_parabola(self):
-        scenario = PropagationScenario(mass=1.0, g_tilde=1.0, dt=1 / 64, t_final=4.0, record_stride=16)
+        scenario = PropagationScenario(mass=1.0, g_tilde=1.0, dt=1 / 64, n_steps=256, record_stride=16)
         _, trace = propagate(init_gaussian(GRID, 1.0), scenario)
         final_drop = 0.5 * 1.0 * 4.0**2
         assert np.max(np.abs(trace.centroid + 0.5 * trace.t**2)) < 1e-8 * final_drop
@@ -217,13 +233,13 @@ class TestPropagate:
     def test_centroid_trace_is_mass_independent(self):
         traces = []
         for mass in (1.0, 10.0):
-            scenario = PropagationScenario(mass=mass, g_tilde=1.0, dt=1 / 64, t_final=2.0, record_stride=16)
+            scenario = PropagationScenario(mass=mass, g_tilde=1.0, dt=1 / 64, n_steps=128, record_stride=16)
             _, trace = propagate(init_gaussian(GRID, 1.0), scenario)
             traces.append(trace.centroid)
         assert np.max(np.abs(traces[0] - traces[1])) < 1e-10 * 2.0
 
     def test_records_include_final_partial_stride(self):
-        scenario = PropagationScenario(mass=1.0, g_tilde=0.0, dt=0.1, t_final=1.0, record_stride=3)
+        scenario = PropagationScenario(mass=1.0, g_tilde=0.0, dt=0.1, n_steps=10, record_stride=3)
         _, trace = propagate(init_gaussian(GRID, 1.0), scenario)
         assert trace.t[0] == 0.0
         assert trace.t[-1] == pytest.approx(1.0, rel=1e-15)
@@ -231,7 +247,7 @@ class TestPropagate:
 
     def test_domain_escape_suggests_larger_grid(self):
         small = Grid1D(-8.0, 8.0, 128)
-        scenario = PropagationScenario(mass=1.0, g_tilde=2.0, dt=1 / 32, t_final=4.0, record_stride=4)
+        scenario = PropagationScenario(mass=1.0, g_tilde=2.0, dt=1 / 32, n_steps=128, record_stride=4)
         with pytest.raises(DomainError, match="enlarge the grid"):
             propagate(init_gaussian(small, 1.0), scenario)
 
@@ -239,7 +255,7 @@ class TestPropagate:
         state = init_gaussian(GRID, 1.0)
         state.amplitudes[0] = np.inf
         with pytest.raises(DomainError):
-            propagate(state, PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.1, t_final=0.5))
+            propagate(state, PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.1, n_steps=5))
 
 
 class TestAnalyticOracle:
@@ -272,7 +288,7 @@ class TestAnalyticOracle:
 class TestOracleEquivalence:
     def test_observables_match_closed_form(self):
         mass, g_tilde = 1.0, 1.0
-        scenario = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=1 / 64, t_final=3.0, record_stride=16)
+        scenario = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=1 / 64, n_steps=192, record_stride=16)
         _, trace = propagate(init_gaussian(GRID, 1.0), scenario)
         final_drop = 0.5 * g_tilde * 3.0**2
         for i, t in enumerate(trace.t):
@@ -292,7 +308,8 @@ class TestOracleEquivalence:
         dts = [1 / 8, 1 / 16, 1 / 32, 1 / 64]
         exact = exact_accelerating_gaussian(GRID, 1.0, mass, g_tilde, t_final)
         for dt in dts:
-            scenario = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=dt, t_final=t_final, record_stride=10**9)
+            n_steps = int(t_final / dt)  # exact: dt divides t_final
+            scenario = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=dt, n_steps=n_steps, record_stride=10**9)
             final, _ = propagate(init_gaussian(GRID, 1.0), scenario)
             errors.append(l2_distance(final.amplitudes, exact, GRID.dy))
         errors = np.array(errors)
@@ -305,7 +322,7 @@ class TestOracleEquivalence:
 
     def test_phase_gradient_law_in_scaled_units(self):
         mass, g_tilde = 2.0449, 0.4
-        scenario = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=1 / 64, t_final=2.0, record_stride=16)
+        scenario = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=1 / 64, n_steps=128, record_stride=16)
         _, trace = propagate(init_gaussian(GRID, 1.0), scenario)
         for i, t in enumerate(trace.t[1:], start=1):
             assert abs(trace.phase_gradient[i]) == pytest.approx(mass * g_tilde * t, rel=1e-4)
@@ -314,7 +331,7 @@ class TestOracleEquivalence:
         ns_squared = 1.43**2
         traces = {}
         for label, g_tilde in (("vacuum", 1.0), ("dielectric", 1.0 / ns_squared)):
-            scenario = PropagationScenario(mass=1.0, g_tilde=g_tilde, dt=1 / 64, t_final=1.5, record_stride=16)
+            scenario = PropagationScenario(mass=1.0, g_tilde=g_tilde, dt=1 / 64, n_steps=96, record_stride=16)
             _, traces[label] = propagate(init_gaussian(GRID, 1.0), scenario)
         ratio = traces["vacuum"].centroid[1:] / traces["dielectric"].centroid[1:]
         assert np.max(np.abs(ratio - ns_squared) / ns_squared) < 1e-8
@@ -322,6 +339,6 @@ class TestOracleEquivalence:
 
 class TestConservation:
     def test_norm_is_conserved_to_roundoff(self):
-        scenario = PropagationScenario(mass=1.0, g_tilde=0.5, dt=1 / 128, t_final=6.0, record_stride=64)
+        scenario = PropagationScenario(mass=1.0, g_tilde=0.5, dt=1 / 128, n_steps=768, record_stride=64)
         _, trace = propagate(init_gaussian(GRID, 1.0), scenario)
         assert np.max(np.abs(trace.norm - trace.norm[0])) < 1e-12

@@ -121,6 +121,27 @@ class TestPropagationSection:
         with pytest.raises(ValidationError, match="power of two"):
             parse(doc)
 
+    def test_grid_budget_enforced(self):
+        doc = json.loads(json.dumps(FULL_FREEFALL))
+        doc["propagation"]["grid"]["n_points"] = 2**40
+        with pytest.raises(ValidationError, match="propagation.grid: n_points must be <= "):
+            parse(doc)
+
+    def test_grid_is_one_si_grid1d(self):
+        grid = parse(FULL_FREEFALL).propagation.grid
+        assert (grid.y_min, grid.y_max, grid.n_points) == (-64.0, 64.0, 8192)
+
+    def test_step_count_decided_once(self):
+        # 0.06 / 8e-5 is 749.9999999999999 in floats; rounding gives 750
+        assert parse(FULL_FREEFALL).propagation.n_steps == 750
+
+    def test_step_count_overflow_rejected(self):
+        doc = json.loads(json.dumps(FULL_FREEFALL))
+        doc["propagation"]["dt"] = 1e-300
+        doc["propagation"]["t_final"] = 1e10
+        with pytest.raises(ValidationError, match="propagation.t_final: t_final/dt must be finite"):
+            parse(doc)
+
     def test_boundary_key_rejected(self):
         # the grid is periodic and takes no boundary section
         doc = json.loads(json.dumps(FULL_FREEFALL))
@@ -132,6 +153,45 @@ class TestPropagationSection:
         doc = json.loads(json.dumps(FULL_FREEFALL))
         del doc["propagation"]["dt"]
         with pytest.raises(ValidationError, match="propagation.dt"):
+            parse(doc)
+
+
+class TestSharedPhysics:
+    """experiment next to cavity or gravity must describe the same photon
+    in the same field."""
+
+    MATCHING = {
+        "cavity": {"lambda0": 1.064e-6, "n_s": 1.43},
+        "gravity": {"g": 9.81, "n_s": 1.43},
+        "experiment": dict(MINIMAL_EXPERIMENT["experiment"], n_s=1.43, g=9.81),
+    }
+
+    def mutated(self, section, key, value):
+        doc = json.loads(json.dumps(self.MATCHING))
+        doc[section][key] = value
+        return doc
+
+    def test_matching_sections_accepted(self):
+        sc = parse(self.MATCHING)
+        assert sc.experiment.omega0 == pytest.approx(sc.cavity.omega0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "section, key, value, named",
+        [
+            ("experiment", "lambda0", 1.55e-6, "experiment.lambda0"),
+            ("cavity", "lambda0", 1.064e-6 * (1 + 1e-9), "experiment.lambda0"),
+            ("experiment", "n_s", 1.0, "experiment.n_s"),
+            ("experiment", "g", 9.8, "experiment.g"),
+        ],
+    )
+    def test_mismatch_rejected_naming_the_experiment_key(self, section, key, value, named):
+        with pytest.raises(ValidationError, match=named):
+            parse(self.mutated(section, key, value))
+
+    def test_gravity_checked_without_cavity(self):
+        doc = self.mutated("gravity", "n_s", 1.0)
+        del doc["cavity"]
+        with pytest.raises(ValidationError, match="experiment.n_s: must match gravity.n_s"):
             parse(doc)
 
 
