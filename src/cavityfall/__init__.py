@@ -60,22 +60,12 @@ from .scenario import (
     parse_scenario,
     scenario_to_dict,
 )
-from .units import (
-    UnitScaling,
-    from_dimensionless,
-    make_scaling,
-    to_dimensionless,
-)
 
 __all__ = [
     "__version__",
     "CavityFallError",
     "DomainError",
     "ValidationError",
-    "UnitScaling",
-    "make_scaling",
-    "to_dimensionless",
-    "from_dimensionless",
     "CavitySpec",
     "effective_mass",
     "photon_energy",

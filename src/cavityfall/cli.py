@@ -23,8 +23,10 @@ import argparse
 import hashlib
 import inspect
 import json
+import math
 import os
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -36,9 +38,9 @@ from .dispersion import CavitySpec, effective_mass, group_velocity, photon_energ
 from .errors import DomainError, ValidationError
 from .gravity import freefall_trajectory, phase_gradient
 from .interferometry import snr_trace, q_threshold
-from .propagator import MAX_ROWS, Grid1D, PropagationScenario, init_gaussian, propagate, recording_schedule
+from .propagator import MAX_ROWS, PropagationScenario, init_gaussian, propagate, recording_schedule
 from .scenario import WIDTH_MODEL_ALIASES, ScenarioFile, load_scenario, scenario_to_dict
-from .units import c, hbar, make_scaling, to_dimensionless
+from .units import c, hbar
 
 DEFAULT_Q_SWEEP = (3e10, 5e10, 7e10)
 _FIG2B_SAMPLES = 2001
@@ -50,9 +52,17 @@ def _fmt(value: float) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    # a unique temp name per write, so concurrent runs into one directory
+    # never share one; mkstemp creates it 0600, artifacts are 0644
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.chmod(tmp, 0o644)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def _write_csv(path: Path, header: tuple[str, ...], columns: list[np.ndarray]) -> None:
@@ -103,6 +113,9 @@ def _run_dispersion(scenario: ScenarioFile, out_dir: Path, args: dict) -> list[P
     _require(scenario, "dispersion", "cavity")
     cav = scenario.cavity
     k_max = args["k_max"] if args["k_max"] is not None else 2.0 * cav.omega0 / cav.c_medium
+    for option, value in (("--k-min", args["k_min"]), ("--k-max", k_max)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{option}: must be finite, got {value!r}")
     if not k_max > args["k_min"]:
         raise ValidationError(f"dispersion needs k_max > k_min, got {k_max!r} <= {args['k_min']!r}")
     if not 1 <= args["k_points"] <= MAX_ROWS:
@@ -140,45 +153,31 @@ def _run_freefall_analytic(scenario: ScenarioFile, out_dir: Path, stride: int) -
 
 def _run_freefall_numeric(scenario: ScenarioFile, out_dir: Path, stride: int) -> tuple[list[Path], dict]:
     cav, profile, prop = scenario.cavity, scenario.gravity, scenario.propagation
-    n_steps = prop.n_steps
-    scaling = make_scaling(mass=effective_mass(cav), length=prop.sigma0)
-    grid = Grid1D(
-        y_min=to_dimensionless(prop.grid.y_min, "length", scaling),
-        y_max=to_dimensionless(prop.grid.y_max, "length", scaling),
-        n_points=prop.grid.n_points,
-    )
-    dt_scaled = to_dimensionless(prop.dt, "time", scaling)
+    # SI throughout: hbar enters only through the propagator mass m/hbar [s/m^2]
     run = PropagationScenario(
-        mass=1.0,
-        g_tilde=to_dimensionless(profile.g_tilde, "acceleration", scaling),
-        dt=dt_scaled,
-        n_steps=n_steps,
+        mass=effective_mass(cav) / hbar,
+        g_tilde=profile.g_tilde,
+        dt=prop.dt,
+        n_steps=prop.n_steps,
         record_stride=stride,
     )
-    state = init_gaussian(grid, sigma0=to_dimensionless(prop.sigma0, "length", scaling))
-    _, trace = propagate(state, run)
-
-    # exact SI recording times (multiples of the SI step), bit-identical to
-    # the analytic command's time column
-    times_si = np.array([i * prop.dt for i in recording_schedule(n_steps, stride)])
+    _, trace = propagate(init_gaussian(prop.grid, sigma0=prop.sigma0), run)
     path = out_dir / "freefall_numeric.csv"
     _write_csv(
         path,
         ("t_si", "y_si", "sigma_si", "k_si", "norm", "energy_si", "phase_grad_si"),
         [
-            times_si,
-            trace.centroid * scaling.L_ref,
-            trace.width * scaling.L_ref,
-            trace.mean_k / scaling.L_ref,
+            trace.t,
+            trace.centroid,
+            trace.width,
+            trace.mean_k,
             trace.norm,
-            trace.energy * scaling.E_ref,
-            trace.phase_gradient / scaling.L_ref,
+            trace.energy * hbar,
+            trace.phase_gradient,
         ],
     )
     convergence = {
-        "dt_scaled": dt_scaled,
-        "g_tilde_scaled": run.g_tilde,
-        "n_steps": n_steps,
+        "n_steps": prop.n_steps,
         "record_stride": stride,
         "splitting_order": 2,
         "norm_drift": float(np.max(np.abs(trace.norm - trace.norm[0]))),

@@ -189,7 +189,11 @@ def freefall_trajectory(cavity: CavitySpec, profile: GravityProfile, t: float) -
             f"|v| = {abs(v):.6g} m/s leaves the non-relativistic domain "
             f"(limit {v_max:.6g} m/s, reached at t = {v_max / g_tilde:.6g} s)"
         )
-    y = -0.5 * g_tilde * t**2
+    # t * t, not t**2: a float power raises OverflowError where the product
+    # gives inf, which is reported as a domain error
+    y = -0.5 * g_tilde * (t * t)
+    if not math.isfinite(y):
+        raise DomainError(f"the fall -g_tilde*t^2/2 overflows at t = {t:.6g} s")
     k_y = effective_mass(cavity) * abs(v) / hbar
     return FreefallState(t=t, y=y, v=v, k_y=k_y)
 

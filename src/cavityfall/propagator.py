@@ -2,7 +2,7 @@
 
 Evolves the non-relativistic envelope equation
 
-    i du/dt = [ -(1/(2m)) d^2/dy^2 + F*y ] u,     F = m*g_tilde  (hbar = 1)
+    i du/dt = [ -(1/(2m)) d^2/dy^2 + F*y ] u,     F = m*g_tilde
 
 on a uniform periodic grid with the symmetric Strang split: half a
 potential phase in position space, a full kinetic phase in Fourier space,
@@ -23,12 +23,13 @@ to roundoff, which is what lets the free-fall parabola be certified at 1e-8
 and beyond.  Each record costs one double-precision FFT pair, and the norm
 is conserved to roundoff independently of the step count.
 
-Propagation runs in scaled units (units.make_scaling); SI conversion
-happens at the CLI boundary.  Grid1D itself carries no unit: scenario files
-hold it in meters and the CLI rescales it.  The linear potential is
-discontinuous across the periodic wrap, so the formula holds only while the
-packet stays clear of the edges: runs must keep it at least 4 sigma away
-(enforced at every record).
+The equation depends on the physical mass and hbar only through their
+ratio, so hbar = 1 is absorbed into m: the mass a run takes is m/hbar, in
+whatever units the grid, dt and g_tilde use.  The CLI passes the SI grid,
+step and acceleration unchanged, with m/hbar in s/m^2; Grid1D itself carries
+no unit.  The linear potential is discontinuous across the periodic wrap,
+so the formula holds only while the packet stays clear of the edges: runs
+must keep it at least 4 sigma away (enforced at every record).
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class Grid1D:
 
 @dataclass
 class WaveState:
-    """Complex envelope samples on a grid at simulation time t (scaled units)."""
+    """Complex envelope samples on a grid at time t."""
 
     grid: Grid1D
     amplitudes: np.ndarray
@@ -92,8 +93,9 @@ class WaveState:
 
 @dataclass(frozen=True)
 class PropagationScenario:
-    """Parameters of one propagation run (scaled units, hbar = 1): n_steps
-    Strang steps of size dt, recording every record_stride-th step."""
+    """Parameters of one propagation run: n_steps Strang steps of size dt,
+    recording every record_stride-th step.  mass is m/hbar in whatever
+    units the grid, dt and g_tilde use."""
 
     mass: float
     g_tilde: float
@@ -280,8 +282,8 @@ def analytic_gaussian_oracle(
     which equals the lab-frame law omega0*g*t/c^2 once m and g_tilde are the
     dielectric mass and renormalized acceleration.
 
-    Pass hbar explicitly to evaluate in SI; the default 1.0 matches the
-    propagator's scaled units.
+    Pass hbar explicitly to evaluate with the physical mass in SI; the
+    default 1.0 matches the propagator, whose mass is m/hbar.
     """
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValidationError(f"t must be >= 0, got {t!r}")

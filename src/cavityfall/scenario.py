@@ -48,7 +48,7 @@ WIDTH_MODEL_ALIASES = {"paper": "paper_verbatim", "paper_verbatim": "paper_verba
 @dataclass(frozen=True)
 class PropagationSettings:
     """SI-valued propagation request (grid and sigma0 in meters, dt and
-    t_final in seconds), converted to scaled units by the runner."""
+    t_final in seconds), passed to the propagator unchanged."""
 
     grid: Grid1D
     dt: float

@@ -98,7 +98,7 @@ class TestFreefallCommands:
         assert conv["energy_drift"] < 1e-10
 
     def test_numeric_and_analytic_agree(self, small_scenario, tmp_path):
-        # the scaled (hbar = 1) evolution converted back to SI reproduces the
+        # the SI evolution (propagator mass m/hbar) reproduces the
         # closed-form SI observables to 1e-10 of the final fall
         run("freefall-numeric", small_scenario, tmp_path / "num")
         run("freefall-analytic", small_scenario, tmp_path / "ana")
@@ -266,6 +266,43 @@ class TestMainEntryPoint:
         assert "--k-points" in capsys.readouterr().err
         assert not (tmp_path / "dispersion.csv").exists()
 
+    @pytest.mark.parametrize("option, value", [("--k-max", "inf"), ("--k-min", "-inf"), ("--k-max", "nan")])
+    def test_non_finite_k_bounds_exit_two(self, scenario_dir, tmp_path, capsys, option, value):
+        # rejected before np.linspace would fill the rows with nan/inf
+        argv = ["dispersion", "--scenario", str(scenario_dir / "freefall_caf2.json"), "--out", str(tmp_path)]
+        assert main(argv + [f"{option}={value}", "--k-points", "4", "--quiet"]) == 2
+        assert f"{option}: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "dispersion.csv").exists()
+
+    def test_leftover_temp_directory_does_not_block_a_write(self, scenario_dir, tmp_path):
+        # each write goes through its own temp file, so a stale or concurrent
+        # run's "<file>.tmp" is never in the way
+        (tmp_path / "dispersion.csv.tmp").mkdir()
+        argv = ["dispersion", "--scenario", str(scenario_dir / "freefall_caf2.json"), "--out", str(tmp_path)]
+        assert main(argv + ["--k-points", "4", "--quiet"]) == 0
+        assert (tmp_path / "dispersion.csv").is_file()
+        assert [p for p in tmp_path.glob("*.tmp") if p.is_file()] == []
+
+    def test_failed_write_leaves_no_temp_file(self, scenario_dir, tmp_path):
+        # the rename onto a directory fails: exit 4, and the temp file goes
+        (tmp_path / "dispersion.csv").mkdir()
+        argv = ["dispersion", "--scenario", str(scenario_dir / "freefall_caf2.json"), "--out", str(tmp_path)]
+        assert main(argv + ["--k-points", "4", "--quiet"]) == 4
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_domain_escape_reports_si_time_and_grid(self, scenario_dir, tmp_path, capsys):
+        # the shipped drop run for 2 s leaves its +/- 64 m grid at t = 0.14 s
+        doc = json.loads((scenario_dir / "freefall_caf2.json").read_text())
+        doc["propagation"]["t_final"] = 2.0
+        doc["output"]["stride"] = 250
+        scenario_path = tmp_path / "long_drop.json"
+        scenario_path.write_text(json.dumps(doc))
+        argv = ["freefall-numeric", "--scenario", str(scenario_path), "--out", str(tmp_path / "out"), "--quiet"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "t = 0.14" in err
+        assert "+/- 86.9157" in err
+
     def test_experiment_disagreeing_with_cavity_exit_two(self, scenario_dir, tmp_path, capsys):
         reference = json.loads((scenario_dir / "caf2_wgmc.json").read_text())
         doc = {"cavity": {"lambda0": 1.55e-6, "n_s": 1.43}, "experiment": reference["experiment"]}
@@ -282,10 +319,19 @@ class TestMainEntryPoint:
 
 
 _SMALL_GRID = (-6.4, 6.4, 1024)
+# SMALL_FREEFALL's values of the inputs the exit-code property draws; each
+# _case(...) is an @example that changes some of them
+_SMALL_CASE = dict(
+    dt=2e-5, t_final=4e-3, grid=_SMALL_GRID, stride=20, lambda0=1.064e-6, sigma0=0.1, g=9.81
+)
 
 
 def _log_uniform(low_exp, high_exp):
     return st.floats(low_exp, high_exp).map(lambda e: 10.0**e)
+
+
+def _case(command, expected, **changes):
+    return example(**{**_SMALL_CASE, "command": command, "expected": expected, **changes})
 
 
 class TestExitCodes:
@@ -308,18 +354,37 @@ class TestExitCodes:
             ),
         ),
         stride=st.one_of(st.none(), st.integers(1, 8)),
+        lambda0=_log_uniform(-300, 300),
+        sigma0=_log_uniform(-300, 300),
+        g=_log_uniform(-300, 300),
         expected=st.none(),
     )
     # overflowing step counts: 1e8 steps whose composed phase overflows
     # (exit 3 from the non-finite check or the |v| limit), and a t_final/dt
     # that is not a finite number (exit 2)
-    @example(command="freefall-numeric", dt=1e300, t_final=1e308, grid=_SMALL_GRID, stride=None, expected=3)
-    @example(command="freefall-analytic", dt=1e300, t_final=1e308, grid=_SMALL_GRID, stride=None, expected=3)
-    @example(command="freefall-numeric", dt=1e-300, t_final=1e10, grid=_SMALL_GRID, stride=None, expected=2)
-    @example(command="freefall-analytic", dt=1e-300, t_final=1e10, grid=_SMALL_GRID, stride=None, expected=2)
-    def test_generated_documents_exit_documented(self, command, dt, t_final, grid, stride, expected):
+    @_case("freefall-numeric", 3, dt=1e300, t_final=1e308, stride=None)
+    @_case("freefall-analytic", 3, dt=1e300, t_final=1e308, stride=None)
+    @_case("freefall-numeric", 2, dt=1e-300, t_final=1e10, stride=None)
+    @_case("freefall-analytic", 2, dt=1e-300, t_final=1e10, stride=None)
+    # extreme photon masses and packet widths: the SI propagation reports
+    # them as numerical-domain errors; the closed-form fall does not care
+    @_case("freefall-numeric", 3, lambda0=1e145)
+    @_case("freefall-numeric", 3, lambda0=1e-171)
+    @_case("freefall-numeric", 3, sigma0=1e150)
+    @_case("freefall-numeric", 3, sigma0=1e-150)
+    @_case("freefall-analytic", 0, lambda0=1e145)
+    @_case("freefall-analytic", 0, lambda0=1e-171)
+    @_case("freefall-analytic", 0, sigma0=1e150)
+    @_case("freefall-analytic", 0, sigma0=1e-150)
+    # a slow fall whose y = -g_tilde*t^2/2 overflows
+    @_case("freefall-analytic", 3, dt=1.0, t_final=1e160, g=1e-160, stride=None)
+    def test_generated_documents_exit_documented(
+        self, command, dt, t_final, grid, stride, lambda0, sigma0, g, expected
+    ):
         doc = json.loads(json.dumps(SMALL_FREEFALL))
-        doc["propagation"].update(dt=dt, t_final=t_final)
+        doc["cavity"]["lambda0"] = lambda0
+        doc["gravity"]["g"] = g
+        doc["propagation"].update(dt=dt, t_final=t_final, sigma0=sigma0)
         doc["propagation"]["grid"] = dict(zip(("y_min", "y_max", "n_points"), grid))
         doc["output"] = {} if stride is None else {"stride": stride}
         with tempfile.TemporaryDirectory() as work:

@@ -178,6 +178,12 @@ class TestFreefallTrajectory:
         assert f"{t_limit:.6g}" in str(err.value)
         freefall_trajectory(CAF2, EARTH_CAF2, 0.99 * t_limit)
 
+    def test_overflowing_fall_is_a_domain_error(self):
+        # |v| = 0.5 m/s is far inside the limit, but t^2 = 1e320 overflows
+        feather = GravityProfile(g=1e-160 * 1.43**2, n_s=1.43)
+        with pytest.raises(DomainError, match="overflows"):
+            freefall_trajectory(CAF2, feather, 1e160)
+
     def test_energy_conservation_along_trajectory(self):
         m = effective_mass(CAF2)
         for t in np.linspace(0.1, 5.0, 17):

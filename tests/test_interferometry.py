@@ -22,7 +22,7 @@ from cavityfall import (
     snr,
     snr_trace,
 )
-from cavityfall.units import c, hbar, make_scaling
+from cavityfall.units import c, hbar
 
 # Frozen from an independent 60-digit evaluation of the interference signal
 # and SNR (see acceptance suite for the full set).
@@ -82,18 +82,15 @@ class TestModeWidth:
             assert float(mode_width(cfg, t)) == pytest.approx(oracle.width, rel=1e-12)
 
     def test_corrected_matches_propagated_envelope(self):
-        # the closed-form corrected law must agree with a real propagation of
-        # the matched scaled scenario to 1e-6
+        # the closed-form corrected law must agree with a real SI propagation
+        # (mass m/hbar in s/m^2, 1.6 ms ~ 4 spreading times) to 1e-6
         cfg = CORRECTED
-        mass = cfg.n_s**2 * hbar * cfg.omega0 / c**2
-        scaling = make_scaling(mass, cfg.sigma0)
-        grid = Grid1D(-32.0, 32.0, 1024)
-        scenario = PropagationScenario(mass=1.0, g_tilde=0.0, dt=0.05, n_steps=80, record_stride=20)
-        _, trace = propagate(init_gaussian(grid, 1.0), scenario)
-        for i, t_scaled in enumerate(trace.t[1:], start=1):
-            t_si = float(t_scaled) * scaling.T_ref
-            sigma_si = trace.width[i] * scaling.L_ref
-            assert sigma_si == pytest.approx(float(mode_width(cfg, t_si)), rel=1e-6)
+        mass_over_hbar = cfg.n_s**2 * cfg.omega0 / c**2
+        grid = Grid1D(-3.2, 3.2, 1024)
+        scenario = PropagationScenario(mass=mass_over_hbar, g_tilde=0.0, dt=2e-5, n_steps=80, record_stride=20)
+        _, trace = propagate(init_gaussian(grid, cfg.sigma0), scenario)
+        for t, width in zip(trace.t[1:], trace.width[1:]):
+            assert width == pytest.approx(float(mode_width(cfg, float(t))), rel=1e-6)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValidationError):

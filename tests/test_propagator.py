@@ -25,6 +25,9 @@ from cavityfall.propagator import MAX_ROWS, recording_schedule
 from cavityfall.units import hbar as hbar_si
 
 GRID = Grid1D(-32.0, 32.0, 1024)
+# magnitudes from 1e-15 to 1e15: the sigma0/mass units of such a run stay
+# far from overflow (g_tilde in those units is at most 1e90)
+LOG_UNIFORM = st.floats(-15.0, 15.0).map(lambda e: 10.0**e)
 
 
 def l2_distance(u, v, dy):
@@ -214,6 +217,50 @@ class TestStrangComposition:
         rec = observables(final, mass, g_tilde)
         assert rec.centroid - 8.0 * rec.width > GRID.y_min and rec.centroid + 8.0 * rec.width < GRID.y_max
         assert l2_distance(final.amplitudes, stepped, GRID.dy) <= 1e-12
+
+
+class TestUnitInvariance:
+    """The propagator runs in any units: an SI run and the same run in
+    units of sigma0 and the mass agree."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        mass=LOG_UNIFORM,
+        sigma0=LOG_UNIFORM,
+        g_tilde=LOG_UNIFORM,
+        n_steps=st.integers(1, 2000),
+        span=st.floats(0.01, 1.0),
+    )
+    def test_si_run_matches_sigma0_mass_units(self, mass, sigma0, g_tilde, n_steps, span):
+        # mass is m/hbar; the reference units are L = sigma0 and
+        # T = m sigma0^2 / hbar, in which mass, sigma0 and hbar are all 1
+        length, time = sigma0, mass * sigma0**2
+        g_scaled = g_tilde * time**2 / length
+        # the scaled run falls at most 8 and spreads to at most 2 on a
+        # +/- 32 grid: >= 12 sigma of clearance (8 sigma initially); its
+        # momentum stays below 16, a third of the grid's Nyquist wavenumber
+        t_max = min(2.0 * math.sqrt(3.0), math.sqrt(16.0 / g_scaled), 16.0 / g_scaled)
+        dt = span * t_max * time / n_steps
+        stride = max(1, n_steps // 8)
+        si_grid = Grid1D(-32.0 * length, 32.0 * length, 1024)
+        _, si = propagate(
+            init_gaussian(si_grid, sigma0),
+            PropagationScenario(mass=mass, g_tilde=g_tilde, dt=dt, n_steps=n_steps, record_stride=stride),
+        )
+        scaled_grid = Grid1D(si_grid.y_min / length, si_grid.y_max / length, 1024)
+        _, scaled = propagate(
+            init_gaussian(scaled_grid, 1.0),
+            PropagationScenario(mass=1.0, g_tilde=g_scaled, dt=dt / time, n_steps=n_steps, record_stride=stride),
+        )
+        # each column's scale: its largest magnitude, at least its unit
+        for si_column, reference, unit in (
+            (si.centroid, scaled.centroid * length, length),
+            (si.width, scaled.width * length, length),
+            (si.mean_k, scaled.mean_k / length, 1.0 / length),
+            (si.phase_gradient, scaled.phase_gradient / length, 1.0 / length),
+        ):
+            scale = max(np.max(np.abs(reference)), unit)
+            assert np.max(np.abs(si_column - reference)) <= 1e-10 * scale
 
 
 class TestPropagate:
