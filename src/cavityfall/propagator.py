@@ -20,7 +20,17 @@ midpoint momenta k - F (j - 1/2) dt, whose sum is theta.  Its only dt
 dependence is the midpoint-rule phase error -F^2 t dt^2/(24m), a global
 phase; centroid, width, momentum and the envelope phase gradient are exact
 to roundoff, which is what lets the free-fall parabola be certified at 1e-8
-and beyond.  Each record costs one double-precision FFT pair, and the norm
+and beyond.
+
+Records are evaluated in the falling frame, u = exp(-i F t y) * v with
+v = IFFT[exp(-i theta(k)) * FFT u(0)]: one IFFT and one complex exp per
+record (v leaves out theta's k-independent term, a global phase that only
+the returned final state carries).  |v| = |u| gives norm, centroid and
+width; the spectrum of v has the time-invariant modulus |FFT u(0)|, so
+<k> = <k>_0 - F t and <k^2> = <(k - F t)^2>_0 come in closed form from the
+initial power spectrum, and the phase gradient is that of v minus F t.
+The grid therefore has to resolve only the envelope, not the carrier
+exp(-i F t y): the momentum may pass the Nyquist wavenumber pi/dy.  The norm
 is conserved to roundoff independently of the step count.
 
 The equation depends on the physical mass and hbar only through their
@@ -162,17 +172,47 @@ def init_gaussian(grid: Grid1D, sigma0: float, y_center: float = 0.0, k0: float 
     return WaveState(grid=grid, amplitudes=u, t=0.0)
 
 
+#: Weights of the 4 phase increments between the 5 samples s = -2..2 that
+#: give the least-squares a1 = sum(s phi)/10 and a2 = sum((s^2 - 2) phi)/14.
+_LINEAR_WEIGHTS = np.array([2.0, 3.0, 3.0, 2.0]) / 10.0
+_QUADRATIC_WEIGHTS = np.array([-2.0, -1.0, 1.0, 2.0]) / 14.0
+
+
 def _phase_gradient_at_centroid(u: np.ndarray, y: np.ndarray, centroid: float) -> float:
-    # Quadratic fit to the unwrapped phase of the 5 samples around the
-    # centroid, differentiated at the exact centroid position; the fit kills
-    # both the off-grid offset and the spreading chirp (whose phase is
-    # quadratic), leaving only roundoff.
-    idx = int(np.argmin(np.abs(y - centroid)))
-    idx = min(max(idx, 2), len(y) - 3)
-    window = slice(idx - 2, idx + 3)
-    phases = np.unwrap(np.angle(u[window]))
-    coeffs = np.polyfit(y[window] - centroid, phases, 2)
-    return float(coeffs[1])
+    # Least-squares quadratic phi = a0 + a1 s + a2 s^2 through the phase of
+    # the 5 samples around the centroid, s = (y - y[idx])/dy in {-2..2},
+    # differentiated at the exact centroid position; the fit kills both the
+    # off-grid offset and the spreading chirp (whose phase is quadratic),
+    # leaving only roundoff.  Both sets of weights sum to zero, so summing by
+    # parts puts them on the wrapped phase increments angle(u[j+1] u[j]*),
+    # which unwraps the phase on the way (np.polyfit to roundoff).
+    dy = y[1] - y[0]
+    s_c = (centroid - y[0]) / dy
+    idx = min(max(int(round(s_c)), 2), len(y) - 3)
+    window = u[idx - 2 : idx + 3]
+    increments = np.angle(window[1:] * window[:-1].conj())
+    a1 = float(_LINEAR_WEIGHTS @ increments)
+    a2 = float(_QUADRATIC_WEIGHTS @ increments)
+    return (a1 + 2.0 * a2 * (s_c - idx)) / dy
+
+
+def _envelope_moments(u: np.ndarray, y: np.ndarray, dy: float) -> tuple[float, float, float, float]:
+    """(norm, centroid, width, phase gradient at the centroid) of samples u."""
+    absu2 = u.real * u.real + u.imag * u.imag
+    total = float(absu2.sum())
+    if not (total > 0.0 and math.isfinite(total)):
+        raise DomainError("state has zero or non-finite norm")
+    weights = absu2 / total
+    centroid = float(weights @ y)
+    width = math.sqrt(float(weights @ (y - centroid) ** 2))
+    return total * dy, centroid, width, _phase_gradient_at_centroid(u, y, centroid)
+
+
+def _spectral_moments(spectrum: np.ndarray, k: np.ndarray) -> tuple[float, float]:
+    """(<k>, <k^2>) of the FFT samples spectrum."""
+    power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
+    total = float(power.sum())
+    return float(power @ k) / total, float(power @ (k * k)) / total
 
 
 def observables(state: WaveState, mass: float = 1.0, g_tilde: float = 0.0) -> Trace:
@@ -181,24 +221,10 @@ def observables(state: WaveState, mass: float = 1.0, g_tilde: float = 0.0) -> Tr
     mass and g_tilde define the Hamiltonian for <H>; for a linear potential
     <V> = m*g_tilde*<y> exactly.
     """
-    u = state.amplitudes
     grid = state.grid
-    absu2 = np.abs(u) ** 2
-    total = float(absu2.sum())
-    if not (total > 0.0 and math.isfinite(total)):
-        raise DomainError("state has zero or non-finite norm")
-    norm = total * grid.dy
-    weights = absu2 / total
-    y = grid.y_values()
-    centroid = float(weights @ y)
-    width = math.sqrt(float(weights @ (y - centroid) ** 2))
-    spectrum = np.abs(np.fft.fft(u)) ** 2
-    spectrum_total = float(spectrum.sum())
-    k = grid.k_values()
-    mean_k = float(spectrum @ k) / spectrum_total
-    kinetic = float(spectrum @ (k**2)) / spectrum_total / (2.0 * mass)
-    energy = kinetic + mass * g_tilde * centroid
-    phase_grad = _phase_gradient_at_centroid(u, y, centroid)
+    norm, centroid, width, phase_grad = _envelope_moments(state.amplitudes, grid.y_values(), grid.dy)
+    mean_k, mean_k2 = _spectral_moments(np.fft.fft(state.amplitudes), grid.k_values())
+    energy = mean_k2 / (2.0 * mass) + mass * g_tilde * centroid
     return Trace(state.t, centroid, width, mean_k, norm, energy, phase_grad)
 
 
@@ -219,55 +245,57 @@ def propagate(state: WaveState, scenario: PropagationScenario) -> tuple[WaveStat
     """Evolve n_steps steps, recording observables every record_stride steps.
 
     Each record is the composed Strang state at its step index, evaluated
-    directly from the initial spectrum (see the module docstring), so the
-    cost is one FFT pair per record whatever the step count.  Records
-    always include the initial state and the final step.  The packet must
-    keep 4 sigma of clearance from the domain edges (checked at every
+    in the falling frame directly from the initial spectrum (see the module
+    docstring), so the cost is one IFFT per record whatever the step count.
+    Records always include the initial state and the final step.  The packet
+    must keep 4 sigma of clearance from the domain edges (checked at every
     recorded sample); violations raise a DomainError suggesting a larger
     grid.  Norm growth beyond roundoff or non-finite amplitudes abort the
-    run naming the step.
+    run naming the step.  The returned state is the lab-frame envelope,
+    carrier and global phase included.
     """
     grid = state.grid
     schedule = recording_schedule(scenario.n_steps, scenario.record_stride)
-
-    def check_record(rec: Trace, step_index: int, initial_norm: float) -> None:
-        if rec.norm > initial_norm * (1.0 + 1e-12):
-            raise DomainError(f"norm grew beyond roundoff at step {step_index}: {rec.norm!r}")
-        clearance = 4.0 * rec.width
-        if rec.centroid - clearance < grid.y_min or rec.centroid + clearance > grid.y_max:
-            needed = abs(rec.centroid) + clearance
-            raise DomainError(
-                f"packet within 4 sigma of the domain edge at step {step_index} "
-                f"(t = {rec.t:g}); enlarge the grid to at least +/- {1.25 * needed:g}"
-            )
-
-    first = observables(state, scenario.mass, scenario.g_tilde)
-    initial_norm = first.norm
-    check_record(first, 0, initial_norm)
-    records = [first]
-
-    spectrum0 = np.fft.fft(state.amplitudes)
-    k = grid.k_values()
-    y = grid.y_values()
+    y, k, dy = grid.y_values(), grid.k_values(), grid.dy
     mass, dt = scenario.mass, scenario.dt
     force = mass * scenario.g_tilde
-    for i in schedule[1:]:
-        t = i * dt
-        # products, not float powers: t**3 would raise OverflowError where
-        # t*t*t gives inf, which the non-finite check below reports
-        drift = force * t * t
-        offset = force * force * t * (t * t / 3.0 - dt * dt / 12.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            theta = (k * k * t - k * drift + offset) / (2.0 * mass)
-            u = np.exp(-1j * force * t * y) * np.fft.ifft(np.exp(-1j * theta) * spectrum0)
-        if not np.all(np.isfinite(u.view(float))):
-            raise DomainError(f"non-finite amplitudes after step {i}")
-        current = WaveState(grid=grid, amplitudes=u, t=t)
-        rec = observables(current, mass, scenario.g_tilde)
-        check_record(rec, i, initial_norm)
-        records.append(rec)
+    # theta(k) without its k-independent offset, as k^2/(2m) t - k/(2m) F t^2
+    spread_rate, drift_rate = k * k / (2.0 * mass), k / (2.0 * mass)
+    u0 = state.amplitudes
+    initial_norm = _envelope_moments(u0, y, dy)[0]  # rejects a zero or non-finite state
+    spectrum0 = np.fft.fft(u0)
+    mean_k0, mean_k20 = _spectral_moments(spectrum0, k)
+    records: list[Trace] = []
+    v, ft, offset, t = u0, 0.0, 0.0, 0.0
+    for i in schedule:
+        if i:
+            t = i * dt
+            ft = force * t
+            # products, not float powers: t**3 would raise OverflowError where
+            # t*t*t gives inf, which the non-finite check below reports
+            offset = force * ft * (t * t / 3.0 - dt * dt / 12.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = np.fft.ifft(np.exp(-1j * (spread_rate * t - drift_rate * (ft * t))) * spectrum0)
+            if not (math.isfinite(ft) and math.isfinite(offset) and np.all(np.isfinite(v.view(float)))):
+                raise DomainError(f"non-finite amplitudes after step {i}")
+        norm, centroid, width, phase_grad = _envelope_moments(v, y, dy)
+        if norm > initial_norm * (1.0 + 1e-12):
+            raise DomainError(f"norm grew beyond roundoff at step {i}: {norm!r}")
+        clearance = 4.0 * width
+        if centroid - clearance < grid.y_min or centroid + clearance > grid.y_max:
+            needed = abs(centroid) + clearance
+            raise DomainError(
+                f"packet within 4 sigma of the domain edge at step {i} "
+                f"(t = {t:g}); enlarge the grid to at least +/- {1.25 * needed:g}"
+            )
+        kinetic = (mean_k20 - 2.0 * ft * mean_k0 + ft * ft) / (2.0 * mass)
+        records.append(Trace(t, centroid, width, mean_k0 - ft, norm, kinetic + force * centroid, phase_grad - ft))
 
-    return current, Trace(*np.array(records, dtype=float).T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.exp(-1j * (ft * y + offset / (2.0 * mass))) * v
+    if not np.all(np.isfinite(u.view(float))):
+        raise DomainError(f"non-finite amplitudes after step {schedule[-1]}")
+    return WaveState(grid=grid, amplitudes=u, t=t), Trace(*np.array(records, dtype=float).T)
 
 
 def analytic_gaussian_oracle(

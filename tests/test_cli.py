@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavityfall import load_scenario, parse_scenario
-from cavityfall.cli import main, run
+from cavityfall.cli import _write_csv, main, run
 from cavityfall.units import c as c_si
 
 
@@ -110,6 +110,24 @@ class TestFreefallCommands:
         assert np.max(np.abs(numeric[:, 1] - analytic[:, 1])) < 1e-10 * scale
         assert np.max(np.abs(np.abs(numeric[1:, 3]) - analytic[1:, 3])) < 1e-10 * abs(analytic[-1, 3])
 
+    def test_momentum_past_nyquist_matches_analytic(self, scenario_dir, tmp_path):
+        # a 1e5 times heavier photon on the shipped grid: its momentum
+        # m g_tilde t/hbar passes the grid's Nyquist wavenumber pi/dy, which
+        # resolves the envelope but not the carrier exp(-i F t y)
+        doc = json.loads((scenario_dir / "freefall_caf2.json").read_text())
+        doc["cavity"]["lambda0"] = 1.064e-11
+        scenario_path = tmp_path / "heavy.json"
+        scenario_path.write_text(json.dumps(doc))
+        for command in ("freefall-numeric", "freefall-analytic"):
+            argv = [command, "--scenario", str(scenario_path), "--out", str(tmp_path / command), "--quiet"]
+            assert main(argv) == 0
+        _, numeric = read_csv(tmp_path / "freefall-numeric" / "freefall_numeric.csv")
+        _, analytic = read_csv(tmp_path / "freefall-analytic" / "freefall_analytic.csv")
+        grid = doc["propagation"]["grid"]
+        nyquist = np.pi * grid["n_points"] / (grid["y_max"] - grid["y_min"])
+        assert analytic[-1, 3] > 5.0 * nyquist
+        assert numeric[-1, 3] == pytest.approx(-analytic[-1, 3], rel=1e-12)
+
 
 class TestFig2bCommand:
     def test_reference_run_produces_three_traces(self, reference_scenario, tmp_path):
@@ -174,6 +192,20 @@ class TestDeterminismAndReplay:
             for entry_a, entry_b in zip(first["outputs"], second["outputs"]):
                 assert entry_a["file"] == entry_b["file"]
                 assert entry_a["sha256"] == entry_b["sha256"]
+
+    def test_csv_bytes_match_per_value_repr(self, tmp_path):
+        # the column-wise formatting writes the bytes of repr(float(v)) per
+        # value, signed zeros, subnormals and huge values included
+        rng = np.random.default_rng(3)
+        columns = [rng.standard_normal(2001) * 10.0 ** rng.integers(-300, 300, 2001) for _ in range(3)]
+        for col, special in zip(columns, ([0.0, -0.0], [5e-324, -5e-324], [1e308, -1.7976931348623157e308])):
+            col[: len(special)] = special
+        columns.append(np.arange(2001, dtype=float))
+        header = ("a", "b", "c", "i")
+        _write_csv(tmp_path / "columns.csv", header, columns)
+        rows = [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+        expected = "\n".join([",".join(header), *rows]) + "\n"
+        assert (tmp_path / "columns.csv").read_bytes() == expected.encode()
 
     def test_csv_floats_are_shortest_round_trip(self, small_scenario, tmp_path):
         run("freefall-analytic", small_scenario, tmp_path)

@@ -21,7 +21,7 @@ from cavityfall import (
     phase_gradient,
     propagate,
 )
-from cavityfall.propagator import MAX_ROWS, recording_schedule
+from cavityfall.propagator import MAX_ROWS, _phase_gradient_at_centroid, recording_schedule
 from cavityfall.units import hbar as hbar_si
 
 GRID = Grid1D(-32.0, 32.0, 1024)
@@ -148,6 +148,23 @@ class TestObservables:
         _, trace = propagate(init_gaussian(GRID, 1.0), scenario)
         drift = np.max(np.abs(trace.energy - trace.energy[0]) / abs(trace.energy[0]))
         assert drift < 1e-10
+
+
+class TestPhaseGradient:
+    def test_closed_form_fit_matches_polyfit(self):
+        # random phases and centroids anywhere on the grid, edges included
+        # (where the 5-sample window is clamped inside the grid); reference:
+        # np.polyfit of the unwrapped window phases against y - centroid
+        rng = np.random.default_rng(7)
+        y = GRID.y_values()
+        for _ in range(200):
+            u = rng.uniform(0.5, 2.0, y.size) * np.exp(1j * rng.uniform(-math.pi, math.pi, y.size))
+            centroid = rng.uniform(GRID.y_min, GRID.y_max)
+            idx = min(max(int(np.argmin(np.abs(y - centroid))), 2), y.size - 3)
+            window = slice(idx - 2, idx + 3)
+            reference = np.polyfit(y[window] - centroid, np.unwrap(np.angle(u[window])), 2)[1]
+            nyquist = math.pi / GRID.dy
+            assert abs(_phase_gradient_at_centroid(u, y, centroid) - reference) <= 1e-12 * nyquist
 
 
 class TestStep:

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityfall import ValidationError, parse_scenario, scenario_to_dict
 from cavityfall.scenario import load_scenario
@@ -216,7 +218,67 @@ class TestReferenceFiles:
         assert sc.gravity.n_s == sc.cavity.n_s == 1.43
 
 
+def _log_uniform(low_exp, high_exp):
+    return st.floats(low_exp, high_exp).map(lambda e: 10.0**e)
+
+
+@st.composite
+def valid_documents(draw):
+    """Scenario documents that parse: every section optional, both cavity
+    forms, and shared values (rest frequency, n_s, g) that agree."""
+    lambda0, n_s, g = draw(_log_uniform(-9, -3)), draw(st.floats(1.0, 4.0)), draw(_log_uniform(-3, 3))
+    optional = lambda key, strategy: {key: draw(strategy)} if draw(st.booleans()) else {}
+    document: dict = {}
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            cavity = {"lambda0": lambda0}
+        else:
+            j = draw(st.integers(1, 50))
+            cavity = {"L": j * lambda0 / (2.0 * n_s), "j": j}
+        document["cavity"] = {**cavity, "n_s": n_s, **optional("Q", _log_uniform(3, 13))}
+    if draw(st.booleans()):
+        document["gravity"] = {"g": g, "n_s": n_s}
+    if draw(st.booleans()):
+        y_min = draw(st.floats(-1e3, 1e3))
+        dt = draw(_log_uniform(-9, 0))
+        document["propagation"] = {
+            "grid": {
+                "y_min": y_min,
+                "y_max": y_min + draw(_log_uniform(-3, 3)),
+                "n_points": 2 ** draw(st.integers(6, 20)),
+            },
+            "dt": dt,
+            "t_final": dt * draw(st.floats(1.0, 1e6)),
+            "sigma0": draw(_log_uniform(-6, 0)),
+        }
+    if draw(st.booleans()):
+        document["experiment"] = {
+            "lambda0": lambda0,
+            "sigma0": draw(_log_uniform(-3, 0)),
+            "y_out": draw(_log_uniform(-3, 0)),
+            "P_avg": draw(_log_uniform(-6, 0)),
+            "eta_det": draw(st.floats(1e-6, 1.0)),
+            "T_int": draw(_log_uniform(0, 5)),
+            "Q": draw(_log_uniform(3, 13)),
+            "n_s": n_s,
+            "g": g,
+            **optional("width_model", st.sampled_from(["paper", "paper_verbatim", "corrected"])),
+        }
+    if draw(st.booleans()):
+        document["output"] = {
+            **optional("directory", st.text(min_size=1, max_size=8)),
+            **optional("stride", st.integers(1, 10**6)),
+        }
+    return document
+
+
 class TestRoundTrip:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(document=valid_documents())
+    def test_serialized_scenario_reparses_to_itself(self, document):
+        sc = parse(document)
+        assert parse_scenario(json.dumps(scenario_to_dict(sc))) == sc
+
     def test_resolved_dict_reparses_identically(self):
         sc = parse(FULL_FREEFALL)
         resolved = scenario_to_dict(sc)
