@@ -21,13 +21,8 @@ from .gravity import (
     FreefallState,
     GravityProfile,
     freefall_trajectory,
-    gravitational_index,
     index_correction,
-    kinetic_correction_scale,
-    momentum_from_drop,
     phase_gradient,
-    potential_energy,
-    proper_time_factor,
 )
 from .interferometry import (
     ExperimentConfig,
@@ -35,7 +30,6 @@ from .interferometry import (
     SnrTrace,
     interference_signal,
     mode_width,
-    phase_difference,
     q_threshold,
     snr,
     snr_trace,
@@ -73,12 +67,7 @@ __all__ = [
     "kg_residual",
     "GravityProfile",
     "FreefallState",
-    "proper_time_factor",
-    "gravitational_index",
     "index_correction",
-    "kinetic_correction_scale",
-    "potential_energy",
-    "momentum_from_drop",
     "freefall_trajectory",
     "phase_gradient",
     "Grid1D",
@@ -95,7 +84,6 @@ __all__ = [
     "SnrTrace",
     "QThresholdResult",
     "mode_width",
-    "phase_difference",
     "interference_signal",
     "snr",
     "snr_trace",

@@ -191,30 +191,42 @@ def _run_fig2b(scenario: ScenarioFile, out_dir: Path, args: dict) -> tuple[list[
     if not q_values or any(q <= 0 for q in q_values):
         raise ValidationError(f"fig2b needs positive Q values, got {q_values!r}")
     paths: list[Path] = []
+    traces = []
     traces_summary = []
     divergence = []
+    other = "corrected" if base.width_model == "paper_verbatim" else "paper_verbatim"
     for q in q_values:
         cfg = replace(base, Q=q)
         trace = snr_trace(cfg, n_samples=_FIG2B_SAMPLES)
-        path = out_dir / f"fig2b_Q{q:g}.csv"
-        _write_csv(path, ("t_si", "i_signal", "sn"), [trace.t, trace.i_signal, trace.sn])
-        paths.append(path)
+        peak_by_model = {
+            base.width_model: trace.sn_peak,
+            other: snr_trace(replace(cfg, width_model=other), n_samples=_FIG2B_SAMPLES).sn_peak,
+        }
+        corrected = peak_by_model["corrected"]
+        # a corrected peak that underflows to 0 leaves the ratio undefined
+        peak_ratio = peak_by_model["paper_verbatim"] / corrected if corrected > 0.0 else math.inf
+        if not math.isfinite(peak_ratio):
+            raise DomainError(
+                f"experiment: at Q = {q:g} the width models' peak SNR ratio "
+                f"{peak_by_model['paper_verbatim']!r}/{corrected!r} is out of double range"
+            )
+        traces.append(trace)
         traces_summary.append(
             {"Q": q, "t_peak": trace.t_peak, "sn_peak": trace.sn_peak, "t_cross": trace.t_cross}
         )
-        other = "corrected" if base.width_model == "paper_verbatim" else "paper_verbatim"
-        peak_by_model = {
-            base.width_model: trace.sn_peak,
-            other: snr_trace(replace(base, Q=q, width_model=other), n_samples=_FIG2B_SAMPLES).sn_peak,
-        }
         divergence.append(
             {
                 "Q": q,
                 "sn_peak_paper": peak_by_model["paper_verbatim"],
-                "sn_peak_corrected": peak_by_model["corrected"],
-                "peak_ratio": peak_by_model["paper_verbatim"] / peak_by_model["corrected"],
+                "sn_peak_corrected": corrected,
+                "peak_ratio": peak_ratio,
             }
         )
+    # every Q is evaluated before the first file is written
+    for q, trace in zip(q_values, traces):
+        path = out_dir / f"fig2b_Q{q:g}.csv"
+        _write_csv(path, ("t_si", "i_signal", "sn"), [trace.t, trace.i_signal, trace.sn])
+        paths.append(path)
     summary_path = out_dir / "fig2b_summary.json"
     _write_json(
         summary_path,

@@ -31,8 +31,9 @@ class CavitySpec:
     """Geometry and material of a planar (or cylinder-equivalent) cavity.
 
     L: mirror spacing [m]; j: longitudinal mode order; n_s: background
-    refractive index; Q: quality factor (optional, used by interferometry
-    only and ignored by the dispersion operations).
+    refractive index; Q: quality factor (optional; parsed, validated and
+    written back to the manifest, but read by no computation: the SNR model
+    takes its Q from ExperimentConfig).
     """
 
     L: float
@@ -43,12 +44,19 @@ class CavitySpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.L) and self.L > 0.0):
             raise ValidationError(f"cavity thickness L must be positive, got {self.L!r}")
-        if not (isinstance(self.j, int) and self.j >= 1):
-            raise ValidationError(f"mode order j must be an integer >= 1, got {self.j!r}")
+        # j enters the float formulas, which hold integers exactly up to 2**53
+        if not (isinstance(self.j, int) and 1 <= self.j <= 2**53):
+            raise ValidationError(f"mode order j must be an integer in [1, 2**53], got {self.j!r}")
         if not (math.isfinite(self.n_s) and self.n_s >= 1.0):
             raise ValidationError(f"background index n_s must be >= 1, got {self.n_s!r}")
         if self.Q is not None and not (math.isfinite(self.Q) and self.Q > 0.0):
             raise ValidationError(f"quality factor Q must be positive when given, got {self.Q!r}")
+        # every command derives the rest energy and the mass E0/c_medium**2
+        if not (0.0 < self.rest_energy < math.inf and self.c_medium**2 > 0.0 and effective_mass(self) < math.inf):
+            raise ValidationError(
+                f"rest energy and effective mass of L = {self.L!r}, j = {self.j!r}, n_s = {self.n_s!r} "
+                f"must be in double range"
+            )
 
     @classmethod
     def from_rest_wavelength(cls, lambda0: float, n_s: float = 1.0, Q: float | None = None) -> "CavitySpec":

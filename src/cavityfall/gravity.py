@@ -1,10 +1,10 @@
 """Weak-field gravitational optics and the free fall of a standing wavepacket.
 
-To a laboratory observer, weak-field time dilation near a mass looks like a
-refractive index profile.  For a cavity in a uniform field g with medium
-index n_s,
+To a laboratory observer, weak-field time dilation in a uniform field g looks
+like a refractive index profile.  For a cavity with medium index n_s,
+released at y = 0,
 
-    n(y) = n_s * [1 + g*(y_ref - y)/c**2],
+    n(y) = n_s * [1 - g*y/c**2],
 
 so the photon rest energy m*n(y)*c**2 becomes height dependent.  Energy
 conservation for a packet released at rest then gives the Newtonian chain
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 from .dispersion import CavitySpec, effective_mass
 from .errors import DomainError, ValidationError
-from .units import G, c, g_earth, hbar
+from .units import c, g_earth, hbar
 
-#: Linearized weak-field domain: |g*(y_ref - y)|/c**2 must stay below this.
+#: Linearized weak-field domain: |g*y|/c**2 must stay below this.
 WEAK_FIELD_LIMIT = 1e-4
 #: Non-relativistic domain: |v| must stay below this fraction of c/n_s.
 VELOCITY_LIMIT_FRACTION = 1e-3
@@ -37,39 +37,20 @@ VELOCITY_LIMIT_FRACTION = 1e-3
 
 @dataclass(frozen=True)
 class GravityProfile:
-    """Weak-field gravitational environment seen by the cavity.
+    """Uniform weak gravitational field seen by the cavity.
 
-    g: surface acceleration [m/s^2]; y_ref: height where the index equals
-    n_s [m]; n_s: medium index; source: optional (M [kg], r [m]) point-mass
-    descriptor, validated against the weak-field bound 2GM/(r c^2) < 1e-4.
+    g: acceleration [m/s^2]; n_s: medium index.
     """
 
     g: float = g_earth
-    y_ref: float = 0.0
     n_s: float = 1.0
-    source: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.g) and self.g >= 0.0):
-            raise ValidationError(f"g must be >= 0, got {self.g!r}")
-        if not math.isfinite(self.y_ref):
-            raise ValidationError(f"y_ref must be finite, got {self.y_ref!r}")
-        if not (math.isfinite(self.n_s) and self.n_s >= 1.0):
-            raise ValidationError(f"n_s must be >= 1, got {self.n_s!r}")
-        if self.source is not None:
-            mass, radius = self.source
-            if not (mass >= 0.0 and radius > 0.0):
-                raise ValidationError(f"point-mass source needs M >= 0 and r > 0, got {self.source!r}")
-            if 2.0 * G * mass / (radius * c**2) >= WEAK_FIELD_LIMIT:
-                raise DomainError(
-                    f"point-mass source violates the weak-field bound: 2GM/(rc^2) = "
-                    f"{2.0 * G * mass / (radius * c**2):.3e} >= {WEAK_FIELD_LIMIT:g}"
-                )
-
-    @classmethod
-    def from_point_mass(cls, mass: float, radius: float, y_ref: float = 0.0, n_s: float = 1.0) -> "GravityProfile":
-        """Profile with g = GM/r**2 at distance r from a point mass M."""
-        return cls(g=G * mass / radius**2, y_ref=y_ref, n_s=n_s, source=(mass, radius))
+            raise ValidationError(f"gravity.g: must be >= 0, got {self.g!r}")
+        # g_tilde squares n_s as a Python float, which raises on overflow
+        if not (self.n_s >= 1.0 and self.n_s * self.n_s < math.inf):
+            raise ValidationError(f"gravity.n_s: must be >= 1 with n_s**2 in double range, got {self.n_s!r}")
 
     @property
     def g_tilde(self) -> float:
@@ -95,80 +76,19 @@ def _require_same_medium(cavity: CavitySpec, profile: GravityProfile) -> None:
         )
 
 
-def proper_time_factor(mass: float, radius: float) -> float:
-    """Weak-field time dilation sqrt(1 - 2GM/(r c^2)), dimensionless.
-
-    <= 1, approaching 1 as r -> infinity.  Refuses radii within 100
-    gravitational radii, where the weak-field form is meaningless.
-    """
-    if not (mass >= 0.0 and math.isfinite(mass)):
-        raise ValidationError(f"mass must be >= 0, got {mass!r}")
-    if not (radius > 0.0 and math.isfinite(radius)):
-        raise ValidationError(f"radius must be > 0, got {radius!r}")
-    r_min = 100.0 * 2.0 * G * mass / c**2
-    if radius <= r_min:
-        raise DomainError(
-            f"radius {radius:.6g} m is inside the weak-field validity bound "
-            f"{r_min:.6g} m (100 gravitational radii)"
-        )
-    return math.sqrt(1.0 - 2.0 * G * mass / (radius * c**2))
-
-
 def index_correction(profile: GravityProfile, y: float) -> float:
-    """Fractional gravitational index shift g*(y_ref - y)/c**2.
+    """Fractional gravitational index shift -g*y/c**2 at height y.
 
-    Kept separate from gravitational_index because the shift per meter
-    (~1e-16) is below the resolution of 1.0 in double precision; callers
-    needing the shift itself must use this, not n(y) - n_s.
+    The shift per meter (~1e-16) is below the resolution of 1.0 in double
+    precision, so it is returned on its own rather than as n(y) - n_s.
     """
-    correction = profile.g * (profile.y_ref - y) / c**2
+    correction = -profile.g * y / c**2
     if abs(correction) >= WEAK_FIELD_LIMIT:
         raise DomainError(
-            f"|g*(y_ref - y)|/c^2 = {abs(correction):.3e} exceeds the linearized "
+            f"|g*y|/c^2 = {abs(correction):.3e} exceeds the linearized "
             f"weak-field domain {WEAK_FIELD_LIMIT:g}"
         )
     return correction
-
-
-def gravitational_index(profile: GravityProfile, y: float) -> float:
-    """Effective index n(y) = n_s * [1 + g*(y_ref - y)/c**2].
-
-    Strictly decreasing in y; equals n_s at y = y_ref.
-    """
-    return profile.n_s * (1.0 + index_correction(profile, y))
-
-
-def kinetic_correction_scale(profile: GravityProfile, y: float) -> float:
-    """Relative size of the gravitational correction to the kinetic term.
-
-    The kinetic energy is hbar^2 k^2/(2 n(y) m); dropping the n(y)/n_s
-    factor is an O(g*|y|/c**2) relative error (~1e-16 per meter on Earth).
-    This diagnostic quantifies the neglect instead of asserting it.
-    """
-    return abs(index_correction(profile, y))
-
-
-def potential_energy(cavity: CavitySpec, profile: GravityProfile, y: float) -> float:
-    """Height-dependent part of the rest energy, linearized: U(y) = m*g_tilde*y [J].
-
-    m is the (dielectric) effective mass and g_tilde = g/n_s**2; U(0) = 0 at
-    the release point.
-    """
-    _require_same_medium(cavity, profile)
-    index_correction(profile, y)  # enforce the linearized domain
-    return effective_mass(cavity) * profile.g_tilde * y
-
-
-def momentum_from_drop(cavity: CavitySpec, profile: GravityProfile, y_drop: float) -> float:
-    """Envelope wavenumber k_y = (m/hbar)*sqrt(2*g_tilde*y_drop) [rad/m].
-
-    Positive root of the energy balance m*g_tilde*y = hbar^2 k^2/(2m) for a
-    packet released at rest (k_y(0) = 0) after falling y_drop >= 0.
-    """
-    _require_same_medium(cavity, profile)
-    if not (y_drop >= 0.0 and math.isfinite(y_drop)):
-        raise ValidationError(f"y_drop must be >= 0, got {y_drop!r}")
-    return effective_mass(cavity) / hbar * math.sqrt(2.0 * profile.g_tilde * y_drop)
 
 
 def freefall_trajectory(cavity: CavitySpec, profile: GravityProfile, t: float) -> FreefallState:
@@ -192,9 +112,9 @@ def freefall_trajectory(cavity: CavitySpec, profile: GravityProfile, t: float) -
     # t * t, not t**2: a float power raises OverflowError where the product
     # gives inf, which is reported as a domain error
     y = -0.5 * g_tilde * (t * t)
-    if not math.isfinite(y):
-        raise DomainError(f"the fall -g_tilde*t^2/2 overflows at t = {t:.6g} s")
     k_y = effective_mass(cavity) * abs(v) / hbar
+    if not (math.isfinite(y) and math.isfinite(k_y)):
+        raise DomainError(f"the fall -g_tilde*t^2/2 or its wavenumber m*|v|/hbar overflows at t = {t:.6g} s")
     return FreefallState(t=t, y=y, v=v, k_y=k_y)
 
 
@@ -208,4 +128,7 @@ def phase_gradient(omega0: float, profile: GravityProfile, t: float) -> float:
         raise ValidationError(f"omega0 must be > 0, got {omega0!r}")
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValidationError(f"t must be >= 0, got {t!r}")
-    return omega0 * profile.g * t / c**2
+    gradient = omega0 * profile.g * t / c**2
+    if not math.isfinite(gradient):
+        raise DomainError(f"the phase gradient omega0*g*t/c^2 overflows at t = {t:.6g} s")
+    return gradient

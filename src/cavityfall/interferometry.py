@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dispersion import CavitySpec
 from .errors import DomainError, ValidationError
 from .units import c, g_earth, hbar
 
@@ -47,6 +48,8 @@ TRACE_LIFETIMES = 10.0
 
 _PEAK_REL_TOL = 1e-9
 _CROSS_REL_TOL = 1e-9
+#: Relative width of the final bracket of the Q bisection.
+_Q_REL_TOL = 1e-4
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -78,20 +81,66 @@ class ExperimentConfig:
         )
         for name, value in positive:
             if not (value > 0.0 and math.isfinite(value)):
-                raise ValidationError(f"{name} must be > 0, got {value!r}")
+                raise ValidationError(f"experiment.{name}: must be > 0, got {value!r}")
         if self.eta_det > 1.0:
-            raise ValidationError(f"eta_det must be in (0, 1], got {self.eta_det!r}")
-        if not (self.n_s >= 1.0 and math.isfinite(self.n_s)):
-            raise ValidationError(f"n_s must be >= 1, got {self.n_s!r}")
+            raise ValidationError(f"experiment.eta_det: must be in (0, 1], got {self.eta_det!r}")
+        # the model squares these as Python floats, which raise on overflow
+        if not (self.n_s >= 1.0 and self.n_s * self.n_s < math.inf):
+            raise ValidationError(f"experiment.n_s: must be >= 1 with n_s**2 in double range, got {self.n_s!r}")
+        for name, value in (("sigma0", self.sigma0), ("y_out", self.y_out)):
+            if not 0.0 < value * value < math.inf:
+                raise ValidationError(f"experiment.{name}: its square is out of double range, got {value!r}")
         if self.width_model not in WIDTH_MODELS:
             raise ValidationError(
-                f"width_model must be one of {WIDTH_MODELS}, got {self.width_model!r}"
+                f"experiment.width_model: must be one of {WIDTH_MODELS}, got {self.width_model!r}"
             )
+        # the manifest reports the mass of this photon, as the half-wave
+        # cavity of its rest wavelength
+        try:
+            CavitySpec.from_rest_wavelength(self.lambda0, self.n_s)
+        except ValidationError as exc:
+            raise ValidationError(f"experiment.lambda0: {exc}") from None
+        if not (math.isfinite(self.omega0) and hbar * self.omega0 > 0.0):
+            raise ValidationError(
+                f"experiment.lambda0: the photon energy 2*pi*hbar*c/lambda0 is out of double range, "
+                f"got {self.lambda0!r}"
+            )
+        # I(t) <= 2, so a finite 2*photons keeps every I*photons finite
+        if not 2.0 * self.photons < math.inf:
+            raise ValidationError(
+                f"experiment: the photon count P_avg*eta_det*T_int/(hbar*omega0) = {self.photons!r} overflows"
+            )
+        if not 0.0 < self.window < math.inf:
+            raise ValidationError(
+                f"experiment.Q: the trace window {TRACE_LIFETIMES:g}*Q/omega0 = {self.window!r} s "
+                f"must be positive and finite"
+            )
+        # Every intermediate value of Sn(t) is monotone in t, so on the trace
+        # window it is bounded by its values at t = 0 and at the window end:
+        # finite there is finite on every sample.
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                snr(self, np.array([0.0, self.window]))
+        except FloatingPointError:
+            raise DomainError(
+                f"experiment: the signal model overflows on its trace window [0, {self.window:.6g}] s "
+                f"(sigma0 = {self.sigma0!r}, y_out = {self.y_out!r}, n_s = {self.n_s!r}, g = {self.g!r})"
+            ) from None
 
     @property
     def omega0(self) -> float:
         """Rest angular frequency 2*pi*c/lambda0 [rad/s]."""
         return 2.0 * math.pi * c / self.lambda0
+
+    @property
+    def photons(self) -> float:
+        """Detected photon count P_avg*eta_det*T_int/(hbar*omega0) at I = 1."""
+        return self.P_avg * self.eta_det * self.T_int / (hbar * self.omega0)
+
+    @property
+    def window(self) -> float:
+        """Trace window TRACE_LIFETIMES*Q/omega0 [s]."""
+        return TRACE_LIFETIMES * self.Q / self.omega0
 
     @classmethod
     def caf2_reference(cls, Q: float = 7e10, width_model: str = "corrected") -> "ExperimentConfig":
@@ -152,12 +201,6 @@ def mode_width(cfg: ExperimentConfig, t) -> np.ndarray | float:
     return np.sqrt(_width_squared(cfg, _require_time(t)))
 
 
-def phase_difference(cfg: ExperimentConfig, t) -> np.ndarray | float:
-    """Gravity-induced phase difference between the out-coupling ports:
-    dphi = omega0*g*t*2*y_out/c^2 [rad]; independent of n_s at fixed omega0."""
-    return cfg.omega0 * cfg.g * _require_time(t) * 2.0 * cfg.y_out / c**2
-
-
 def interference_signal(cfg: ExperimentConfig, t) -> np.ndarray | float:
     """Photodiode signal fraction I(t) >= 0, with I(0) = 0.
 
@@ -176,8 +219,7 @@ def snr(cfg: ExperimentConfig, t) -> np.ndarray | float:
     The detected-power factor P_avg*eta_det makes the count under the root a
     photon number.
     """
-    photons = cfg.P_avg * cfg.eta_det * cfg.T_int / (hbar * cfg.omega0)
-    return np.sqrt(interference_signal(cfg, t) * photons)
+    return np.sqrt(interference_signal(cfg, t) * cfg.photons)
 
 
 def _refine_peak(f, a: float, b: float) -> tuple[float, float]:
@@ -186,7 +228,8 @@ def _refine_peak(f, a: float, b: float) -> tuple[float, float]:
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while (b - a) > _PEAK_REL_TOL * max(abs(a), abs(b)):
+    # the order test stops a search that has run out of floats between a and b
+    while (b - a) > _PEAK_REL_TOL * max(abs(a), abs(b)) and a < x1 < x2 < b:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INV_GOLDEN * (b - a)
@@ -202,31 +245,29 @@ def _refine_peak(f, a: float, b: float) -> tuple[float, float]:
 def _refine_crossing(f, a: float, b: float, level: float = 1.0) -> float:
     # bisection for the first upward crossing f(t) = level inside [a, b]
     fa = f(a) - level
-    while (b - a) > _CROSS_REL_TOL * b:
-        mid = 0.5 * (a + b)
+    mid = 0.5 * (a + b)
+    # a crossing closer to 0 than the smallest float leaves no mid between a and b
+    while (b - a) > _CROSS_REL_TOL * b and a < mid < b:
         if fa * (f(mid) - level) <= 0.0:
             b = mid
         else:
             a = mid
             fa = f(a) - level
-    return 0.5 * (a + b)
+        mid = 0.5 * (a + b)
+    return mid
 
 
-def snr_trace(cfg: ExperimentConfig, t_max: float | None = None, n_samples: int = 512) -> SnrTrace:
-    """Uniformly sampled Sn(t) on [0, t_max] with refined peak and crossing.
+def snr_trace(cfg: ExperimentConfig, n_samples: int = 512) -> SnrTrace:
+    """Uniformly sampled Sn(t) on the trace window [0, cfg.window] with
+    refined peak and crossing.
 
-    t_max defaults to TRACE_LIFETIMES * Q/omega0.  The peak and the first
-    Sn = 1 crossing (when one exists) are located to much better than 1e-6
-    relative in t.
+    The peak and the first Sn = 1 crossing (when one exists) are located to
+    much better than 1e-6 relative in t.
     """
-    if t_max is None:
-        t_max = TRACE_LIFETIMES * cfg.Q / cfg.omega0
-    if not (t_max > 0.0 and math.isfinite(t_max)):
-        raise ValidationError(f"t_max must be > 0, got {t_max!r}")
     if n_samples < 16:
         raise ValidationError(f"n_samples must be >= 16, got {n_samples!r}")
 
-    t = np.linspace(0.0, t_max, n_samples)
+    t = np.linspace(0.0, cfg.window, n_samples)
     i_signal = np.asarray(interference_signal(cfg, t))
     sn_values = np.asarray(snr(cfg, t))
 
@@ -250,8 +291,9 @@ def snr_trace(cfg: ExperimentConfig, t_max: float | None = None, n_samples: int 
     return SnrTrace(t=t, i_signal=i_signal, sn=sn_values, t_peak=t_peak, sn_peak=sn_peak, t_cross=t_cross)
 
 
-def q_threshold(cfg: ExperimentConfig, q_lo: float, q_hi: float, rel_tol: float = 1e-4) -> QThresholdResult:
-    """Smallest quality factor whose peak SNR reaches 1, by bisection.
+def q_threshold(cfg: ExperimentConfig, q_lo: float, q_hi: float) -> QThresholdResult:
+    """Smallest quality factor whose peak SNR reaches 1, by bisection down
+    to a bracket of _Q_REL_TOL relative width.
 
     Sn_peak is strictly increasing in Q (only the decay factor exp(-w0 t/Q)
     depends on it), so bisection on [q_lo, q_hi] is valid; the bracket must
@@ -272,7 +314,7 @@ def q_threshold(cfg: ExperimentConfig, q_lo: float, q_hi: float, rel_tol: float 
 
     iterations: list[tuple[float, float, float, float]] = []
     lo, hi = q_lo, q_hi
-    while (hi - lo) > rel_tol * lo:
+    while (hi - lo) > _Q_REL_TOL * lo:
         mid = 0.5 * (lo + hi)
         peak_mid = peak(mid)
         iterations.append((lo, hi, mid, peak_mid))

@@ -2,7 +2,8 @@
 
 Sections (each optional; commands check for the ones they need):
 
-    cavity       {L, j | lambda0, n_s, Q}     exactly one of (L, j) or lambda0
+    cavity       {L, j | lambda0, n_s, Q}     exactly one of (L, j) or lambda0;
+                                              Q is checked and kept, not used
     gravity      {g, n_s}
     propagation  {grid{y_min, y_max, n_points}, dt, t_final, sigma0}
     experiment   {lambda0, sigma0, y_out, P_avg, eta_det, T_int, Q,
@@ -194,22 +195,18 @@ def _parse_experiment(section: dict) -> ExperimentConfig:
         raise ValidationError(
             f"experiment.width_model: expected one of {sorted(set(WIDTH_MODEL_ALIASES))}, got {model_raw!r}"
         )
-    try:
-        return ExperimentConfig(
-            lambda0=_number("experiment.lambda0", section["lambda0"]),
-            sigma0=_number("experiment.sigma0", section["sigma0"]),
-            y_out=_number("experiment.y_out", section["y_out"]),
-            P_avg=_number("experiment.P_avg", section["P_avg"]),
-            eta_det=_number("experiment.eta_det", section["eta_det"]),
-            T_int=_number("experiment.T_int", section["T_int"]),
-            Q=_number("experiment.Q", section["Q"]),
-            n_s=_number("experiment.n_s", section.get("n_s", 1.0)),
-            g=_number("experiment.g", section.get("g", g_earth)),
-            width_model=model,
-        )
-    except ValidationError as exc:
-        message = str(exc)
-        raise ValidationError(message if message.startswith("experiment") else f"experiment: {message}") from None
+    return ExperimentConfig(
+        lambda0=_number("experiment.lambda0", section["lambda0"]),
+        sigma0=_number("experiment.sigma0", section["sigma0"]),
+        y_out=_number("experiment.y_out", section["y_out"]),
+        P_avg=_number("experiment.P_avg", section["P_avg"]),
+        eta_det=_number("experiment.eta_det", section["eta_det"]),
+        T_int=_number("experiment.T_int", section["T_int"]),
+        Q=_number("experiment.Q", section["Q"]),
+        n_s=_number("experiment.n_s", section.get("n_s", 1.0)),
+        g=_number("experiment.g", section.get("g", g_earth)),
+        width_model=model,
+    )
 
 
 def _parse_output(section: dict) -> OutputSettings:

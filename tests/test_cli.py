@@ -335,6 +335,19 @@ class TestMainEntryPoint:
         assert "t = 0.14" in err
         assert "+/- 86.9157" in err
 
+    def test_fig2b_failing_at_a_later_q_writes_nothing(self, scenario_dir, tmp_path, capsys):
+        # out-couplers 50 sigma0 off centre: at Q = 1e3 the mode has no time
+        # to spread, so both peaks underflow to 0 and their ratio is undefined
+        doc = json.loads((scenario_dir / "caf2_wgmc.json").read_text())
+        doc["experiment"]["sigma0"] = 0.01
+        scenario_path = tmp_path / "narrow.json"
+        scenario_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["fig2b", "--scenario", str(scenario_path), "--out", str(out), "--q", "7e10", "1e3", "--quiet"]
+        assert main(argv) == 3
+        assert "experiment: at Q = 1000" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_experiment_disagreeing_with_cavity_exit_two(self, scenario_dir, tmp_path, capsys):
         reference = json.loads((scenario_dir / "caf2_wgmc.json").read_text())
         doc = {"cavity": {"lambda0": 1.55e-6, "n_s": 1.43}, "experiment": reference["experiment"]}
@@ -354,7 +367,22 @@ _SMALL_GRID = (-6.4, 6.4, 1024)
 # SMALL_FREEFALL's values of the inputs the exit-code property draws; each
 # _case(...) is an @example that changes some of them
 _SMALL_CASE = dict(
-    dt=2e-5, t_final=4e-3, grid=_SMALL_GRID, stride=20, lambda0=1.064e-6, sigma0=0.1, g=9.81
+    dt=2e-5,
+    t_final=4e-3,
+    grid=_SMALL_GRID,
+    stride=20,
+    lambda0=1.064e-6,
+    geometry=None,
+    n_s=1.43,
+    quality=7e10,
+    sigma0=0.1,
+    g=9.81,
+)
+
+
+# scenarios/caf2_wgmc.json
+_REFERENCE_EXPERIMENT = dict(
+    lambda0=1.064e-6, sigma0=0.1, y_out=0.5, P_avg=1e-3, eta_det=1e-3, T_int=3600, Q=7e10, n_s=1.43, g=9.81
 )
 
 
@@ -366,13 +394,30 @@ def _case(command, expected, **changes):
     return example(**{**_SMALL_CASE, "command": command, "expected": expected, **changes})
 
 
+def _run_document(command, doc):
+    """Exit code of one command on doc; exit 0 must leave only finite numbers."""
+    with tempfile.TemporaryDirectory() as work:
+        scenario_path = Path(work) / "scenario.json"
+        scenario_path.write_text(json.dumps(doc))
+        out = Path(work) / "out"
+        code = main([command, "--scenario", str(scenario_path), "--out", str(out), "--quiet"])
+        if code == 0:
+            for path in out.iterdir():
+                if path.suffix == ".csv":
+                    assert np.all(np.isfinite(read_csv(path)[1])), path.name
+                else:
+                    json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(f"{path.name}: {name}"))
+    assert code in (0, 2, 3, 4)
+    return code
+
+
 class TestExitCodes:
-    """Every propagation document ends in a documented exit code, never a
-    traceback."""
+    """Every generated document ends in a documented exit code, never a
+    traceback, and a run that exits 0 writes only finite numbers."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        command=st.sampled_from(["freefall-numeric", "freefall-analytic"]),
+        command=st.sampled_from(["freefall-numeric", "freefall-analytic", "dispersion"]),
         dt=_log_uniform(-300, 300),
         t_final=_log_uniform(-300, 300),
         # (y_min, y_max, n_points): the small valid grid half of the time,
@@ -387,6 +432,10 @@ class TestExitCodes:
         ),
         stride=st.one_of(st.none(), st.integers(1, 8)),
         lambda0=_log_uniform(-300, 300),
+        # the cavity as (L, j) instead of lambda0
+        geometry=st.one_of(st.none(), st.tuples(_log_uniform(-300, 300), st.integers(1, 10**6))),
+        n_s=st.one_of(st.just(1.43), _log_uniform(0, 300)),
+        quality=st.one_of(st.none(), _log_uniform(-300, 300)),
         sigma0=_log_uniform(-300, 300),
         g=_log_uniform(-300, 300),
         expected=st.none(),
@@ -410,19 +459,66 @@ class TestExitCodes:
     @_case("freefall-analytic", 0, sigma0=1e-150)
     # a slow fall whose y = -g_tilde*t^2/2 overflows
     @_case("freefall-analytic", 3, dt=1.0, t_final=1e160, g=1e-160, stride=None)
+    # g_tilde = g/n_s**2 overflows in n_s**2
+    @_case("dispersion", 2, n_s=1.4e154)
+    @_case("freefall-analytic", 2, n_s=1.4e154)
+    # c_medium**2 underflows to 0, the mass overflows, the rest energy
+    # underflows to 0
+    @_case("dispersion", 2, geometry=(2.9e-194, 2), n_s=2.7e230)
+    @_case("freefall-analytic", 2, geometry=(2.9e-194, 2), n_s=2.7e230)
+    @_case("freefall-analytic", 2, geometry=(1.39e-268, 7), n_s=1.13e142)
+    @_case("dispersion", 2, lambda0=5.8e299)
+    # a mode order too large to convert to a float
+    @_case("dispersion", 2, geometry=(1e-6, 10**400))
     def test_generated_documents_exit_documented(
-        self, command, dt, t_final, grid, stride, lambda0, sigma0, g, expected
+        self, command, dt, t_final, grid, stride, lambda0, geometry, n_s, quality, sigma0, g, expected
     ):
         doc = json.loads(json.dumps(SMALL_FREEFALL))
-        doc["cavity"]["lambda0"] = lambda0
+        doc["cavity"] = {"lambda0": lambda0} if geometry is None else dict(zip(("L", "j"), geometry))
+        doc["cavity"]["n_s"] = doc["gravity"]["n_s"] = n_s
+        if quality is not None:
+            doc["cavity"]["Q"] = quality
         doc["gravity"]["g"] = g
         doc["propagation"].update(dt=dt, t_final=t_final, sigma0=sigma0)
         doc["propagation"]["grid"] = dict(zip(("y_min", "y_max", "n_points"), grid))
         doc["output"] = {} if stride is None else {"stride": stride}
-        with tempfile.TemporaryDirectory() as work:
-            scenario_path = Path(work) / "scenario.json"
-            scenario_path.write_text(json.dumps(doc))
-            code = main([command, "--scenario", str(scenario_path), "--out", str(Path(work) / "out"), "--quiet"])
-        assert code in (0, 2, 3, 4)
+        code = _run_document(command, doc)
+        if expected is not None:
+            assert code == expected
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        command=st.sampled_from(["fig2b", "qthreshold"]),
+        # the reference experiment with some of its values made extreme
+        changes=st.fixed_dictionaries(
+            {},
+            optional={
+                **{key: _log_uniform(-300, 300) for key in ("lambda0", "sigma0", "y_out", "P_avg", "T_int", "Q", "g")},
+                "eta_det": _log_uniform(-300, 0),
+                "n_s": _log_uniform(0, 300),
+                "width_model": st.sampled_from(["paper", "corrected"]),
+            },
+        ),
+        expected=st.none(),
+    )
+    # squares of sigma0 and y_out that overflow
+    @example(command="fig2b", changes={"sigma0": 1e160}, expected=2)
+    @example(command="qthreshold", changes={"sigma0": 1e160}, expected=2)
+    @example(command="fig2b", changes={"y_out": 1e200}, expected=2)
+    @example(command="qthreshold", changes={"y_out": 1e200}, expected=2)
+    # a signal that underflows to 0 in both width models
+    @example(command="fig2b", changes={"g": 7.6e-249}, expected=3)
+    # a photon count P*eta*T/(hbar*omega0) that overflows
+    @example(command="fig2b", changes={"P_avg": 1e300, "T_int": 1e300}, expected=2)
+    @example(command="qthreshold", changes={"P_avg": 1e300, "T_int": 1e300}, expected=2)
+    # a photon whose mass hbar*omega0*n_s^2/c^2, reported in the manifest,
+    # overflows
+    @example(command="fig2b", changes={"lambda0": 1e-200, "n_s": 1e80}, expected=2)
+    # Sn crosses 1 closer to t = 0 than the smallest float: the crossing
+    # bisection runs out of floats and stops at t_cross = 0
+    @example(command="fig2b", changes={"sigma0": 1.0, "eta_det": 1.0, "T_int": 4.41e196, "g": 1.439e221}, expected=0)
+    def test_generated_experiments_exit_documented(self, command, changes, expected):
+        doc = {"experiment": {**_REFERENCE_EXPERIMENT, **changes}}
+        code = _run_document(command, doc)
         if expected is not None:
             assert code == expected

@@ -12,7 +12,6 @@ from cavityfall import (
     effective_mass,
     group_velocity,
     kg_residual,
-    momentum_from_drop,
     photon_energy,
 )
 from cavityfall.units import c, h, hbar
@@ -33,6 +32,18 @@ class TestCavitySpec:
             CavitySpec(L=1e-6, j=1, Q=-1.0)
         with pytest.raises(ValidationError):
             CavitySpec.from_rest_wavelength(-1e-6)
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            dict(L=2.9e-194, j=2, n_s=2.7e230),  # c_medium**2 underflows to 0
+            dict(L=1.39e-268, j=7, n_s=1.13e142),  # the mass overflows
+            dict(L=5.8e299 / 2.86, j=1, n_s=1.43),  # the rest energy underflows to 0
+        ],
+    )
+    def test_rejects_rest_energy_or_mass_out_of_double_range(self, geometry):
+        with pytest.raises(ValidationError, match="double range"):
+            CavitySpec(**geometry)
 
     def test_rest_wavelength_constructor_fixes_rest_energy(self):
         # E0 = 2*pi*hbar*c/lambda0 = h*c/lambda0 regardless of the medium
@@ -137,7 +148,7 @@ class TestGroupVelocity:
     def test_drop_velocity_matches_classical_kinematics(self):
         # wavenumber picked up over a 0.5 m fall translates back to sqrt(2*g_tilde*y)
         profile = GravityProfile(g=9.81, n_s=1.43)
-        k_y = momentum_from_drop(CAF2, profile, 0.5)
+        k_y = effective_mass(CAF2) / hbar * math.sqrt(2.0 * profile.g_tilde * 0.5)
         expected = math.sqrt(2.0 * profile.g_tilde * 0.5)
         assert float(group_velocity(CAF2, k_y)) == pytest.approx(expected, rel=1e-9)
 

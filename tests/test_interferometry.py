@@ -16,7 +16,6 @@ from cavityfall import (
     init_gaussian,
     interference_signal,
     mode_width,
-    phase_difference,
     propagate,
     q_threshold,
     snr,
@@ -35,6 +34,14 @@ Q_MIN_TRUE = 36955286105.5196
 
 PAPER = ExperimentConfig.caf2_reference(width_model="paper_verbatim")
 CORRECTED = ExperimentConfig.caf2_reference(width_model="corrected")
+# no decay and a mode far wider than y_out: the envelope is exactly 1, so
+# I(t) is the modulation 1 - cos(dphi) itself
+FLAT = replace(PAPER, Q=1e300, sigma0=1e150)
+
+
+def measured_phase(cfg, t):
+    """dphi in [0, pi] recovered from a flat-envelope signal 2*sin(dphi/2)^2."""
+    return 2.0 * math.asin(math.sqrt(float(interference_signal(cfg, t)) / 2.0))
 
 
 class TestExperimentConfig:
@@ -55,6 +62,21 @@ class TestExperimentConfig:
             replace(CORRECTED, n_s=0.5)
         with pytest.raises(ValidationError):
             replace(CORRECTED, width_model="verbatim")
+
+    @pytest.mark.parametrize(
+        "changes, error, named",
+        [
+            (dict(sigma0=1e160), ValidationError, "experiment.sigma0"),
+            (dict(y_out=1e200), ValidationError, "experiment.y_out"),
+            (dict(P_avg=1e300, T_int=1e300), ValidationError, "photon count"),
+            (dict(lambda0=1e-300), ValidationError, "experiment.lambda0"),
+            (dict(Q=1e308), ValidationError, "experiment.Q"),
+            (dict(sigma0=1e-150, y_out=1e150), DomainError, "overflows on its trace window"),
+        ],
+    )
+    def test_rejects_values_the_model_cannot_evaluate(self, changes, error, named):
+        with pytest.raises(error, match=named):
+            replace(CORRECTED, **changes)
 
 
 class TestModeWidth:
@@ -98,24 +120,24 @@ class TestModeWidth:
 
 
 class TestPhaseDifference:
+    """dphi = omega0*g*t*2*y_out/c^2, read from the modulation of the signal."""
+
     def test_zero_at_release(self):
-        assert float(phase_difference(PAPER, 0.0)) == 0.0
+        assert float(interference_signal(FLAT, 0.0)) == 0.0
 
     def test_reference_value(self):
-        value = float(phase_difference(PAPER, 1e-4))
-        assert value == pytest.approx(PAPER.omega0 * 9.81 * 1e-4 * 1.0 / c**2, rel=1e-15)
+        value = measured_phase(FLAT, 1e-4)
+        assert value == pytest.approx(FLAT.omega0 * 9.81 * 1e-4 * 1.0 / c**2, rel=1e-15)
         assert value == pytest.approx(1.932e-5, rel=1e-3)
 
     def test_linear_in_out_coupling_height(self):
-        doubled = replace(PAPER, y_out=1.0)
-        assert float(phase_difference(doubled, 2e-4)) == pytest.approx(
-            2.0 * float(phase_difference(PAPER, 2e-4)), rel=1e-15
-        )
+        doubled = replace(FLAT, y_out=1.0)
+        assert measured_phase(doubled, 2e-4) == pytest.approx(2.0 * measured_phase(FLAT, 2e-4), rel=1e-15)
 
     def test_independent_of_medium_at_fixed_omega0(self):
-        vacuum = replace(PAPER, n_s=1.0)
+        vacuum = replace(FLAT, n_s=1.0)
         t = np.linspace(0.0, 1e-3, 64)
-        assert np.array_equal(phase_difference(PAPER, t), phase_difference(vacuum, t))
+        assert np.array_equal(interference_signal(FLAT, t), interference_signal(vacuum, t))
 
 
 class TestInterferenceSignal:
@@ -141,7 +163,7 @@ class TestInterferenceSignal:
     def test_small_angle_quadratic_growth(self):
         # for dphi < 1e-3 the modulation term equals dphi^2/2 to 1e-6
         for t in (1e-6, 1e-5, 1e-4, 5e-3):
-            dphi = float(phase_difference(PAPER, t))
+            dphi = PAPER.omega0 * PAPER.g * t * 2.0 * PAPER.y_out / c**2
             assert dphi < 1e-3
             envelope = math.exp(-PAPER.omega0 * t / PAPER.Q - PAPER.y_out**2 / float(mode_width(PAPER, t)) ** 2)
             modulation = float(interference_signal(PAPER, t)) / envelope
@@ -216,9 +238,22 @@ class TestSnrTrace:
         assert trace.t_cross is None
         assert np.max(trace.sn) < 1e-100
 
+    def test_crossing_closer_to_zero_than_the_smallest_float(self):
+        # Sn passes 1 below t = 5e-324 s: the crossing bisection runs out of
+        # floats between 0 and its upper end and stops at t_cross = 0
+        cfg = replace(PAPER, sigma0=1.0, eta_det=1.0, T_int=4.41e196, g=1.439e221)
+        trace = snr_trace(cfg, n_samples=2001)
+        assert trace.t_cross == 0.0
+        assert 0.0 < trace.t_peak < cfg.window
+
+    def test_peak_search_stops_when_floats_run_out(self):
+        # the window, 2.6e-321 s, holds about 500 subnormal floats: the golden
+        # section runs out of floats before its bracket is 1e-9 relative wide
+        cfg = replace(CORRECTED, Q=2e-306, lambda0=2.4e-7, sigma0=0.23, g=2.2e265, T_int=9.6e175)
+        trace = snr_trace(cfg, n_samples=2001)
+        assert 0.0 < trace.t_peak < cfg.window
+
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            snr_trace(PAPER, t_max=-1.0)
         with pytest.raises(ValidationError):
             snr_trace(PAPER, n_samples=8)
 
