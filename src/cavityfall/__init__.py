@@ -32,6 +32,7 @@ from .interferometry import (
     mode_width,
     q_threshold,
     snr,
+    snr_peak,
     snr_trace,
 )
 from .propagator import (
@@ -86,6 +87,7 @@ __all__ = [
     "mode_width",
     "interference_signal",
     "snr",
+    "snr_peak",
     "snr_trace",
     "q_threshold",
     "ScenarioFile",

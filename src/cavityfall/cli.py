@@ -37,7 +37,7 @@ from . import __version__
 from .dispersion import CavitySpec, effective_mass, group_velocity, photon_energy
 from .errors import DomainError, ValidationError
 from .gravity import freefall_trajectory, phase_gradient
-from .interferometry import snr_trace, q_threshold
+from .interferometry import q_threshold, snr_peak, snr_trace
 from .propagator import MAX_ROWS, PropagationScenario, init_gaussian, propagate, recording_schedule
 from .scenario import WIDTH_MODEL_ALIASES, ScenarioFile, load_scenario, scenario_to_dict
 from .units import c, hbar
@@ -110,16 +110,29 @@ def _resolve_stride(scenario: ScenarioFile, n_steps: int) -> int:
 def _run_dispersion(scenario: ScenarioFile, out_dir: Path, args: dict) -> list[Path]:
     _require(scenario, "dispersion", "cavity")
     cav = scenario.cavity
-    k_max = args["k_max"] if args["k_max"] is not None else 2.0 * cav.omega0 / cav.c_medium
-    for option, value in (("--k-min", args["k_min"]), ("--k-max", k_max)):
+    k_min, k_max = args["k_min"], args["k_max"]
+    k_max_source = "--k-max"
+    if k_max is None:
+        k_max = 2.0 * cav.omega0 / cav.c_medium
+        k_max_source = "cavity (default k_max = 2*omega0/c_medium)"
+    bounds = (("--k-min", k_min), (k_max_source, k_max))
+    for source, value in bounds:
         if not math.isfinite(value):
-            raise ValidationError(f"{option}: must be finite, got {value!r}")
-    if not k_max > args["k_min"]:
-        raise ValidationError(f"dispersion needs k_max > k_min, got {k_max!r} <= {args['k_min']!r}")
+            raise ValidationError(f"{source}: must be finite, got {value!r}")
+    if not k_max > k_min:
+        raise ValidationError(f"dispersion needs k_max > k_min, got {k_max!r} <= {k_min!r}")
+    if not math.isfinite(k_max - k_min):
+        raise ValidationError(
+            f"--k-min, {k_max_source}: the span k_max - k_min is out of double range, got {k_min!r} to {k_max!r}"
+        )
+    # omega grows with |k|, so finite at both ends is finite on every sample
+    for source, value in bounds:
+        if not math.isfinite(float(photon_energy(cav, value)) / hbar):
+            raise ValidationError(f"{source}: the photon energy omega(k) is out of double range at k = {value!r}")
     if not 1 <= args["k_points"] <= MAX_ROWS:
         raise ValidationError(f"--k-points: must be between 1 and {MAX_ROWS}, got {args['k_points']!r}")
     args["k_max"] = k_max
-    k_grid = np.linspace(args["k_min"], k_max, args["k_points"])
+    k_grid = np.linspace(k_min, k_max, args["k_points"])
     path = out_dir / "dispersion.csv"
     _write_csv(
         path,
@@ -200,7 +213,7 @@ def _run_fig2b(scenario: ScenarioFile, out_dir: Path, args: dict) -> tuple[list[
         trace = snr_trace(cfg, n_samples=_FIG2B_SAMPLES)
         peak_by_model = {
             base.width_model: trace.sn_peak,
-            other: snr_trace(replace(cfg, width_model=other), n_samples=_FIG2B_SAMPLES).sn_peak,
+            other: snr_peak(replace(cfg, width_model=other), n_samples=_FIG2B_SAMPLES)[1],
         }
         corrected = peak_by_model["corrected"]
         # a corrected peak that underflows to 0 leaves the ratio undefined

@@ -201,16 +201,22 @@ def mode_width(cfg: ExperimentConfig, t) -> np.ndarray | float:
     return np.sqrt(_width_squared(cfg, _require_time(t)))
 
 
+def _signal(cfg: ExperimentConfig, t):
+    # I(t) on checked times: an array, or one float of the trace window.  A
+    # float goes through np.exp, np.sin and libm pow for **2, which give the
+    # bits of a checked 0-d array; math.exp and x*x differ in the last bit.
+    dphi = cfg.omega0 * cfg.g * t * 2.0 * cfg.y_out / c**2
+    envelope = np.exp(-cfg.omega0 * t / cfg.Q - cfg.y_out**2 / _width_squared(cfg, t))
+    return envelope * 2.0 * np.sin(0.5 * dphi) ** 2
+
+
 def interference_signal(cfg: ExperimentConfig, t) -> np.ndarray | float:
     """Photodiode signal fraction I(t) >= 0, with I(0) = 0.
 
     1 - cos(dphi) is evaluated as 2*sin(dphi/2)^2, which neither cancels nor
     underflows at the tiny early-time phase differences.
     """
-    t_arr = _require_time(t)
-    dphi = cfg.omega0 * cfg.g * t_arr * 2.0 * cfg.y_out / c**2
-    envelope = np.exp(-cfg.omega0 * t_arr / cfg.Q - cfg.y_out**2 / _width_squared(cfg, t_arr))
-    return envelope * 2.0 * np.sin(0.5 * dphi) ** 2
+    return _signal(cfg, _require_time(t))
 
 
 def snr(cfg: ExperimentConfig, t) -> np.ndarray | float:
@@ -257,6 +263,36 @@ def _refine_crossing(f, a: float, b: float, level: float = 1.0) -> float:
     return mid
 
 
+def _sn_at(cfg: ExperimentConfig):
+    # Sn at one time of the trace window, which ExperimentConfig has checked
+    photons = cfg.photons
+    return lambda ti: math.sqrt(_signal(cfg, ti) * photons)
+
+
+def _sampled_peak(cfg: ExperimentConfig, n_samples: int):
+    # ((t, I, Sn, index of the largest sample), (t_peak, Sn_peak))
+    if n_samples < 16:
+        raise ValidationError(f"n_samples must be >= 16, got {n_samples!r}")
+    t = np.linspace(0.0, cfg.window, n_samples)
+    i_signal = _signal(cfg, t)
+    sn = np.sqrt(i_signal * cfg.photons)
+    idx = int(np.argmax(sn))
+    if 0 < idx < n_samples - 1 and sn[idx] > 0.0:
+        t_peak, sn_peak = _refine_peak(_sn_at(cfg), float(t[idx - 1]), float(t[idx + 1]))
+    else:
+        t_peak, sn_peak = float(t[idx]), float(sn[idx])
+    return (t, i_signal, sn, idx), (t_peak, sn_peak)
+
+
+def snr_peak(cfg: ExperimentConfig, n_samples: int = 512) -> tuple[float, float]:
+    """(t_peak, Sn_peak): the maximum of Sn(t) on the trace window
+    [0, cfg.window], sampled at n_samples points and refined to much better
+    than 1e-6 relative in t.  The same values as snr_trace's, without its
+    crossing search.
+    """
+    return _sampled_peak(cfg, n_samples)[1]
+
+
 def snr_trace(cfg: ExperimentConfig, n_samples: int = 512) -> SnrTrace:
     """Uniformly sampled Sn(t) on the trace window [0, cfg.window] with
     refined peak and crossing.
@@ -264,31 +300,16 @@ def snr_trace(cfg: ExperimentConfig, n_samples: int = 512) -> SnrTrace:
     The peak and the first Sn = 1 crossing (when one exists) are located to
     much better than 1e-6 relative in t.
     """
-    if n_samples < 16:
-        raise ValidationError(f"n_samples must be >= 16, got {n_samples!r}")
-
-    t = np.linspace(0.0, cfg.window, n_samples)
-    i_signal = np.asarray(interference_signal(cfg, t))
-    sn_values = np.asarray(snr(cfg, t))
-
-    def sn_at(ti: float) -> float:
-        return float(snr(cfg, ti))
-
-    idx = int(np.argmax(sn_values))
-    if 0 < idx < n_samples - 1 and sn_values[idx] > 0.0:
-        t_peak, sn_peak = _refine_peak(sn_at, float(t[idx - 1]), float(t[idx + 1]))
-    else:
-        t_peak, sn_peak = float(t[idx]), float(sn_values[idx])
-
+    (t, i_signal, sn, idx), (t_peak, sn_peak) = _sampled_peak(cfg, n_samples)
     t_cross: float | None = None
-    above = np.nonzero(sn_values >= 1.0)[0]
+    above = np.nonzero(sn >= 1.0)[0]
     if above.size:
         first = int(above[0])
-        t_cross = _refine_crossing(sn_at, float(t[max(first - 1, 0)]), float(t[first]))
+        t_cross = _refine_crossing(_sn_at(cfg), float(t[max(first - 1, 0)]), float(t[first]))
     elif sn_peak >= 1.0:
-        t_cross = _refine_crossing(sn_at, float(t[max(idx - 1, 0)]), t_peak)
+        t_cross = _refine_crossing(_sn_at(cfg), float(t[max(idx - 1, 0)]), t_peak)
 
-    return SnrTrace(t=t, i_signal=i_signal, sn=sn_values, t_peak=t_peak, sn_peak=sn_peak, t_cross=t_cross)
+    return SnrTrace(t=t, i_signal=i_signal, sn=sn, t_peak=t_peak, sn_peak=sn_peak, t_cross=t_cross)
 
 
 def q_threshold(cfg: ExperimentConfig, q_lo: float, q_hi: float) -> QThresholdResult:
@@ -303,7 +324,7 @@ def q_threshold(cfg: ExperimentConfig, q_lo: float, q_hi: float) -> QThresholdRe
         raise ValidationError(f"need 0 < q_lo < q_hi, got {q_lo!r}, {q_hi!r}")
 
     def peak(q: float) -> float:
-        return snr_trace(replace(cfg, Q=q)).sn_peak
+        return snr_peak(replace(cfg, Q=q))[1]
 
     peak_lo, peak_hi = peak(q_lo), peak(q_hi)
     if not (peak_lo < 1.0 < peak_hi):

@@ -306,6 +306,36 @@ class TestMainEntryPoint:
         assert f"{option}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "dispersion.csv").exists()
 
+    @pytest.mark.parametrize(
+        "bounds, named",
+        [
+            # omega = E/hbar overflows at the upper end
+            (["--k-min=1e200", "--k-max=1.7e308"], "--k-max: the photon energy"),
+            # k_max - k_min overflows, and linspace would fill rows with nan
+            (["--k-min=-1.7e308", "--k-max=1.7e308"], "--k-min, --k-max: the span"),
+        ],
+    )
+    def test_wavenumbers_out_of_double_range_exit_two(self, scenario_dir, tmp_path, capsys, bounds, named):
+        argv = ["dispersion", "--scenario", str(scenario_dir / "freefall_caf2.json"), "--out", str(tmp_path)]
+        assert main(argv + bounds + ["--k-points", "3", "--quiet"]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "dispersion.csv").exists()
+
+    def test_overflowing_default_k_max_names_the_cavity(self, scenario_dir, tmp_path, capsys):
+        # a valid cavity whose default k_max = 2*omega0/c_medium overflows:
+        # the message names the cavity, not an option that was never given
+        doc = json.loads((scenario_dir / "freefall_caf2.json").read_text())
+        doc["cavity"] = {"L": 1e-300, "j": 1000000000, "n_s": 1e10}
+        doc["gravity"]["n_s"] = 1e10
+        scenario_path = tmp_path / "tiny.json"
+        scenario_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["dispersion", "--scenario", str(scenario_path), "--out", str(out), "--k-points", "4", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: cavity (default k_max = 2*omega0/c_medium)")
+        assert "--k-max" not in err
+        assert not (out / "dispersion.csv").exists()
+
     def test_leftover_temp_directory_does_not_block_a_write(self, scenario_dir, tmp_path):
         # each write goes through its own temp file, so a stale or concurrent
         # run's "<file>.tmp" is never in the way
@@ -390,17 +420,54 @@ def _log_uniform(low_exp, high_exp):
     return st.floats(low_exp, high_exp).map(lambda e: 10.0**e)
 
 
+# a wavenumber bound [rad/m]: around the shipped grid's 1.7e7, +/- 1e-300
+# to 1e308, zero, or not finite
+_WAVENUMBER = st.one_of(
+    _log_uniform(-3, 8),
+    st.tuples(st.sampled_from([-1.0, 1.0]), _log_uniform(-300, 308)).map(lambda pair: pair[0] * pair[1]),
+    st.sampled_from([0.0, float("inf"), float("-inf"), float("nan")]),
+)
+# options of the dispersion command, each drawn or left at its default
+_DISPERSION_OPTIONS = st.fixed_dictionaries(
+    {},
+    optional={
+        "--k-min": _WAVENUMBER,
+        "--k-max": _WAVENUMBER,
+        "--k-points": st.one_of(st.integers(-1, 300), st.just(10**7)),
+    },
+)
+_WIDTH_MODEL_OPTION = {"--width-model": st.sampled_from(["paper", "corrected"])}
+# options of the experiment commands: a Q sweep for fig2b, a bracket for
+# qthreshold; Q around the reference's 1e9 to 1e12, 1e-300 to 1e300, or zero
+_Q = st.one_of(_log_uniform(8, 13), _log_uniform(-300, 300), st.just(0.0))
+_EXPERIMENT_OPTIONS = {
+    "fig2b": st.fixed_dictionaries({}, optional={**_WIDTH_MODEL_OPTION, "--q": st.lists(_Q, min_size=1, max_size=3)}),
+    "qthreshold": st.fixed_dictionaries({}, optional={**_WIDTH_MODEL_OPTION, "--q-lo": _Q, "--q-hi": _Q}),
+}
+
+
+def _argv(options):
+    """Command-line words of {option: value or list of values}; a single
+    value is attached with "=", so that a negative number is not read as an
+    option."""
+    words = []
+    for option, value in options.items():
+        words += [option, *map(str, value)] if isinstance(value, list) else [f"{option}={value}"]
+    return words
+
+
 def _case(command, expected, **changes):
     return example(**{**_SMALL_CASE, "command": command, "expected": expected, **changes})
 
 
-def _run_document(command, doc):
-    """Exit code of one command on doc; exit 0 must leave only finite numbers."""
+def _run_document(command, doc, options):
+    """Exit code of one command on doc with the given command-line options;
+    exit 0 must leave only finite numbers."""
     with tempfile.TemporaryDirectory() as work:
         scenario_path = Path(work) / "scenario.json"
         scenario_path.write_text(json.dumps(doc))
         out = Path(work) / "out"
-        code = main([command, "--scenario", str(scenario_path), "--out", str(out), "--quiet"])
+        code = main([command, "--scenario", str(scenario_path), "--out", str(out), "--quiet", *_argv(options)])
         if code == 0:
             for path in out.iterdir():
                 if path.suffix == ".csv":
@@ -482,13 +549,37 @@ class TestExitCodes:
         doc["propagation"].update(dt=dt, t_final=t_final, sigma0=sigma0)
         doc["propagation"]["grid"] = dict(zip(("y_min", "y_max", "n_points"), grid))
         doc["output"] = {} if stride is None else {"stride": stride}
-        code = _run_document(command, doc)
+        code = _run_document(command, doc, {})
+        if expected is not None:
+            assert code == expected
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        lambda0=_log_uniform(-300, 300),
+        geometry=st.one_of(st.none(), st.tuples(_log_uniform(-300, 300), st.integers(1, 10**9))),
+        n_s=st.one_of(st.just(1.43), _log_uniform(0, 300)),
+        options=_DISPERSION_OPTIONS,
+        expected=st.none(),
+    )
+    # omega = E/hbar overflows at k_max; the span k_max - k_min overflows
+    @example(lambda0=1.064e-6, geometry=None, n_s=1.43, options={"--k-min": 1e200, "--k-max": 1.7e308, "--k-points": 3}, expected=2)
+    @example(lambda0=1.064e-6, geometry=None, n_s=1.43, options={"--k-min": -1.7e308, "--k-max": 1.7e308, "--k-points": 3}, expected=2)
+    # a valid cavity whose default k_max = 2*omega0/c_medium overflows
+    @example(lambda0=None, geometry=(1e-300, 10**9), n_s=1e10, options={"--k-points": 3}, expected=2)
+    def test_generated_dispersion_options_exit_documented(self, lambda0, geometry, n_s, options, expected):
+        # SMALL_FREEFALL with the cavity, and its wavenumber grid, drawn
+        doc = json.loads(json.dumps(SMALL_FREEFALL))
+        doc["cavity"] = {"lambda0": lambda0} if geometry is None else dict(zip(("L", "j"), geometry))
+        doc["cavity"]["n_s"] = doc["gravity"]["n_s"] = n_s
+        code = _run_document("dispersion", doc, options)
         if expected is not None:
             assert code == expected
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
-        command=st.sampled_from(["fig2b", "qthreshold"]),
+        command_and_options=st.sampled_from(["fig2b", "qthreshold"]).flatmap(
+            lambda command: st.tuples(st.just(command), _EXPERIMENT_OPTIONS[command])
+        ),
         # the reference experiment with some of its values made extreme
         changes=st.fixed_dictionaries(
             {},
@@ -502,23 +593,24 @@ class TestExitCodes:
         expected=st.none(),
     )
     # squares of sigma0 and y_out that overflow
-    @example(command="fig2b", changes={"sigma0": 1e160}, expected=2)
-    @example(command="qthreshold", changes={"sigma0": 1e160}, expected=2)
-    @example(command="fig2b", changes={"y_out": 1e200}, expected=2)
-    @example(command="qthreshold", changes={"y_out": 1e200}, expected=2)
+    @example(command_and_options=("fig2b", {}), changes={"sigma0": 1e160}, expected=2)
+    @example(command_and_options=("qthreshold", {}), changes={"sigma0": 1e160}, expected=2)
+    @example(command_and_options=("fig2b", {}), changes={"y_out": 1e200}, expected=2)
+    @example(command_and_options=("qthreshold", {}), changes={"y_out": 1e200}, expected=2)
     # a signal that underflows to 0 in both width models
-    @example(command="fig2b", changes={"g": 7.6e-249}, expected=3)
+    @example(command_and_options=("fig2b", {}), changes={"g": 7.6e-249}, expected=3)
     # a photon count P*eta*T/(hbar*omega0) that overflows
-    @example(command="fig2b", changes={"P_avg": 1e300, "T_int": 1e300}, expected=2)
-    @example(command="qthreshold", changes={"P_avg": 1e300, "T_int": 1e300}, expected=2)
+    @example(command_and_options=("fig2b", {}), changes={"P_avg": 1e300, "T_int": 1e300}, expected=2)
+    @example(command_and_options=("qthreshold", {}), changes={"P_avg": 1e300, "T_int": 1e300}, expected=2)
     # a photon whose mass hbar*omega0*n_s^2/c^2, reported in the manifest,
     # overflows
-    @example(command="fig2b", changes={"lambda0": 1e-200, "n_s": 1e80}, expected=2)
+    @example(command_and_options=("fig2b", {}), changes={"lambda0": 1e-200, "n_s": 1e80}, expected=2)
     # Sn crosses 1 closer to t = 0 than the smallest float: the crossing
     # bisection runs out of floats and stops at t_cross = 0
-    @example(command="fig2b", changes={"sigma0": 1.0, "eta_det": 1.0, "T_int": 4.41e196, "g": 1.439e221}, expected=0)
-    def test_generated_experiments_exit_documented(self, command, changes, expected):
+    @example(command_and_options=("fig2b", {}), changes={"sigma0": 1.0, "eta_det": 1.0, "T_int": 4.41e196, "g": 1.439e221}, expected=0)
+    def test_generated_experiments_exit_documented(self, command_and_options, changes, expected):
+        command, options = command_and_options
         doc = {"experiment": {**_REFERENCE_EXPERIMENT, **changes}}
-        code = _run_document(command, doc)
+        code = _run_document(command, doc, options)
         if expected is not None:
             assert code == expected

@@ -19,8 +19,10 @@ from cavityfall import (
     propagate,
     q_threshold,
     snr,
+    snr_peak,
     snr_trace,
 )
+from cavityfall.interferometry import WIDTH_MODELS, _sn_at
 from cavityfall.units import c, hbar
 
 # Frozen from an independent 60-digit evaluation of the interference signal
@@ -198,6 +200,12 @@ class TestSnr:
         assert float(snr(replace(PAPER, eta_det=2e-3), t)) > base
         assert float(snr(replace(PAPER, Q=1e11), t)) > base
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, [0.0, -1e-300]])
+    def test_signal_and_snr_reject_bad_times(self, t):
+        for public in (interference_signal, snr):
+            with pytest.raises(ValidationError, match="t must be finite and >= 0"):
+                public(PAPER, t)
+
 
 class TestSnrTrace:
     def test_frozen_peaks_paper_model(self):
@@ -256,6 +264,44 @@ class TestSnrTrace:
     def test_validation(self):
         with pytest.raises(ValidationError):
             snr_trace(PAPER, n_samples=8)
+
+
+class TestRefinementKeepsItsBits:
+    """The peak and crossing refinement evaluates Sn on one Python float at a
+    time, with no check.  It must give the bits of snr on that time, the
+    checked path through a 0-d array: np.exp and libm pow for **2, where
+    math.exp or x*x would differ in the last bit."""
+
+    @pytest.mark.parametrize("model", WIDTH_MODELS)
+    @pytest.mark.parametrize("q", [1e9, 3.7e10, 1e12])
+    def test_scalar_sn_matches_snr(self, model, q):
+        cfg = ExperimentConfig.caf2_reference(Q=q, width_model=model)
+        sn_at = _sn_at(cfg)
+        times = np.random.default_rng(2048).uniform(0.0, cfg.window, 4000).tolist() + [0.0, cfg.window]
+        differ = [t for t in times if sn_at(t).hex() != float(snr(cfg, t)).hex()]
+        assert differ == []
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            PAPER,
+            CORRECTED,
+            replace(PAPER, Q=3e10),
+            replace(CORRECTED, Q=1e12),
+            # a signal that underflows to 0: the peak is the first sample, unrefined
+            replace(PAPER, g=7.6e-249),
+            # the subnormal window of test_peak_search_stops_when_floats_run_out
+            replace(CORRECTED, Q=2e-306, lambda0=2.4e-7, sigma0=0.23, g=2.2e265, T_int=9.6e175),
+        ],
+    )
+    @pytest.mark.parametrize("n_samples", [16, 512, 2001])
+    def test_snr_peak_is_the_trace_peak(self, cfg, n_samples):
+        trace = snr_trace(cfg, n_samples=n_samples)
+        assert snr_peak(cfg, n_samples=n_samples) == (trace.t_peak, trace.sn_peak)
+
+    def test_snr_peak_validation(self):
+        with pytest.raises(ValidationError):
+            snr_peak(PAPER, n_samples=8)
 
 
 class TestQThreshold:
