@@ -203,6 +203,10 @@ def _run_fig2b(scenario: ScenarioFile, out_dir: Path, args: dict) -> tuple[list[
     q_values = tuple(args["q_values"])
     if not q_values or any(q <= 0 for q in q_values):
         raise ValidationError(f"fig2b needs positive Q values, got {q_values!r}")
+    # two values that print alike under {q:g} would overwrite one another's CSV
+    names = [f"fig2b_Q{q:g}.csv" for q in q_values]
+    if len(set(names)) < len(names):
+        raise ValidationError(f"--q: the values {list(q_values)!r} do not give distinct files {names}")
     paths: list[Path] = []
     traces = []
     traces_summary = []
@@ -236,8 +240,8 @@ def _run_fig2b(scenario: ScenarioFile, out_dir: Path, args: dict) -> tuple[list[
             }
         )
     # every Q is evaluated before the first file is written
-    for q, trace in zip(q_values, traces):
-        path = out_dir / f"fig2b_Q{q:g}.csv"
+    for name, trace in zip(names, traces):
+        path = out_dir / name
         _write_csv(path, ("t_si", "i_signal", "sn"), [trace.t, trace.i_signal, trace.sn])
         paths.append(path)
     summary_path = out_dir / "fig2b_summary.json"

@@ -23,15 +23,28 @@ to roundoff, which is what lets the free-fall parabola be certified at 1e-8
 and beyond.
 
 Records are evaluated in the falling frame, u = exp(-i F t y) * v with
-v = IFFT[exp(-i theta(k)) * FFT u(0)]: one IFFT and one complex exp per
-record (v leaves out theta's k-independent term, a global phase that only
-the returned final state carries).  |v| = |u| gives norm, centroid and
-width; the spectrum of v has the time-invariant modulus |FFT u(0)|, so
-<k> = <k>_0 - F t and <k^2> = <(k - F t)^2>_0 come in closed form from the
-initial power spectrum, and the phase gradient is that of v minus F t.
-The grid therefore has to resolve only the envelope, not the carrier
-exp(-i F t y): the momentum may pass the Nyquist wavenumber pi/dy.  The norm
-is conserved to roundoff independently of the step count.
+v = IFFT[exp(-i theta(k)) * FFT u(0)] (v leaves out theta's k-independent
+term, a global phase that only the returned final state carries).  Records
+on the stride s, at steps i_r = r s, lie tau = s dt apart, and
+
+    theta(i_{r+1}) - theta(i_r) = [k^2 tau - k F tau^2 (2r + 1)] / (2m),
+
+so the spectrum advances by a phasor exp(-i (theta(i_{r+1}) - theta(i_r)))
+that itself turns by exp(i k F tau^2 / m) from one record to the next: one
+IFFT and two complex multiplies per record, no exp.  Every K = 16th record,
+and an off-stride final one, takes the spectrum and the phasor from the
+closed form again, bit for bit exp(-i theta(k)) * FFT u(0).  In between,
+the phase drifts from the closed form by roundoff, at most about
+K eps (|phasor phase| + K |turn phase| + K) with eps the double epsilon,
+the order of the closed form's own rounding eps |theta|.
+
+|v| = |u| gives norm, centroid and width; the spectrum of v has the
+time-invariant modulus |FFT u(0)|, so <k> = <k>_0 - F t and
+<k^2> = <(k - F t)^2>_0 come in closed form from the initial power
+spectrum, and the phase gradient is that of v minus F t.  The grid
+therefore has to resolve only the envelope, not the carrier exp(-i F t y):
+the momentum may pass the Nyquist wavenumber pi/dy.  The norm is conserved
+to roundoff independently of the step count.
 
 The equation depends on the physical mass and hbar only through their
 ratio, so hbar = 1 is absorbed into m: the mass a run takes is m/hbar, in
@@ -57,6 +70,9 @@ from .errors import DomainError, ValidationError
 MAX_GRID_POINTS = 2**20
 #: Largest number of rows (recorded samples, wavenumbers) a command may write.
 MAX_ROWS = 10**6
+#: Records from one closed-form anchor of propagate's phasor recurrence to
+#: the next; the phase drift between anchors grows as its square.
+_ANCHOR_INTERVAL = 16
 
 
 @dataclass(frozen=True)
@@ -198,13 +214,19 @@ def _phase_gradient_at_centroid(u: np.ndarray, y: np.ndarray, centroid: float) -
 
 def _envelope_moments(u: np.ndarray, y: np.ndarray, dy: float) -> tuple[float, float, float, float]:
     """(norm, centroid, width, phase gradient at the centroid) of samples u."""
-    absu2 = u.real * u.real + u.imag * u.imag
-    total = float(absu2.sum())
+    # two N-point buffers, each expression rounded as written out in full:
+    # weights = (re*re + im*im)/total, width^2 = weights @ (y - centroid)**2
+    weights = u.real * u.real
+    work = u.imag * u.imag
+    weights += work
+    total = float(weights.sum())
     if not (total > 0.0 and math.isfinite(total)):
         raise DomainError("state has zero or non-finite norm")
-    weights = absu2 / total
+    weights /= total
     centroid = float(weights @ y)
-    width = math.sqrt(float(weights @ (y - centroid) ** 2))
+    np.subtract(y, centroid, out=work)
+    work *= work
+    width = math.sqrt(float(weights @ work))
     return total * dy, centroid, width, _phase_gradient_at_centroid(u, y, centroid)
 
 
@@ -241,41 +263,80 @@ def recording_schedule(n_steps: int, stride: int) -> list[int]:
     return steps
 
 
+def _kinetic_phasor(grid: Grid1D, mass: float, a: float, b: float, out: np.ndarray) -> np.ndarray:
+    """exp(-i (k^2 a - k b) / (2m)) on the grid's wavenumbers, into out; with
+    a = t and b = F t^2 it is exp(-i theta(k)) less theta's k-independent
+    term.  Rounded as exp(-1j * (k*k/(2m)*a - k/(2m)*b)), with two real
+    N-point temporaries."""
+    k = grid.k_values()
+    phase = k * k
+    phase /= 2.0 * mass
+    phase *= a
+    k /= 2.0 * mass
+    k *= b
+    phase -= k
+    # for finite phase, -1j * phase is (+0, -phase) bit for bit; written so,
+    # it needs no complex temporary or casting buffer
+    out.real = 0.0
+    np.negative(phase, out=out.imag)
+    return np.exp(out, out=out)
+
+
 def propagate(state: WaveState, scenario: PropagationScenario) -> tuple[WaveState, Trace]:
     """Evolve n_steps steps, recording observables every record_stride steps.
 
     Each record is the composed Strang state at its step index, evaluated
-    in the falling frame directly from the initial spectrum (see the module
-    docstring), so the cost is one IFFT per record whatever the step count.
-    Records always include the initial state and the final step.  The packet
-    must keep 4 sigma of clearance from the domain edges (checked at every
-    recorded sample); violations raise a DomainError suggesting a larger
-    grid.  Norm growth beyond roundoff or non-finite amplitudes abort the
-    run naming the step.  The returned state is the lab-frame envelope,
-    carrier and global phase included.
+    in the falling frame (see the module docstring): the spectrum advances
+    from record to record by a phasor, and every _ANCHOR_INTERVAL-th record
+    and an off-stride final one take spectrum and phasor from the closed
+    form.  The cost is one IFFT and two complex multiplies per record,
+    whatever the step count.  Records always include the initial state and
+    the final step.  The packet must keep 4 sigma of clearance from the
+    domain edges (checked at every recorded sample); violations raise a
+    DomainError suggesting a larger grid.  Norm growth beyond roundoff or
+    non-finite amplitudes abort the run naming the step.  The returned state
+    is the lab-frame envelope, carrier and global phase included.
     """
     grid = state.grid
-    schedule = recording_schedule(scenario.n_steps, scenario.record_stride)
-    y, k, dy = grid.y_values(), grid.k_values(), grid.dy
+    stride = scenario.record_stride
+    schedule = recording_schedule(scenario.n_steps, stride)
+    y, dy = grid.y_values(), grid.dy
     mass, dt = scenario.mass, scenario.dt
     force = mass * scenario.g_tilde
-    # theta(k) without its k-independent offset, as k^2/(2m) t - k/(2m) F t^2
-    spread_rate, drift_rate = k * k / (2.0 * mass), k / (2.0 * mass)
+    # record spacing on the stride; a stride past n_steps has no such record
+    tau = min(stride, scenario.n_steps) * dt
     u0 = state.amplitudes
     initial_norm = _envelope_moments(u0, y, dy)[0]  # rejects a zero or non-finite state
-    spectrum0 = np.fft.fft(u0)
-    mean_k0, mean_k20 = _spectral_moments(spectrum0, k)
+    spectrum = np.fft.fft(u0)
+    mean_k0, mean_k20 = _spectral_moments(spectrum, grid.k_values())
+    # step_r = exp(-i (theta(i_{r+1}) - theta(i_r))) advances the spectrum
+    # to the next record on the stride, and turn = exp(i k F tau^2 / m)
+    # advances step_r to step_{r+1}
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = _kinetic_phasor(grid, mass, tau, force * tau * tau, np.empty_like(spectrum))
+        turn = _kinetic_phasor(grid, mass, 0.0, 2.0 * force * tau * tau, np.empty_like(spectrum))
     records: list[Trace] = []
     v, ft, offset, t = u0, 0.0, 0.0, 0.0
-    for i in schedule:
+    for r, i in enumerate(schedule):
         if i:
+            del v  # the previous record's envelope, freed before this record's arrays
             t = i * dt
             ft = force * t
             # products, not float powers: t**3 would raise OverflowError where
             # t*t*t gives inf, which the non-finite check below reports
             offset = force * ft * (t * t / 3.0 - dt * dt / 12.0)
             with np.errstate(over="ignore", invalid="ignore"):
-                v = np.fft.ifft(np.exp(-1j * (spread_rate * t - drift_rate * (ft * t))) * spectrum0)
+                if i == r * stride and r % _ANCHOR_INTERVAL:
+                    spectrum *= step
+                    step *= turn
+                else:
+                    _kinetic_phasor(grid, mass, t, ft * t, spectrum)
+                    # FFT u(0) again: a copy held through the run would be a
+                    # fourth N-point complex array next to spectrum, step, turn
+                    spectrum *= np.fft.fft(u0)
+                    if i == r * stride:
+                        _kinetic_phasor(grid, mass, tau, force * tau * tau * (2 * r + 1), step)
+                v = np.fft.ifft(spectrum)
             if not (math.isfinite(ft) and math.isfinite(offset) and np.all(np.isfinite(v.view(float)))):
                 raise DomainError(f"non-finite amplitudes after step {i}")
         norm, centroid, width, phase_grad = _envelope_moments(v, y, dy)
@@ -291,6 +352,7 @@ def propagate(state: WaveState, scenario: PropagationScenario) -> tuple[WaveStat
         kinetic = (mean_k20 - 2.0 * ft * mean_k0 + ft * ft) / (2.0 * mass)
         records.append(Trace(t, centroid, width, mean_k0 - ft, norm, kinetic + force * centroid, phase_grad - ft))
 
+    del spectrum, step, turn  # before the final state's temporaries
     with np.errstate(over="ignore", invalid="ignore"):
         u = np.exp(-1j * (ft * y + offset / (2.0 * mass))) * v
     if not np.all(np.isfinite(u.view(float))):

@@ -378,6 +378,15 @@ class TestMainEntryPoint:
         assert "experiment: at Q = 1000" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("q_values", [["7e10", "7.0000001e10"], ["5e10", "3e10", "5e10"]])
+    def test_fig2b_q_values_sharing_a_file_name_exit_two(self, scenario_dir, tmp_path, capsys, q_values):
+        # both would write the same fig2b_Q{q:g}.csv, the second overwriting the first
+        out = tmp_path / "out"
+        argv = ["fig2b", "--scenario", str(scenario_dir / "caf2_wgmc.json"), "--out", str(out), "--q", *q_values]
+        assert main(argv + ["--quiet"]) == 2
+        assert "--q" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_experiment_disagreeing_with_cavity_exit_two(self, scenario_dir, tmp_path, capsys):
         reference = json.loads((scenario_dir / "caf2_wgmc.json").read_text())
         doc = {"cavity": {"lambda0": 1.55e-6, "n_s": 1.43}, "experiment": reference["experiment"]}
@@ -462,13 +471,20 @@ def _case(command, expected, **changes):
 
 def _run_document(command, doc, options):
     """Exit code of one command on doc with the given command-line options;
-    exit 0 must leave only finite numbers."""
+    exit 0 must leave only finite numbers, each output listed once in the
+    manifest with its file's sha256."""
     with tempfile.TemporaryDirectory() as work:
         scenario_path = Path(work) / "scenario.json"
         scenario_path.write_text(json.dumps(doc))
         out = Path(work) / "out"
         code = main([command, "--scenario", str(scenario_path), "--out", str(out), "--quiet", *_argv(options)])
         if code == 0:
+            outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
+            names = [entry["file"] for entry in outputs]
+            assert len(set(names)) == len(names), names
+            for entry in outputs:
+                path = out / entry["file"]
+                assert path.is_file() and sha256(path) == entry["sha256"], entry["file"]
             for path in out.iterdir():
                 if path.suffix == ".csv":
                     assert np.all(np.isfinite(read_csv(path)[1])), path.name
@@ -480,7 +496,8 @@ def _run_document(command, doc, options):
 
 class TestExitCodes:
     """Every generated document ends in a documented exit code, never a
-    traceback, and a run that exits 0 writes only finite numbers."""
+    traceback, and a run that exits 0 writes only finite numbers and a
+    manifest whose outputs exist, once each, with their sha256."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

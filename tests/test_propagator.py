@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from cavityfall import (
     GravityProfile,
     Grid1D,
     PropagationScenario,
+    Trace,
     ValidationError,
     WaveState,
     analytic_gaussian_oracle,
@@ -21,7 +24,7 @@ from cavityfall import (
     phase_gradient,
     propagate,
 )
-from cavityfall.propagator import MAX_ROWS, _phase_gradient_at_centroid, recording_schedule
+from cavityfall.propagator import _ANCHOR_INTERVAL, MAX_ROWS, _phase_gradient_at_centroid, recording_schedule
 from cavityfall.units import hbar as hbar_si
 
 GRID = Grid1D(-32.0, 32.0, 1024)
@@ -42,6 +45,30 @@ def strang_reference(u, grid, mass, g_tilde, dt, n_steps):
     for _ in range(n_steps):
         u = half_potential * np.fft.ifft(kinetic * np.fft.fft(half_potential * u))
     return u
+
+
+def closed_form_reference(state, scenario):
+    """Trace of the per-record closed form: each record's lab-frame state
+    exp(-i F t y) IFFT[exp(-i theta(k)) FFT u(0)], theta less its
+    k-independent term, measured by observables.  Reference only; it stops
+    where the composed phase leaves double range, as propagate must."""
+    grid = state.grid
+    y, k = grid.y_values(), grid.k_values()
+    mass, dt = scenario.mass, scenario.dt
+    force = mass * scenario.g_tilde
+    spread_rate, drift_rate = k * k / (2.0 * mass), k / (2.0 * mass)
+    spectrum0 = np.fft.fft(state.amplitudes)
+    rows = []
+    for i in recording_schedule(scenario.n_steps, scenario.record_stride):
+        t = i * dt
+        ft = force * t
+        offset = force * ft * (t * t / 3.0 - dt * dt / 12.0)
+        v = np.fft.ifft(np.exp(-1j * (spread_rate * t - drift_rate * (ft * t))) * spectrum0)
+        if not (math.isfinite(ft) and math.isfinite(offset) and np.all(np.isfinite(v))):
+            raise DomainError(f"non-finite amplitudes after step {i}")
+        lab_frame = WaveState(grid, np.exp(-1j * ft * y) * v, t)
+        rows.append(observables(lab_frame, mass, scenario.g_tilde))
+    return Trace(*np.array(rows, dtype=float).T)
 
 
 def propagate_steps(state, dt, mass=1.0, g_tilde=0.0, n_steps=1):
@@ -234,6 +261,49 @@ class TestStrangComposition:
         rec = observables(final, mass, g_tilde)
         assert rec.centroid - 8.0 * rec.width > GRID.y_min and rec.centroid + 8.0 * rec.width < GRID.y_max
         assert l2_distance(final.amplitudes, stepped, GRID.dy) <= 1e-12
+
+
+class TestPhasorRecurrence:
+    """Records between closed-form anchors advance by phasor multiplies;
+    every column against the per-record closed form."""
+
+    @pytest.mark.parametrize(
+        "scenario, k0",
+        [
+            # stride 1 over 20 anchor intervals
+            (PropagationScenario(mass=1.0, g_tilde=0.5, dt=1 / 80, n_steps=20 * _ANCHOR_INTERVAL + 5), 0.0),
+            # stride 4, the final record off the stride
+            (PropagationScenario(mass=1.0, g_tilde=0.5, dt=1 / 50, n_steps=203, record_stride=4), 0.0),
+            # no gravity: a packet launched at a lattice wavenumber
+            (PropagationScenario(mass=1.0, g_tilde=0.0, dt=1 / 64, n_steps=200, record_stride=3), math.pi / 4),
+        ],
+        ids=["stride-1", "off-stride-final", "no-gravity"],
+    )
+    def test_every_column_matches_the_closed_form(self, scenario, k0):
+        # the momentum stays below 3 and the packet >= 8 sigma from the edges,
+        # so the lab-frame reference measures every column unaliased
+        state = init_gaussian(GRID, 1.0, k0=k0)
+        _, trace = propagate(state, scenario)
+        reference = closed_form_reference(state, scenario)
+        assert len(trace.t) == len(reference.t)
+        for name, column, expected in zip(Trace._fields, trace, reference):
+            assert np.max(np.abs(column - expected)) <= 1e-12 * np.max(np.abs(expected)), name
+
+    def test_phase_overflow_between_anchors_stops_where_the_closed_form_does(self):
+        # F = m*g_tilde = 6e153: the composed phase's F^2 t^3/3 leaves double
+        # range at t ~ 2.5 of 4, on a record between two anchors
+        scenario = PropagationScenario(mass=1.2e154, g_tilde=0.5, dt=1 / 64, n_steps=256, record_stride=16)
+        state = init_gaussian(GRID, 1.0)
+        with pytest.raises(DomainError) as closed_form:
+            closed_form_reference(state, scenario)
+        message = str(closed_form.value)
+        record = int(message.rsplit(" ", 1)[1]) // scenario.record_stride
+        assert 1 < record < len(recording_schedule(scenario.n_steps, scenario.record_stride)) - 1
+        assert record % _ANCHOR_INTERVAL
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                propagate(state, scenario)
 
 
 class TestUnitInvariance:
