@@ -9,22 +9,28 @@ Commands (all scenario-driven, SI units in, SI units out):
     qthreshold        quality-factor bisection result plus iteration log
 
 Every run writes its files atomically (temp file + rename) and finishes with
-run_manifest.json: resolved parameters, derived quantities, and sha256
-checksums of each artifact.  Re-running a command with the manifest's
+run_manifest.json: resolved parameters, derived quantities, sha256
+checksums of each artifact, and the environment (cavityfall, Python and
+numpy versions, platform).  Re-running a command with the manifest's
 resolved scenario reproduces the CSV bytes exactly.  Floats are printed as
 shortest round-trip decimals to keep regression diffs clean.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-domain error, 4 I/O.
+
+main() builds the argument parser once per process, on its first call;
+importing this module builds none.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import inspect
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 import time
@@ -76,6 +82,18 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@functools.cache
+def _environment() -> dict:
+    # once per process, on the first manifest: platform.platform() runs
+    # uname and reads the C library's version
+    return {
+        "cavityfall": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+    }
 
 
 def _require(scenario: ScenarioFile, command: str, *sections: str) -> None:
@@ -144,21 +162,12 @@ def _run_dispersion(scenario: ScenarioFile, out_dir: Path, args: dict) -> list[P
 
 def _run_freefall_analytic(scenario: ScenarioFile, out_dir: Path, stride: int) -> list[Path]:
     cav, profile, prop = scenario.cavity, scenario.gravity, scenario.propagation
+    # step indices can pass int64, so each time is a Python int times dt
     times = np.array([i * prop.dt for i in recording_schedule(prop.n_steps, stride)])
-    states = [freefall_trajectory(cav, profile, float(t)) for t in times]
-    grads = np.array([phase_gradient(cav.omega0, profile, float(t)) for t in times])
+    state = freefall_trajectory(cav, profile, times)
+    grads = phase_gradient(cav.omega0, profile, times)
     path = out_dir / "freefall_analytic.csv"
-    _write_csv(
-        path,
-        ("t_si", "y_si", "v_si", "k_si", "phase_grad_si"),
-        [
-            times,
-            np.array([s.y for s in states]),
-            np.array([s.v for s in states]),
-            np.array([s.k_y for s in states]),
-            grads,
-        ],
-    )
+    _write_csv(path, ("t_si", "y_si", "v_si", "k_si", "phase_grad_si"), [times, state.y, state.v, state.k_y, grads])
     return [path]
 
 
@@ -349,6 +358,7 @@ def run(
             {"file": p.name, "sha256": _sha256(p), "bytes": p.stat().st_size} for p in outputs
         ],
         "duration_s": time.perf_counter() - started,
+        "environment": dict(_environment()),
     }
     if convergence is not None:
         manifest["convergence"] = convergence
@@ -362,7 +372,10 @@ def run(
     return manifest
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import, and reused: parse_args
+    # keeps its results in a fresh namespace, so no call sees another's.
     # run()'s signature is the one home of the option defaults: options not
     # given stay out of the namespace, and the help text quotes the signature
     defaults = {name: p.default for name, p in inspect.signature(run).parameters.items()}

@@ -18,12 +18,20 @@ omega0*g*t/c**2, independent of n_s.
 
 All formulas here are the non-relativistic, linearized-potential limit;
 operations refuse inputs outside that domain instead of extrapolating.
+
+freefall_trajectory and phase_gradient take one time or a whole column of
+times.  A column is evaluated with one array expression per quantity, which
+rounds exactly as the one-time form does, and its invariants are checked
+once per call.  An error names the first time, in column order, that fails
+any check, with the message that time alone would raise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .dispersion import CavitySpec, effective_mass
 from .errors import DomainError, ValidationError
@@ -60,12 +68,13 @@ class GravityProfile:
 
 @dataclass(frozen=True)
 class FreefallState:
-    """Kinematic state of the falling wavepacket at time t since release."""
+    """Kinematic state of the falling wavepacket at time t since release:
+    floats for one time, arrays for a column of times."""
 
-    t: float
-    y: float
-    v: float
-    k_y: float
+    t: float | np.ndarray
+    y: float | np.ndarray
+    v: float | np.ndarray
+    k_y: float | np.ndarray
 
 
 def _require_same_medium(cavity: CavitySpec, profile: GravityProfile) -> None:
@@ -91,44 +100,77 @@ def index_correction(profile: GravityProfile, y: float) -> float:
     return correction
 
 
-def freefall_trajectory(cavity: CavitySpec, profile: GravityProfile, t: float) -> FreefallState:
+def _first_failure(*failing: np.ndarray) -> tuple[int, int] | None:
+    """(check, element) of the first element of a column that fails any of
+    the per-element checks, given as masks in the order one element is
+    checked; None if every element passes."""
+    masks = [np.ravel(mask) for mask in failing]
+    element = np.flatnonzero(np.logical_or.reduce(masks))
+    if element.size == 0:
+        return None
+    i = int(element[0])
+    return next(check for check, mask in enumerate(masks) if mask[i]), i
+
+
+def _invalid_times(times: np.ndarray) -> np.ndarray:
+    return ~((times >= 0.0) & np.isfinite(times))
+
+
+def freefall_trajectory(cavity: CavitySpec, profile: GravityProfile, t: float | np.ndarray) -> FreefallState:
     """Closed-form Newtonian fall of the standing wavepacket at time t.
 
     y = -g_tilde*t**2/2 and v = -g_tilde*t are independent of the photon
-    mass; k_y = m*|v|/hbar is not.  Raises DomainError once |v| would exceed
-    1e-3 * c/n_s, reporting the latest valid time.
+    mass; k_y = m*|v|/hbar is not.  t is one time, giving float fields, or a
+    column of times, giving array fields.  Raises DomainError once |v| would
+    exceed 1e-3 * c/n_s, reporting the latest valid time.  For a column, the
+    error is that of its first time that is invalid, past the velocity limit
+    or overflowing, in that order of checks.
     """
     _require_same_medium(cavity, profile)
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise ValidationError(f"t must be >= 0, got {t!r}")
+    times = np.asarray(t, dtype=float)
     g_tilde = profile.g_tilde
-    v = -g_tilde * t
     v_max = VELOCITY_LIMIT_FRACTION * cavity.c_medium
-    if abs(v) >= v_max:
+    # an overflow gives inf (and 0*inf nan), reported below as a domain error
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = -g_tilde * times
+        speed = np.abs(v)
+        y = -0.5 * g_tilde * (times * times)
+        k_y = effective_mass(cavity) * speed / hbar
+    failure = _first_failure(_invalid_times(times), speed >= v_max, ~(np.isfinite(y) & np.isfinite(k_y)))
+    if failure is not None:
+        check, i = failure
+        if check == 0:
+            raise ValidationError(f"t must be >= 0, got {float(times.flat[i])!r}")
+        if check == 1:
+            raise DomainError(
+                f"|v| = {float(speed.flat[i]):.6g} m/s leaves the non-relativistic domain "
+                f"(limit {v_max:.6g} m/s, reached at t = {v_max / g_tilde:.6g} s)"
+            )
         raise DomainError(
-            f"|v| = {abs(v):.6g} m/s leaves the non-relativistic domain "
-            f"(limit {v_max:.6g} m/s, reached at t = {v_max / g_tilde:.6g} s)"
+            f"the fall -g_tilde*t^2/2 or its wavenumber m*|v|/hbar overflows at t = {float(times.flat[i]):.6g} s"
         )
-    # t * t, not t**2: a float power raises OverflowError where the product
-    # gives inf, which is reported as a domain error
-    y = -0.5 * g_tilde * (t * t)
-    k_y = effective_mass(cavity) * abs(v) / hbar
-    if not (math.isfinite(y) and math.isfinite(k_y)):
-        raise DomainError(f"the fall -g_tilde*t^2/2 or its wavenumber m*|v|/hbar overflows at t = {t:.6g} s")
-    return FreefallState(t=t, y=y, v=v, k_y=k_y)
+    if times.ndim == 0:
+        return FreefallState(t=t, y=float(y), v=float(v), k_y=float(k_y))
+    return FreefallState(t=times, y=y, v=v, k_y=k_y)
 
 
-def phase_gradient(omega0: float, profile: GravityProfile, t: float) -> float:
+def phase_gradient(omega0: float, profile: GravityProfile, t: float | np.ndarray) -> float | np.ndarray:
     """Gravity-induced envelope phase gradient omega0*g*t/c**2 [rad/m].
 
     Equals m_s*|v(t)|/hbar evaluated through the dielectric free-fall chain,
     with every n_s factor cancelling: the observable is medium independent.
+    t is one time, giving a float, or a column of times, giving an array;
+    an error names the column's first invalid or overflowing time.
     """
     if not (omega0 > 0.0 and math.isfinite(omega0)):
         raise ValidationError(f"omega0 must be > 0, got {omega0!r}")
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise ValidationError(f"t must be >= 0, got {t!r}")
-    gradient = omega0 * profile.g * t / c**2
-    if not math.isfinite(gradient):
-        raise DomainError(f"the phase gradient omega0*g*t/c^2 overflows at t = {t:.6g} s")
-    return gradient
+    times = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gradient = omega0 * profile.g * times / c**2
+    failure = _first_failure(_invalid_times(times), ~np.isfinite(gradient))
+    if failure is not None:
+        check, i = failure
+        if check == 0:
+            raise ValidationError(f"t must be >= 0, got {float(times.flat[i])!r}")
+        raise DomainError(f"the phase gradient omega0*g*t/c^2 overflows at t = {float(times.flat[i]):.6g} s")
+    return float(gradient) if times.ndim == 0 else gradient

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavityfall import load_scenario, parse_scenario
-from cavityfall.cli import _write_csv, main, run
+import cavityfall
+from cavityfall import cli, load_scenario, parse_scenario
+from cavityfall.cli import DEFAULT_Q_SWEEP, _write_csv, main, run
 from cavityfall.units import c as c_si
 
 
@@ -192,6 +196,10 @@ class TestDeterminismAndReplay:
             for entry_a, entry_b in zip(first["outputs"], second["outputs"]):
                 assert entry_a["file"] == entry_b["file"]
                 assert entry_a["sha256"] == entry_b["sha256"]
+            # the environment that produced the run, the same for every run of a process
+            assert set(first["environment"]) == {"cavityfall", "python", "numpy", "platform"}
+            assert first["environment"]["cavityfall"] == cavityfall.__version__
+            assert second["environment"] == first["environment"]
 
     def test_csv_bytes_match_per_value_repr(self, tmp_path):
         # the column-wise formatting writes the bytes of repr(float(v)) per
@@ -400,6 +408,79 @@ class TestMainEntryPoint:
         assert main(argv + ["--out", str(tmp_path / "good")]) == 0
         manifest = json.loads((tmp_path / "good" / "run_manifest.json").read_text())
         assert manifest["derived"]["omega0"] == pytest.approx(2 * np.pi * c_si / 1.064e-6, rel=1e-12)
+
+
+def _run_main(argv, capsys):
+    """Exit code, stdout and stderr of one main() call, and the files it
+    wrote: their bytes, the manifest's without its duration."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    files = {}
+    if "--out" in argv:
+        out = Path(argv[argv.index("--out") + 1])
+        for path in sorted(out.glob("*")) if out.is_dir() else ():
+            if path.name == "run_manifest.json":
+                manifest = json.loads(path.read_text())
+                del manifest["duration_s"]
+                files[path.name] = manifest
+            else:
+                files[path.name] = path.read_bytes()
+    return code, captured.out, captured.err, files
+
+
+class TestOneParserPerProcess:
+    def test_import_builds_no_parser(self):
+        probe = "import cavityfall.cli as cli; print(cli._build_parser.cache_info().currsize)"
+        src = str(Path(cavityfall.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "0"
+
+    def test_calls_in_sequence_share_no_state(self, scenario_dir, tmp_path, capsys):
+        # each call's outputs equal those of the same call made alone, that
+        # is, as the first call of a process, with a parser built for it
+        wgmc, freefall = str(scenario_dir / "caf2_wgmc.json"), str(scenario_dir / "freefall_caf2.json")
+        calls = [
+            ["fig2b", "--scenario", wgmc, "--q"],  # --q needs a value: argparse exits 2
+            ["fig2b", "--scenario", wgmc, "--q", "3e10"],
+            ["fig2b", "--scenario", wgmc],
+            ["qthreshold", "--scenario", wgmc, "--width-model", "paper"],
+            ["qthreshold", "--scenario", wgmc],
+            ["dispersion", "--scenario", freefall, "--k-points", "7"],
+            ["dispersion", "--scenario", freefall],
+        ]
+        cli._build_parser.cache_clear()
+        in_sequence = [
+            _run_main([*argv, "--out", str(tmp_path / "seq" / str(i)), "--quiet"], capsys) for i, argv in enumerate(calls)
+        ]
+        assert cli._build_parser.cache_info().currsize == 1
+        for i, argv in enumerate(calls):
+            cli._build_parser.cache_clear()
+            assert in_sequence[i] == _run_main([*argv, "--out", str(tmp_path / "alone" / str(i)), "--quiet"], capsys), argv
+
+        codes = [result[0] for result in in_sequence]
+        assert codes == [2, 0, 0, 0, 0, 0, 0]
+        assert "--q" in in_sequence[0][2]
+        manifests = [result[3].get("run_manifest.json") for result in in_sequence]
+        assert manifests[1]["command_args"]["q_values"] == [3e10]
+        assert manifests[2]["command_args"]["q_values"] == list(DEFAULT_Q_SWEEP)
+        assert manifests[3]["resolved_scenario"]["experiment"]["width_model"] == "paper_verbatim"
+        scenario_model = load_scenario(wgmc).experiment.width_model
+        assert manifests[4]["resolved_scenario"]["experiment"]["width_model"] == scenario_model
+        assert manifests[5]["command_args"]["k_points"] == 7
+        assert manifests[6]["command_args"]["k_points"] == 256
+        assert in_sequence[6][3]["dispersion.csv"].count(b"\n") == 257
+
+    @pytest.mark.parametrize("argv", [["--help"], ["fig2b", "--help"]])
+    def test_help_is_the_same_on_every_call(self, argv, capsys):
+        # the first call builds the parser, the second reuses it
+        cli._build_parser.cache_clear()
+        helps = [_run_main(argv, capsys) for _ in range(2)]
+        assert helps[0][0] == 0 and helps[0][1].startswith("usage: cavityfall")
+        assert helps[0] == helps[1]
 
 
 _SMALL_GRID = (-6.4, 6.4, 1024)

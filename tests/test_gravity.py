@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityfall import (
     CavitySpec,
@@ -14,6 +17,7 @@ from cavityfall import (
     index_correction,
     phase_gradient,
 )
+from cavityfall.gravity import VELOCITY_LIMIT_FRACTION
 from cavityfall.units import c, hbar
 
 VACUUM = CavitySpec.from_rest_wavelength(1.064e-6, n_s=1.0)
@@ -162,3 +166,116 @@ class TestPhaseGradient:
         s = freefall_trajectory(CAF2, EARTH_CAF2, t)
         chain = effective_mass(CAF2) * abs(s.v) / hbar
         assert chain == pytest.approx(phase_gradient(CAF2.omega0, EARTH_CAF2, t), rel=1e-12)
+
+
+# test_overflowing_fall_is_a_domain_error's slow fall: |v| stays far inside
+# the limit while t*t overflows past t = 1.34e154
+FEATHER = GravityProfile(g=1e-160 * 1.43**2, n_s=1.43)
+# omega0*g = 1e300: the phase gradient overflows past t = 1.8e8 s, while
+# the fall stays inside the velocity limit up to t = 3e11 s
+HEAVY = CavitySpec.from_rest_wavelength(2.0 * math.pi * c / 1e306, n_s=1.0)
+FAINT = GravityProfile(g=1e-6, n_s=1.0)
+
+
+def _one_time_fall(cavity, profile, t):
+    # freefall_trajectory of one time as written before it took columns
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise ValidationError(f"t must be >= 0, got {t!r}")
+    g_tilde = profile.g_tilde
+    v = -g_tilde * t
+    v_max = VELOCITY_LIMIT_FRACTION * cavity.c_medium
+    if abs(v) >= v_max:
+        raise DomainError(
+            f"|v| = {abs(v):.6g} m/s leaves the non-relativistic domain "
+            f"(limit {v_max:.6g} m/s, reached at t = {v_max / g_tilde:.6g} s)"
+        )
+    y = -0.5 * g_tilde * (t * t)
+    k_y = effective_mass(cavity) * abs(v) / hbar
+    if not (math.isfinite(y) and math.isfinite(k_y)):
+        raise DomainError(f"the fall -g_tilde*t^2/2 or its wavenumber m*|v|/hbar overflows at t = {t:.6g} s")
+    return y, v, k_y
+
+
+def _one_time_gradient(omega0, profile, t):
+    # phase_gradient of one time as written before it took columns
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise ValidationError(f"t must be >= 0, got {t!r}")
+    gradient = omega0 * profile.g * t / c**2
+    if not math.isfinite(gradient):
+        raise DomainError(f"the phase gradient omega0*g*t/c^2 overflows at t = {t:.6g} s")
+    return gradient
+
+
+def loop_reference(cavity, profile, times):
+    """(y, v, k_y, phase gradient) rows of the freefall-analytic command's
+    former per-time loop, in pure Python floats: every trajectory first,
+    then every gradient, each raising at the first time that fails."""
+    states = [_one_time_fall(cavity, profile, float(t)) for t in times]
+    grads = [_one_time_gradient(cavity.omega0, profile, float(t)) for t in times]
+    return np.array([*zip(*states), grads])
+
+
+def column_form(cavity, profile, times):
+    state = freefall_trajectory(cavity, profile, times)
+    return np.array([state.y, state.v, state.k_y, phase_gradient(cavity.omega0, profile, times)])
+
+
+def _outcome(evaluate, cavity, profile, times):
+    """The bits of the result, or the type and message of the error; a
+    RuntimeWarning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return evaluate(cavity, profile, times).view(np.uint64).tolist()
+        except (ValidationError, DomainError) as exc:
+            return type(exc), str(exc)
+
+
+_TIME = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, 2.2250738585072014e-308),  # subnormal
+    st.floats(1e-6, 1e5),  # around the Earth falls' velocity limits at 3.1e4 and 4.4e4 s
+    st.floats(1e8, 1e12),  # HEAVY's gradient overflow and FAINT's limit
+    st.floats(1e150, 1e160),  # t*t near and past overflow, inside FEATHER's limit
+)
+
+
+class TestTimeColumns:
+    """A column of times gives the bits and the first error of the loop
+    over its times."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        setup=st.sampled_from([(CAF2, EARTH_CAF2), (CAF2, FEATHER), (HEAVY, FAINT), (VACUUM, EARTH_VAC)]),
+        times=st.lists(_TIME, min_size=1, max_size=6),
+        invalid=st.one_of(
+            st.none(),
+            st.tuples(st.integers(0, 6), st.sampled_from([-1.0, -5e-324, math.nan, math.inf])),
+        ),
+    )
+    def test_column_equals_the_loop(self, setup, times, invalid):
+        if invalid is not None:
+            times.insert(invalid[0], invalid[1])
+        column = np.array(times)
+        assert _outcome(column_form, *setup, column) == _outcome(loop_reference, *setup, column)
+
+    def test_valid_column_bit_for_bit(self):
+        column = np.array([0.0, 5e-324, 1e-310, 1e-3, 0.7, 3.0, 1e154, 1.3e154])
+        expected = _outcome(loop_reference, CAF2, FEATHER, column)
+        assert isinstance(expected, list)
+        assert _outcome(column_form, CAF2, FEATHER, column) == expected
+
+    @pytest.mark.parametrize(
+        ("cavity", "profile", "bad", "error", "names"),
+        [
+            (CAF2, EARTH_CAF2, 1e5, DomainError, "non-relativistic"),
+            (CAF2, FEATHER, 1e160, DomainError, "-g_tilde*t^2/2"),
+            (HEAVY, FAINT, 1e10, DomainError, "phase gradient"),
+        ],
+        ids=["velocity-limit", "fall-overflow", "gradient-overflow"],
+    )
+    def test_failing_column_raises_the_loops_error(self, cavity, profile, bad, error, names):
+        column = np.array([0.0, 1.0, bad, 2.0, 3.0])
+        expected = _outcome(loop_reference, cavity, profile, column)
+        assert expected[0] is error and names in expected[1]
+        assert _outcome(column_form, cavity, profile, column) == expected
