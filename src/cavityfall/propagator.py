@@ -31,12 +31,15 @@ on the stride s, at steps i_r = r s, lie tau = s dt apart, and
 
 so the spectrum advances by a phasor exp(-i (theta(i_{r+1}) - theta(i_r)))
 that itself turns by exp(i k F tau^2 / m) from one record to the next: one
-IFFT and two complex multiplies per record, no exp.  Every K = 16th record,
-and an off-stride final one, takes the spectrum and the phasor from the
-closed form again, bit for bit exp(-i theta(k)) * FFT u(0).  In between,
-the phase drifts from the closed form by roundoff, at most about
-K eps (|phasor phase| + K |turn phase| + K) with eps the double epsilon,
-the order of the closed form's own rounding eps |theta|.
+IFFT into a buffer held for the run and two complex multiplies per record,
+no exp; a record allocates no complex N-point array, only the two real
+temporaries of its moments.  Every K = 16th record, and an off-stride final
+one, takes the spectrum and the phasor from the closed form again, bit for
+bit exp(-i theta(k)) * FFT u(0), with FFT u(0) and the phase's temporaries
+built in the same buffer.  In between, the phase drifts from the closed
+form by roundoff, at most about K eps (|phasor phase| + K |turn phase| + K)
+with eps the double epsilon, the order of the closed form's own rounding
+eps |theta|.
 
 |v| = |u| gives norm, centroid and width; the spectrum of v has the
 time-invariant modulus |FFT u(0)|, so <k> = <k>_0 - F t and
@@ -104,8 +107,17 @@ class Grid1D:
     def y_values(self) -> np.ndarray:
         return self.y_min + self.dy * np.arange(self.n_points)
 
-    def k_values(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dy)
+    def k_values(self, out: np.ndarray | None = None) -> np.ndarray:
+        """2 pi fftfreq(n_points, dy), bit for bit, into out if given: the
+        integers, times 1/(n dy), times 2 pi, in place; the only temporaries
+        are two half-length integer ranges."""
+        n = self.n_points
+        k = np.empty(n) if out is None else out
+        k[: n // 2] = np.arange(n // 2)
+        k[n // 2 :] = np.arange(-(n // 2), 0)
+        k *= 1.0 / (n * self.dy)
+        k *= 2.0 * np.pi
+        return k
 
 
 @dataclass
@@ -212,15 +224,24 @@ def _phase_gradient_at_centroid(u: np.ndarray, y: np.ndarray, centroid: float) -
     return (a1 + 2.0 * a2 * (s_c - idx)) / dy
 
 
-def _envelope_moments(u: np.ndarray, y: np.ndarray, dy: float) -> tuple[float, float, float, float]:
-    """(norm, centroid, width, phase gradient at the centroid) of samples u."""
+def _envelope_moments(
+    u: np.ndarray, y: np.ndarray, dy: float, step: int | None = None
+) -> tuple[float, float, float, float]:
+    """(norm, centroid, width, phase gradient at the centroid) of samples u.
+
+    A zero or non-finite norm raises a DomainError; with step given, one
+    caused by a non-finite sample names the step instead."""
     # two N-point buffers, each expression rounded as written out in full:
     # weights = (re*re + im*im)/total, width^2 = weights @ (y - centroid)**2
-    weights = u.real * u.real
-    work = u.imag * u.imag
-    weights += work
-    total = float(weights.sum())
+    with np.errstate(over="ignore"):
+        weights = u.real * u.real
+        work = u.imag * u.imag
+        weights += work
+        total = float(weights.sum())
     if not (total > 0.0 and math.isfinite(total)):
+        # a finite sum has only finite samples, so they are scanned only here
+        if step is not None and not np.all(np.isfinite(u)):
+            raise DomainError(f"non-finite amplitudes after step {step}")
         raise DomainError("state has zero or non-finite norm")
     weights /= total
     centroid = float(weights @ y)
@@ -263,13 +284,17 @@ def recording_schedule(n_steps: int, stride: int) -> list[int]:
     return steps
 
 
-def _kinetic_phasor(grid: Grid1D, mass: float, a: float, b: float, out: np.ndarray) -> np.ndarray:
+def _kinetic_phasor(
+    grid: Grid1D, mass: float, a: float, b: float, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
     """exp(-i (k^2 a - k b) / (2m)) on the grid's wavenumbers, into out; with
     a = t and b = F t^2 it is exp(-i theta(k)) less theta's k-independent
-    term.  Rounded as exp(-1j * (k*k/(2m)*a - k/(2m)*b)), with two real
-    N-point temporaries."""
-    k = grid.k_values()
-    phase = k * k
+    term.  Rounded as exp(-1j * (k*k/(2m)*a - k/(2m)*b)); the two real
+    N-point temporaries are the halves of scratch, an N-point complex128
+    array whose contents are overwritten."""
+    k, phase = scratch.view(float).reshape(2, -1)
+    grid.k_values(out=k)
+    np.multiply(k, k, out=phase)
     phase /= 2.0 * mass
     phase *= a
     k /= 2.0 * mass
@@ -289,13 +314,15 @@ def propagate(state: WaveState, scenario: PropagationScenario) -> tuple[WaveStat
     in the falling frame (see the module docstring): the spectrum advances
     from record to record by a phasor, and every _ANCHOR_INTERVAL-th record
     and an off-stride final one take spectrum and phasor from the closed
-    form.  The cost is one IFFT and two complex multiplies per record,
-    whatever the step count.  Records always include the initial state and
-    the final step.  The packet must keep 4 sigma of clearance from the
-    domain edges (checked at every recorded sample); violations raise a
-    DomainError suggesting a larger grid.  Norm growth beyond roundoff or
-    non-finite amplitudes abort the run naming the step.  The returned state
-    is the lab-frame envelope, carrier and global phase included.
+    form.  The cost is one IFFT, into a buffer held for the run, and two
+    complex multiplies per record, whatever the step count; a record
+    allocates no complex N-point array.  Records always include the initial
+    state and the final step.  The packet must keep 4 sigma of clearance
+    from the domain edges (checked at every recorded sample); violations
+    raise a DomainError suggesting a larger grid.  Norm growth beyond
+    roundoff or non-finite amplitudes abort the run naming the step.  The
+    returned state is the lab-frame envelope, carrier and global phase
+    included.
     """
     grid = state.grid
     stride = scenario.record_stride
@@ -305,21 +332,25 @@ def propagate(state: WaveState, scenario: PropagationScenario) -> tuple[WaveStat
     force = mass * scenario.g_tilde
     # record spacing on the stride; a stride past n_steps has no such record
     tau = min(stride, scenario.n_steps) * dt
-    u0 = state.amplitudes
+    # complex128 throughout: the buffer's halves are the phasors' float scratch
+    u0 = np.asarray(state.amplitudes, dtype=complex)
     initial_norm = _envelope_moments(u0, y, dy)[0]  # rejects a zero or non-finite state
     spectrum = np.fft.fft(u0)
     mean_k0, mean_k20 = _spectral_moments(spectrum, grid.k_values())
+    # the one N-point buffer every transform writes into, and the scratch of
+    # every phasor: after a record's moments, its envelope is not read again
+    buf = np.empty_like(spectrum)
     # step_r = exp(-i (theta(i_{r+1}) - theta(i_r))) advances the spectrum
     # to the next record on the stride, and turn = exp(i k F tau^2 / m)
     # advances step_r to step_{r+1}
     with np.errstate(over="ignore", invalid="ignore"):
-        step = _kinetic_phasor(grid, mass, tau, force * tau * tau, np.empty_like(spectrum))
-        turn = _kinetic_phasor(grid, mass, 0.0, 2.0 * force * tau * tau, np.empty_like(spectrum))
-    records: list[Trace] = []
+        step = _kinetic_phasor(grid, mass, tau, force * tau * tau, np.empty_like(spectrum), buf)
+        turn = _kinetic_phasor(grid, mass, 0.0, 2.0 * force * tau * tau, np.empty_like(spectrum), buf)
+    # one row of Trace fields per record: 56 bytes, where a Trace of floats takes ~280
+    records = np.empty((len(schedule), len(Trace._fields)))
     v, ft, offset, t = u0, 0.0, 0.0, 0.0
     for r, i in enumerate(schedule):
         if i:
-            del v  # the previous record's envelope, freed before this record's arrays
             t = i * dt
             ft = force * t
             # products, not float powers: t**3 would raise OverflowError where
@@ -330,16 +361,16 @@ def propagate(state: WaveState, scenario: PropagationScenario) -> tuple[WaveStat
                     spectrum *= step
                     step *= turn
                 else:
-                    _kinetic_phasor(grid, mass, t, ft * t, spectrum)
-                    # FFT u(0) again: a copy held through the run would be a
-                    # fourth N-point complex array next to spectrum, step, turn
-                    spectrum *= np.fft.fft(u0)
+                    _kinetic_phasor(grid, mass, t, ft * t, spectrum, buf)
+                    # FFT u(0) again, into the buffer: a copy held through the
+                    # run would be one more N-point complex array
+                    spectrum *= np.fft.fft(u0, out=buf)
                     if i == r * stride:
-                        _kinetic_phasor(grid, mass, tau, force * tau * tau * (2 * r + 1), step)
-                v = np.fft.ifft(spectrum)
-            if not (math.isfinite(ft) and math.isfinite(offset) and np.all(np.isfinite(v.view(float)))):
+                        _kinetic_phasor(grid, mass, tau, force * tau * tau * (2 * r + 1), step, buf)
+                v = np.fft.ifft(spectrum, out=buf)
+            if not (math.isfinite(ft) and math.isfinite(offset)):
                 raise DomainError(f"non-finite amplitudes after step {i}")
-        norm, centroid, width, phase_grad = _envelope_moments(v, y, dy)
+        norm, centroid, width, phase_grad = _envelope_moments(v, y, dy, i)
         if norm > initial_norm * (1.0 + 1e-12):
             raise DomainError(f"norm grew beyond roundoff at step {i}: {norm!r}")
         clearance = 4.0 * width
@@ -350,14 +381,14 @@ def propagate(state: WaveState, scenario: PropagationScenario) -> tuple[WaveStat
                 f"(t = {t:g}); enlarge the grid to at least +/- {1.25 * needed:g}"
             )
         kinetic = (mean_k20 - 2.0 * ft * mean_k0 + ft * ft) / (2.0 * mass)
-        records.append(Trace(t, centroid, width, mean_k0 - ft, norm, kinetic + force * centroid, phase_grad - ft))
+        records[r] = (t, centroid, width, mean_k0 - ft, norm, kinetic + force * centroid, phase_grad - ft)
 
     del spectrum, step, turn  # before the final state's temporaries
     with np.errstate(over="ignore", invalid="ignore"):
         u = np.exp(-1j * (ft * y + offset / (2.0 * mass))) * v
     if not np.all(np.isfinite(u.view(float))):
         raise DomainError(f"non-finite amplitudes after step {schedule[-1]}")
-    return WaveState(grid=grid, amplitudes=u, t=t), Trace(*np.array(records, dtype=float).T)
+    return WaveState(grid=grid, amplitudes=u, t=t), Trace(*records.T)
 
 
 def analytic_gaussian_oracle(

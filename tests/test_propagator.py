@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +25,14 @@ from cavityfall import (
     phase_gradient,
     propagate,
 )
-from cavityfall.propagator import _ANCHOR_INTERVAL, MAX_ROWS, _phase_gradient_at_centroid, recording_schedule
+from cavityfall.propagator import (
+    _ANCHOR_INTERVAL,
+    MAX_ROWS,
+    _envelope_moments,
+    _phase_gradient_at_centroid,
+    _spectral_moments,
+    recording_schedule,
+)
 from cavityfall.units import hbar as hbar_si
 
 GRID = Grid1D(-32.0, 32.0, 1024)
@@ -71,6 +79,72 @@ def closed_form_reference(state, scenario):
     return Trace(*np.array(rows, dtype=float).T)
 
 
+def allocating_propagate(state, scenario):
+    """propagate's loop as it was before the held buffer: every record
+    allocates its IFFT output, every anchor its FFT u(0) and its phasor
+    temporaries, and each record's envelope is scanned for non-finite
+    samples before its moments.  Reference only; the moments and the
+    spectral sums are propagate's own."""
+    grid = state.grid
+    stride = scenario.record_stride
+    schedule = recording_schedule(scenario.n_steps, stride)
+    y, dy = grid.y_values(), grid.dy
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=dy)
+    mass, dt = scenario.mass, scenario.dt
+    force = mass * scenario.g_tilde
+    tau = min(stride, scenario.n_steps) * dt
+
+    def phasor(a, b):
+        phase = k * k / (2.0 * mass) * a - k / (2.0 * mass) * b
+        out = np.empty(k.size, dtype=complex)
+        out.real = 0.0
+        out.imag = -phase
+        return np.exp(out)
+
+    u0 = state.amplitudes
+    initial_norm = _envelope_moments(u0, y, dy)[0]
+    spectrum = np.fft.fft(u0)
+    mean_k0, mean_k20 = _spectral_moments(spectrum, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = phasor(tau, force * tau * tau)
+        turn = phasor(0.0, 2.0 * force * tau * tau)
+    records = []
+    v, ft, offset, t = u0, 0.0, 0.0, 0.0
+    for r, i in enumerate(schedule):
+        if i:
+            t = i * dt
+            ft = force * t
+            offset = force * ft * (t * t / 3.0 - dt * dt / 12.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if i == r * stride and r % _ANCHOR_INTERVAL:
+                    spectrum *= step
+                    step *= turn
+                else:
+                    spectrum = phasor(t, ft * t) * np.fft.fft(u0)
+                    if i == r * stride:
+                        step = phasor(tau, force * tau * tau * (2 * r + 1))
+                v = np.fft.ifft(spectrum)
+            if not (math.isfinite(ft) and math.isfinite(offset) and np.all(np.isfinite(v))):
+                raise DomainError(f"non-finite amplitudes after step {i}")
+        norm, centroid, width, phase_grad = _envelope_moments(v, y, dy)
+        if norm > initial_norm * (1.0 + 1e-12):
+            raise DomainError(f"norm grew beyond roundoff at step {i}: {norm!r}")
+        clearance = 4.0 * width
+        if centroid - clearance < grid.y_min or centroid + clearance > grid.y_max:
+            needed = abs(centroid) + clearance
+            raise DomainError(
+                f"packet within 4 sigma of the domain edge at step {i} "
+                f"(t = {t:g}); enlarge the grid to at least +/- {1.25 * needed:g}"
+            )
+        kinetic = (mean_k20 - 2.0 * ft * mean_k0 + ft * ft) / (2.0 * mass)
+        records.append(Trace(t, centroid, width, mean_k0 - ft, norm, kinetic + force * centroid, phase_grad - ft))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.exp(-1j * (ft * y + offset / (2.0 * mass))) * v
+    if not np.all(np.isfinite(u)):
+        raise DomainError(f"non-finite amplitudes after step {schedule[-1]}")
+    return WaveState(grid=grid, amplitudes=u, t=t), Trace(*np.array(records, dtype=float).T)
+
+
 def propagate_steps(state, dt, mass=1.0, g_tilde=0.0, n_steps=1):
     final, _ = propagate(state, PropagationScenario(mass=mass, g_tilde=g_tilde, dt=dt, n_steps=n_steps))
     return final
@@ -94,6 +168,15 @@ class TestGrid1D:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValidationError):
             Grid1D(1.0, -1.0, 128)
+
+    @pytest.mark.parametrize("n, extent", [(64, 1.0), (1024, 64.0), (4096, 0.3), (2**20, 7e5)])
+    def test_wavenumbers_are_fftfreq_bit_for_bit(self, n, extent):
+        grid = Grid1D(-0.25 * extent, 0.75 * extent, n)
+        expected = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dy)
+        assert grid.k_values().tobytes() == expected.tobytes()
+        out = np.full(n, np.nan)
+        assert grid.k_values(out=out) is out
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestRecordingSchedule:
@@ -175,6 +258,43 @@ class TestObservables:
         _, trace = propagate(init_gaussian(GRID, 1.0), scenario)
         drift = np.max(np.abs(trace.energy - trace.energy[0]) / abs(trace.energy[0]))
         assert drift < 1e-10
+
+
+class TestEnvelopeMoments:
+    """A record's non-finite samples are found through its norm sum, with no
+    warning (pytest turns RuntimeWarnings into errors)."""
+
+    Y = GRID.y_values()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {100: np.nan},
+            {100: np.inf},
+            {100: complex(0.0, -np.inf)},
+            {100: np.nan, 101: 1e200},
+            {5: 1e200, 900: np.nan},
+        ],
+        ids=["nan", "inf", "imaginary-inf", "nan-beside-1e200", "1e200-then-nan"],
+    )
+    def test_non_finite_sample_names_the_step(self, bad):
+        u = init_gaussian(GRID, 1.0).amplitudes
+        for index, value in bad.items():
+            u[index] = value
+        with pytest.raises(DomainError, match=r"^non-finite amplitudes after step 7$"):
+            _envelope_moments(u, self.Y, GRID.dy, 7)
+        with pytest.raises(DomainError, match=r"^state has zero or non-finite norm$"):
+            _envelope_moments(u, self.Y, GRID.dy)
+
+    @pytest.mark.parametrize("step", [None, 7])
+    def test_finite_state_whose_squares_overflow_has_no_norm(self, step):
+        u = np.full(GRID.n_points, 1e200 + 1e200j)
+        with pytest.raises(DomainError, match=r"^state has zero or non-finite norm$"):
+            _envelope_moments(u, self.Y, GRID.dy, step)
+
+    def test_finite_state_is_measured_as_without_a_step(self):
+        u = init_gaussian(GRID, 1.0, y_center=3.0, k0=0.5).amplitudes
+        assert _envelope_moments(u, self.Y, GRID.dy, 7) == _envelope_moments(u, self.Y, GRID.dy)
 
 
 class TestPhaseGradient:
@@ -304,6 +424,92 @@ class TestPhasorRecurrence:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 propagate(state, scenario)
+
+
+def extreme_input(rng):
+    """One draw of the held-buffer comparison: mass, g_tilde and dt from
+    1e-300 to 1e300, strides 1-40, 64-256 points, amplitudes scaled by up to
+    1e+-160.  A third of the draws are anywhere in that range; a third fall
+    to the grid's edge near t_final; a third are heavy packets whose
+    composed phase F^2 t^3/3 leaves double range near t_final."""
+    n = 64 * 2 ** int(rng.integers(0, 3))
+    n_steps, stride = int(rng.integers(1, 401)), int(rng.integers(1, 41))
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        log_mass, log_g, log_t = rng.uniform(-300.0, 300.0, 3)
+    elif kind == 1:
+        log_g = rng.uniform(-300.0, 300.0)
+        log_t = 0.5 * (math.log10(n / 8) - log_g) + rng.uniform(-0.5, 0.5)
+        log_mass = rng.uniform(min(max(log_t, -300.0), 300.0), 300.0)
+    else:
+        log_t = rng.uniform(-100.0, 100.0)
+        log_mass = rng.uniform(160.0 + 0.5 * log_t, 300.0)
+        log_g = (308.0 + math.log10(3.0) - 3.0 * log_t) / 2.0 - log_mass
+        log_t += rng.uniform(-0.3, 0.5)
+    log_dt = min(max(log_t - math.log10(n_steps), -300.0), 300.0)
+    state = init_gaussian(Grid1D(-n / 16, n / 16, n), 1.0)
+    state.amplitudes *= 10.0 ** rng.uniform(-160.0, 160.0)
+    scenario = PropagationScenario(
+        mass=float(10.0**log_mass),
+        g_tilde=float(10.0**log_g),
+        dt=float(10.0**log_dt),
+        n_steps=n_steps,
+        record_stride=stride,
+    )
+    return state, scenario
+
+
+def outcome(run, state, scenario):
+    """(result or (exception type, message), messages of the warnings raised)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = run(state, scenario)
+        except (DomainError, ValidationError) as exc:
+            result = (type(exc), str(exc))
+    return result, {str(w.message) for w in caught}
+
+
+class TestHeldBuffer:
+    """propagate writes every transform into one buffer held for the run."""
+
+    def test_matches_the_allocating_loop_bit_for_bit(self):
+        rng = np.random.default_rng(20261018)
+        finished = 0
+        for _ in range(200):
+            state, scenario = extreme_input(rng)
+            expected, expected_warnings = outcome(allocating_propagate, state, scenario)
+            result, result_warnings = outcome(propagate, state, scenario)
+            assert result_warnings <= expected_warnings, scenario
+            if isinstance(expected[0], type):
+                assert result == expected, scenario
+                continue
+            finished += 1
+            (final, trace), (expected_final, expected_trace) = result, expected
+            assert final.t == expected_final.t, scenario
+            assert final.amplitudes.tobytes() == expected_final.amplitudes.tobytes(), scenario
+            for name, column, reference in zip(Trace._fields, trace, expected_trace):
+                assert column.tobytes() == reference.tobytes(), (name, scenario)
+        assert finished >= 20
+
+    def test_no_n_point_array_beyond_the_allocating_loop(self):
+        # 65 records, five of them anchors.  The allocating loop peaks at
+        # 379-381 kB here (Python 3.11, numpy 2.4): 5.5 N-point complex
+        # arrays of 65536 bytes (grid, spectrum, two phasors, the record's
+        # envelope and its two real moment buffers) and ~20 kB of records.
+        # The bound, 6 such arrays, is within 4 % of that peak; one more
+        # held N-point real array (32768 bytes) would exceed it.
+        grid = Grid1D(-256.0, 256.0, 4096)
+        state = init_gaussian(grid, 2.0)
+        scenario = PropagationScenario(mass=1.0, g_tilde=0.05, dt=0.05, n_steps=64)
+        propagate(state, scenario)
+        tracemalloc.start()
+        try:
+            propagate(state, scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 16 * grid.n_points
 
 
 class TestUnitInvariance:
