@@ -11,14 +11,16 @@ Commands (all scenario-driven, SI units in, SI units out):
 Every run writes its files atomically (temp file + rename) and finishes with
 run_manifest.json: resolved parameters, derived quantities, sha256
 checksums of each artifact, and the environment (cavityfall, Python and
-numpy versions, platform).  Re-running a command with the manifest's
-resolved scenario reproduces the CSV bytes exactly.  Floats are printed as
-shortest round-trip decimals to keep regression diffs clean.
+numpy versions, platform, the malloc thresholds main() pinned).  Re-running
+a command with the manifest's resolved scenario reproduces the CSV bytes
+exactly.  Floats are printed as shortest round-trip decimals to keep
+regression diffs clean.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-domain error, 4 I/O.
 
 main() builds the argument parser once per process, on its first call;
-importing this module builds none.
+importing this module builds none.  The same first call pins glibc's malloc
+thresholds, so that numpy's FFT scratch stays in the process (_pin_malloc).
 """
 
 from __future__ import annotations
@@ -44,13 +46,16 @@ from .dispersion import CavitySpec, effective_mass, group_velocity, photon_energ
 from .errors import DomainError, ValidationError
 from .gravity import freefall_trajectory, phase_gradient
 from .interferometry import q_threshold, snr_peak, snr_trace
-from .propagator import MAX_ROWS, PropagationScenario, init_gaussian, propagate, recording_schedule
+from .propagator import MAX_GRID_POINTS, MAX_ROWS, PropagationScenario, init_gaussian, propagate, recording_schedule
 from .scenario import WIDTH_MODEL_ALIASES, ScenarioFile, load_scenario, scenario_to_dict
 from .units import c, hbar
 
 DEFAULT_Q_SWEEP = (3e10, 5e10, 7e10)
 _FIG2B_SAMPLES = 2001
 _DEFAULT_RECORDS = 256
+# twice the largest grid's complex array: 32 MiB, the largest mmap threshold
+# glibc accepts on 64-bit
+_MALLOC_THRESHOLD = 2 * MAX_GRID_POINTS * np.dtype(complex).itemsize
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -270,7 +275,8 @@ def _run_fig2b(scenario: ScenarioFile, out_dir: Path, args: dict) -> tuple[list[
 def _run_qthreshold(scenario: ScenarioFile, out_dir: Path, args: dict) -> tuple[list[Path], dict]:
     _require(scenario, "qthreshold", "experiment")
     result = q_threshold(scenario.experiment, args["q_lo"], args["q_hi"])
-    iterations = np.array(result.iterations)
+    # a bracket already inside the tolerance takes no iteration: (0, 4)
+    iterations = np.array(result.iterations).reshape(-1, 4)
     log_path = out_dir / "qthreshold_iterations.csv"
     _write_csv(
         log_path,
@@ -358,7 +364,7 @@ def run(
             {"file": p.name, "sha256": _sha256(p), "bytes": p.stat().st_size} for p in outputs
         ],
         "duration_s": time.perf_counter() - started,
-        "environment": dict(_environment()),
+        "environment": {**_environment(), "malloc_thresholds": _pinned_malloc_thresholds()},
     }
     if convergence is not None:
         manifest["convergence"] = convergence
@@ -413,7 +419,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _pin_malloc() -> dict | None:
+    # numpy's pocketfft mallocs its scratch, 16 B a point, on every
+    # transform.  From glibc's default 128 KiB mmap threshold (8192 points)
+    # up, each block is mapped, unmapped on free and faulted back in on the
+    # next call.  Setting one threshold stops glibc from raising either at run
+    # time, and each alone still lets the block go (mapped, or trimmed from
+    # the top of the heap); with both at _MALLOC_THRESHOLD the freed scratch
+    # stays on the heap for reuse.
+    # Returns {name: bytes} of the thresholds set, None where none was.
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or a name this system lacks
+        libc = ""
+    if not libc.startswith("glibc"):
+        return None
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    params = (("M_MMAP_THRESHOLD", -3), ("M_TRIM_THRESHOLD", -1))
+    pinned = {name: _MALLOC_THRESHOLD for name, param in params if mallopt(param, _MALLOC_THRESHOLD)}
+    return pinned or None
+
+
+def _pinned_malloc_thresholds() -> dict | None:
+    # read at each manifest without pinning: run() may be called before
+    # main(), or without it
+    pinned = _pin_malloc() if _pin_malloc.cache_info().currsize else None
+    return dict(pinned) if pinned else None
+
+
 def main(argv=None) -> int:
+    _pin_malloc()
     options = vars(_build_parser().parse_args(argv))
     command, scenario_path, out = options.pop("command"), options.pop("scenario"), options.pop("out", None)
     try:

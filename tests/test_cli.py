@@ -18,9 +18,10 @@ from cavityfall.units import c as c_si
 
 
 def read_csv(path):
-    with open(path) as handle:
-        header = handle.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    header, *rows = Path(path).read_text().splitlines()
+    header = header.split(",")
+    # a header-only file is an empty table, which loadtxt warns about
+    data = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, len(header)))
     return header, data
 
 
@@ -162,6 +163,10 @@ class TestFig2bCommand:
             run("fig2b", small_scenario, tmp_path)
 
 
+# the default qthreshold's q_min on scenarios/caf2_wgmc.json, times 1 -/+ 2e-5
+_NARROW_Q_BRACKET = (178792915344.23828 * (1 - 2e-5), 178792915344.23828 * (1 + 2e-5))
+
+
 class TestQThresholdCommand:
     def test_outputs_and_log(self, reference_scenario, tmp_path):
         manifest = run(
@@ -173,6 +178,19 @@ class TestQThresholdCommand:
         assert header == ["iteration", "q_lo", "q_hi", "q_mid", "sn_peak_mid"]
         assert data.shape[0] == result["n_iterations"]
         assert manifest["command_args"] == {"q_lo": 1e9, "q_hi": 1e12}
+
+    def test_bracket_inside_the_tolerance_takes_no_iteration(self, scenario_dir, tmp_path, capsys):
+        # q_min*(1 -/+ 2e-5) is narrower than the bisection's 1e-4 bracket
+        # and still straddles Sn_peak = 1: a header-only log, exit 0
+        q_lo, q_hi = _NARROW_Q_BRACKET
+        argv = ["qthreshold", "--scenario", str(scenario_dir / "caf2_wgmc.json"), "--out", str(tmp_path), "--quiet"]
+        assert main([*argv, f"--q-lo={q_lo!r}", f"--q-hi={q_hi!r}"]) == 0
+        assert capsys.readouterr().err == ""
+        log = (tmp_path / "qthreshold_iterations.csv").read_text()
+        assert log == "iteration,q_lo,q_hi,q_mid,sn_peak_mid\n"
+        result = json.loads((tmp_path / "qthreshold_result.json").read_text())
+        assert result["n_iterations"] == 0
+        assert result["q_min"] == 0.5 * (q_lo + q_hi)
 
 
 class TestDeterminismAndReplay:
@@ -197,7 +215,7 @@ class TestDeterminismAndReplay:
                 assert entry_a["file"] == entry_b["file"]
                 assert entry_a["sha256"] == entry_b["sha256"]
             # the environment that produced the run, the same for every run of a process
-            assert set(first["environment"]) == {"cavityfall", "python", "numpy", "platform"}
+            assert set(first["environment"]) == {"cavityfall", "python", "numpy", "platform", "malloc_thresholds"}
             assert first["environment"]["cavityfall"] == cavityfall.__version__
             assert second["environment"] == first["environment"]
 
@@ -706,9 +724,102 @@ class TestExitCodes:
     # Sn crosses 1 closer to t = 0 than the smallest float: the crossing
     # bisection runs out of floats and stops at t_cross = 0
     @example(command_and_options=("fig2b", {}), changes={"sigma0": 1.0, "eta_det": 1.0, "T_int": 4.41e196, "g": 1.439e221}, expected=0)
+    # a bracket narrower than the bisection's tolerance: no iteration
+    @example(
+        command_and_options=("qthreshold", {"--q-lo": _NARROW_Q_BRACKET[0], "--q-hi": _NARROW_Q_BRACKET[1]}),
+        changes={},
+        expected=0,
+    )
     def test_generated_experiments_exit_documented(self, command_and_options, changes, expected):
         command, options = command_and_options
         doc = {"experiment": {**_REFERENCE_EXPERIMENT, **changes}}
         code = _run_document(command, doc, options)
         if expected is not None:
             assert code == expected
+
+
+class TestMallocThresholds:
+    """main() pins glibc's mmap and trim thresholds on its first call, so
+    that numpy's per-transform FFT scratch stays in the process."""
+
+    @pytest.fixture(autouse=True)
+    def _repin_after(self):
+        # a test that clears the helper's cache leaves it empty, so that the
+        # next main() pins (again) and manifests report it
+        yield
+        cli._pin_malloc.cache_clear()
+
+    @pytest.mark.skipif(
+        "glibc" not in (getattr(os, "confstr", lambda name: "")("CS_GNU_LIBC_VERSION") or ""), reason="needs glibc"
+    )
+    def test_second_16384_point_run_takes_no_page_faults(self, scenario_dir, tmp_path):
+        import resource
+
+        # the shipped fall on twice the points over twice the span:
+        # pocketfft's 256 KiB scratch per transform is above glibc's default
+        # mmap threshold, so without the pin each run takes ~3500 minor
+        # faults in a fresh process (~500 after earlier tests have moved
+        # glibc's dynamic thresholds)
+        doc = json.loads((scenario_dir / "freefall_caf2.json").read_text())
+        doc["propagation"]["grid"] = {"y_min": -128.0, "y_max": 128.0, "n_points": 16384}
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc))
+        faults = []
+        for i in range(2):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert main(["freefall-numeric", "--scenario", str(scenario_path), "--out", str(tmp_path / str(i)), "--quiet"]) == 0
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert faults[1] < 100, faults
+        manifest = json.loads((tmp_path / "1" / "run_manifest.json").read_text())
+        expected = {"M_MMAP_THRESHOLD": 2**25, "M_TRIM_THRESHOLD": 2**25}
+        assert manifest["environment"]["malloc_thresholds"] == expected
+
+    # os.confstr's answer: the name is not defined, another C library, the
+    # name is unknown to the platform
+    @pytest.mark.parametrize("answer", [None, "musl", ValueError("unrecognized configuration name")])
+    def test_no_op_without_glibc(self, answer, monkeypatch, scenario_dir, tmp_path):
+        import ctypes
+
+        def confstr(name):
+            if isinstance(answer, Exception):
+                raise answer
+            return answer
+
+        monkeypatch.setattr(os, "confstr", confstr, raising=False)
+        monkeypatch.setattr(ctypes, "CDLL", lambda *args: pytest.fail("loaded the C library"))
+        cli._pin_malloc.cache_clear()
+        argv = ["dispersion", "--scenario", str(scenario_dir / "freefall_caf2.json"), "--out", str(tmp_path), "--quiet"]
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "run_manifest.json").read_text())["environment"]["malloc_thresholds"] is None
+
+    def test_pins_once_per_process(self, monkeypatch, scenario_dir, tmp_path):
+        asked = []
+        real_confstr = getattr(os, "confstr", lambda name: None)
+        monkeypatch.setattr(os, "confstr", lambda name: asked.append(name) or real_confstr(name), raising=False)
+        cli._pin_malloc.cache_clear()
+        for i in range(3):
+            argv = ["dispersion", "--scenario", str(scenario_dir / "freefall_caf2.json"), "--out", str(tmp_path / str(i))]
+            assert main([*argv, "--quiet"]) == 0
+        assert asked == ["CS_GNU_LIBC_VERSION"]
+        reported = [json.loads((tmp_path / str(i) / "run_manifest.json").read_text())["environment"] for i in range(3)]
+        assert reported[0]["malloc_thresholds"] == cli._pin_malloc()
+        assert reported[1] == reported[0] and reported[2] == reported[0]
+
+    def test_run_before_main_reports_no_pin(self, scenario_dir, tmp_path):
+        # a fresh process: run() alone pins nothing and reports so; the
+        # first main() pins, and the next manifest reports what it pinned
+        probe = (
+            "import json, sys; import cavityfall.cli as cli; "
+            "scenario = cli.load_scenario(sys.argv[1]); "
+            "first = cli.run('dispersion', scenario, sys.argv[2]); "
+            "assert cli._pin_malloc.cache_info().currsize == 0; "
+            "assert cli.main(['dispersion', '--scenario', sys.argv[1], '--out', sys.argv[2], '--quiet']) == 0; "
+            "second = json.loads(open(sys.argv[2] + '/run_manifest.json').read()); "
+            "print(json.dumps([first['environment']['malloc_thresholds'], second['environment']['malloc_thresholds'], cli._pin_malloc()]))"
+        )
+        src = str(Path(cavityfall.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-c", probe, str(scenario_dir / "freefall_caf2.json"), str(tmp_path)]
+        first, second, pinned = json.loads(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
+        assert first is None
+        assert second == pinned
