@@ -215,8 +215,8 @@ def _run_fig2b(scenario: ScenarioFile, out_dir: Path, args: dict) -> tuple[list[
     _require(scenario, "fig2b", "experiment")
     base = scenario.experiment
     q_values = tuple(args["q_values"])
-    if not q_values or any(q <= 0 for q in q_values):
-        raise ValidationError(f"fig2b needs positive Q values, got {q_values!r}")
+    if not q_values or not all(0.0 < q < math.inf for q in q_values):
+        raise ValidationError(f"--q: Q values must be finite and > 0, got {list(q_values)!r}")
     # two values that print alike under {q:g} would overwrite one another's CSV
     names = [f"fig2b_Q{q:g}.csv" for q in q_values]
     if len(set(names)) < len(names):
@@ -274,6 +274,9 @@ def _run_fig2b(scenario: ScenarioFile, out_dir: Path, args: dict) -> tuple[list[
 
 def _run_qthreshold(scenario: ScenarioFile, out_dir: Path, args: dict) -> tuple[list[Path], dict]:
     _require(scenario, "qthreshold", "experiment")
+    for option in ("q_lo", "q_hi"):
+        if not math.isfinite(args[option]):
+            raise ValidationError(f"--{option.replace('_', '-')}: must be finite, got {args[option]!r}")
     result = q_threshold(scenario.experiment, args["q_lo"], args["q_hi"])
     # a bracket already inside the tolerance takes no iteration: (0, 4)
     iterations = np.array(result.iterations).reshape(-1, 4)

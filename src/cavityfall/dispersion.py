@@ -26,6 +26,11 @@ from .errors import ValidationError
 from .units import c, hbar
 
 
+def _require_index(n_s: float) -> None:
+    if not (math.isfinite(n_s) and n_s >= 1.0):
+        raise ValidationError(f"background index n_s must be >= 1, got {n_s!r}")
+
+
 @dataclass(frozen=True)
 class CavitySpec:
     """Geometry and material of a planar (or cylinder-equivalent) cavity.
@@ -47,8 +52,7 @@ class CavitySpec:
         # j enters the float formulas, which hold integers exactly up to 2**53
         if not (isinstance(self.j, int) and 1 <= self.j <= 2**53):
             raise ValidationError(f"mode order j must be an integer in [1, 2**53], got {self.j!r}")
-        if not (math.isfinite(self.n_s) and self.n_s >= 1.0):
-            raise ValidationError(f"background index n_s must be >= 1, got {self.n_s!r}")
+        _require_index(self.n_s)
         if self.Q is not None and not (math.isfinite(self.Q) and self.Q > 0.0):
             raise ValidationError(f"quality factor Q must be positive when given, got {self.Q!r}")
         # every command derives the rest energy and the mass E0/c_medium**2
@@ -69,6 +73,9 @@ class CavitySpec:
         """
         if not (isinstance(lambda0, (int, float)) and math.isfinite(lambda0) and lambda0 > 0.0):
             raise ValidationError(f"lambda0 must be positive, got {lambda0!r}")
+        # checked before the division, which an index of 0 would fail and a
+        # negative one would blame on L
+        _require_index(n_s)
         return cls(L=lambda0 / (2.0 * n_s), j=1, n_s=n_s, Q=Q)
 
     @property

@@ -41,9 +41,12 @@ from .units import c, g_earth, hbar
 
 WIDTH_MODELS = ("corrected", "paper_verbatim")
 
-#: Default trace window in cavity lifetimes: the signal envelope t^2 e^(-t/tau)
+#: Default trace window in cavity lifetimes.  The signal envelope t^2 e^(-t/tau)
 #: peaks at 2*tau, and the mode-expansion factor pushes the optimum a few tau
-#: later, so ten lifetimes bracket the whole feature.
+#: later.  Ten lifetimes do not always hold the peak: for the corrected width
+#: model Sn(t) has a second maximum at 12-14 tau, which is the global one on
+#: the CaF2 reference for Q from 7.28e10 to 2.86e11.  There the peak found is
+#: the value at the window's edge (ROADMAP.md, item 7).
 TRACE_LIFETIMES = 10.0
 
 _PEAK_REL_TOL = 1e-9
@@ -289,6 +292,9 @@ def snr_peak(cfg: ExperimentConfig, n_samples: int = 512) -> tuple[float, float]
     [0, cfg.window], sampled at n_samples points and refined to much better
     than 1e-6 relative in t.  The same values as snr_trace's, without its
     crossing search.
+
+    The maximum is taken on the window only: where the global peak lies past
+    it (see TRACE_LIFETIMES), this is the value at the window's edge.
     """
     return _sampled_peak(cfg, n_samples)[1]
 
@@ -298,7 +304,9 @@ def snr_trace(cfg: ExperimentConfig, n_samples: int = 512) -> SnrTrace:
     refined peak and crossing.
 
     The peak and the first Sn = 1 crossing (when one exists) are located to
-    much better than 1e-6 relative in t.
+    much better than 1e-6 relative in t.  Both are searched on the window
+    only, so a global peak past it (see TRACE_LIFETIMES) is reported as the
+    value at the window's edge.
     """
     (t, i_signal, sn, idx), (t_peak, sn_peak) = _sampled_peak(cfg, n_samples)
     t_cross: float | None = None

@@ -1,47 +1,35 @@
 """Scenario files: JSON documents describing a run, all values in SI units.
 
-Sections (each optional; commands check for the ones they need):
-
-    cavity       {L, j | lambda0, n_s, Q}     exactly one of (L, j) or lambda0;
-                                              Q is checked and kept, not used
-    gravity      {g, n_s}
-    propagation  {grid{y_min, y_max, n_points}, dt, t_final, sigma0}
-    experiment   {lambda0, sigma0, y_out, P_avg, eta_det, T_int, Q,
-                  n_s, g, width_model}
-    output       {directory, stride}
-
-Unknown keys are rejected with the offending path; values must be plain JSON
-numbers (no unit suffixes: "1064nm" is an error, 1.064e-6 is a meter).  The
-propagation grid (a propagator.Grid1D in meters) is periodic and takes no
-boundary key: the packet must keep 4 sigma of clearance from the grid edges
-throughout the run.  An experiment next to cavity or gravity must agree with
-them on the rest frequency, n_s and g.
+Each section is optional (commands check for the ones they need) and is read
+into one dataclass: cavity into dispersion.CavitySpec (lambda0 may stand in
+for L and j), gravity into gravity.GravityProfile (n_s defaults to the
+cavity's), propagation into PropagationSettings (its grid a propagator.Grid1D,
+periodic: the packet must keep 4 sigma of clearance from its edges), experiment
+into interferometry.ExperimentConfig ("paper" names paper_verbatim) and output
+into OutputSettings.  A section's keys are the fields of its dataclass: a key
+is required when its field has no default, and its value is read by the
+field's annotated type (float: a finite JSON number in plain SI, so "1064nm"
+is an error; int: a JSON integer; str: a non-empty string; X | None: also
+null).  Unknown keys are rejected with their path.  The range checks live in
+the dataclasses alone; their errors get the section path as a prefix.  An
+experiment next to cavity or gravity must agree with them on the rest
+frequency, n_s and g.  A file that is not UTF-8, or JSON nested too deeply to
+decode, is a validation error too.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 
 from .dispersion import CavitySpec
-from .errors import ValidationError
+from .errors import CavityFallError, ValidationError
 from .gravity import GravityProfile
 from .interferometry import ExperimentConfig
 from .propagator import Grid1D
-from .units import g_earth
-
-_SECTION_KEYS = {
-    "": {"cavity", "gravity", "propagation", "experiment", "output"},
-    "cavity": {"L", "j", "lambda0", "n_s", "Q"},
-    "gravity": {"g", "n_s"},
-    "propagation": {"grid", "dt", "t_final", "sigma0"},
-    "propagation.grid": {"y_min", "y_max", "n_points"},
-    "experiment": {
-        "lambda0", "sigma0", "y_out", "P_avg", "eta_det", "T_int", "Q", "n_s", "g", "width_model",
-    },
-    "output": {"directory", "stride"},
-}
 
 WIDTH_MODEL_ALIASES = {"paper": "paper_verbatim", "paper_verbatim": "paper_verbatim", "corrected": "corrected"}
 
@@ -77,6 +65,10 @@ class OutputSettings:
     directory: str = "out"
     stride: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.stride is not None and not self.stride >= 1:
+            raise ValidationError(f"output.stride: must be >= 1, got {self.stride!r}")
+
 
 @dataclass(frozen=True)
 class ScenarioFile:
@@ -89,135 +81,118 @@ class ScenarioFile:
     output: OutputSettings = OutputSettings()
 
 
-def _check_keys(path: str, mapping: dict) -> None:
-    allowed = _SECTION_KEYS[path]
-    for key in mapping:
+def _mapping(path: str, value, allowed) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path or 'scenario'}: expected an object, got {type(value).__name__}")
+    for key in value:
         if key not in allowed:
             where = f"{path}.{key}" if path else key
             raise ValidationError(f"{where}: unknown key (allowed here: {sorted(allowed)})")
-
-
-def _mapping(path: str, value) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(f"{path or 'scenario'}: expected an object, got {type(value).__name__}")
-    _check_keys(path, value)
     return value
 
 
-def _number(path: str, value, minimum: float | None = None) -> float:
+def _number(path: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         hint = " (write plain SI numbers, no unit suffixes)" if isinstance(value, str) else ""
         raise ValidationError(f"{path}: expected a number, got {value!r}{hint}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond double range
+        number = math.inf
+    if not math.isfinite(number):
         raise ValidationError(f"{path}: must be finite, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"{path}: must be >= {minimum}, got {value!r}")
-    return float(value)
+    return number
 
 
-def _integer(path: str, value, minimum: int = 1) -> int:
+def _integer(path: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{path}: expected an integer, got {value!r}")
-    if value < minimum:
-        raise ValidationError(f"{path}: must be >= {minimum}, got {value!r}")
     return value
 
 
-def _parse_cavity(section: dict) -> CavitySpec:
-    has_geometry = "L" in section or "j" in section
-    has_wavelength = "lambda0" in section
-    if has_geometry and has_wavelength:
-        raise ValidationError("cavity: give either (L, j) or lambda0, not both")
-    n_s = _number("cavity.n_s", section.get("n_s", 1.0), minimum=1.0)
-    q_value = section.get("Q")
-    quality = None if q_value is None else _number("cavity.Q", q_value)
-    try:
-        if has_wavelength:
-            return CavitySpec.from_rest_wavelength(
-                _number("cavity.lambda0", section["lambda0"]), n_s=n_s, Q=quality
-            )
-        if "L" in section and "j" in section:
-            return CavitySpec(
-                L=_number("cavity.L", section["L"]),
-                j=_integer("cavity.j", section["j"]),
-                n_s=n_s,
-                Q=quality,
-            )
-    except ValidationError as exc:
-        raise ValidationError(f"cavity: {exc}") from None
-    raise ValidationError("cavity: requires either lambda0 or both L and j")
+def _string(path: str, value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValidationError(f"{path}: expected a non-empty string, got {value!r}")
+    return value
 
 
-def _parse_gravity(section: dict, cavity: CavitySpec | None) -> GravityProfile:
-    g = _number("gravity.g", section.get("g", g_earth), minimum=0.0)
-    default_ns = cavity.n_s if cavity is not None else 1.0
-    n_s = _number("gravity.n_s", section.get("n_s", default_ns), minimum=1.0)
-    if cavity is not None and n_s != cavity.n_s:
-        raise ValidationError(
-            f"gravity.n_s: must match cavity.n_s (single medium), got {n_s!r} vs {cavity.n_s!r}"
-        )
-    return GravityProfile(g=g, n_s=n_s)
-
-
-def _parse_propagation(section: dict) -> PropagationSettings:
-    if "grid" not in section:
-        raise ValidationError("propagation.grid: required")
-    grid = _mapping("propagation.grid", section["grid"])
-    for key in ("y_min", "y_max", "n_points"):
-        if key not in grid:
-            raise ValidationError(f"propagation.grid.{key}: required")
-    for key in ("dt", "t_final", "sigma0"):
-        if key not in section:
-            raise ValidationError(f"propagation.{key}: required")
-    y_min = _number("propagation.grid.y_min", grid["y_min"])
-    y_max = _number("propagation.grid.y_max", grid["y_max"])
-    n_points = _integer("propagation.grid.n_points", grid["n_points"])
-    try:
-        grid_si = Grid1D(y_min=y_min, y_max=y_max, n_points=n_points)
-    except ValidationError as exc:
-        raise ValidationError(f"propagation.grid: {exc}") from None
-    return PropagationSettings(
-        grid=grid_si,
-        dt=_number("propagation.dt", section["dt"]),
-        t_final=_number("propagation.t_final", section["t_final"]),
-        sigma0=_number("propagation.sigma0", section["sigma0"]),
-    )
-
-
-def _parse_experiment(section: dict) -> ExperimentConfig:
-    required = ("lambda0", "sigma0", "y_out", "P_avg", "eta_det", "T_int", "Q")
-    for key in required:
-        if key not in section:
-            raise ValidationError(f"experiment.{key}: required")
-    model_raw = section.get("width_model", "corrected")
-    model = WIDTH_MODEL_ALIASES.get(model_raw)
+def _width_model(path: str, value) -> str:
+    model = WIDTH_MODEL_ALIASES.get(value) if isinstance(value, str) else None
     if model is None:
+        raise ValidationError(f"{path}: expected one of {sorted(WIDTH_MODEL_ALIASES)}, got {value!r}")
+    return model
+
+
+def _build(path: str, make, kwargs: dict):
+    """make(**kwargs), its errors prefixed with the section path unless they
+    already start with it."""
+    try:
+        return make(**kwargs)
+    except CavityFallError as exc:
+        if str(exc).startswith((f"{path}.", f"{path}:")):
+            raise
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _read(path: str, value, readers: dict) -> dict:
+    """The JSON object at path as keyword arguments: each key must be one of
+    readers, and is read by its reader."""
+    section = _mapping(path, value, readers)
+    return {key: readers[key](f"{path}.{key}", item) for key, item in section.items()}
+
+
+def _section(cls: type, path: str, value):
+    """cls built from the JSON object at path; a field without a default is
+    required."""
+    kwargs = _read(path, value, _READERS[cls])
+    for key in _REQUIRED[cls]:
+        if key not in kwargs:
+            raise ValidationError(f"{path}.{key}: required")
+    return _build(path, cls, kwargs)
+
+
+def _reader(kind):
+    """Reader of a value annotated kind: float, int, str, a section
+    dataclass, or X | None for one of these."""
+    options = typing.get_args(kind)
+    if type(None) in options:
+        read = _reader(options[0])
+        return lambda path, value: None if value is None else read(path, value)
+    return {float: _number, int: _integer, str: _string}.get(kind) or partial(_section, kind)
+
+
+_SECTIONS = (Grid1D, CavitySpec, GravityProfile, PropagationSettings, ExperimentConfig, OutputSettings)
+_READERS = {cls: {name: _reader(kind) for name, kind in typing.get_type_hints(cls).items()} for cls in _SECTIONS}
+# a width model may also be named by its alias, and a cavity by its rest
+# wavelength in place of (L, j)
+_READERS[ExperimentConfig]["width_model"] = _width_model
+_CAVITY_READERS = {**_READERS[CavitySpec], "lambda0": _number}
+_REQUIRED = {cls: [field.name for field in fields(cls) if field.default is MISSING] for cls in _SECTIONS}
+# named once, not by fields() per call: each fresh tuple it frees stays on CPython's free list
+_FIELDS = {cls: [field.name for field in fields(cls)] for cls in (*_SECTIONS, ScenarioFile)}
+
+
+def _parse_cavity(value) -> CavitySpec:
+    section = _read("cavity", value, _CAVITY_READERS)
+    if "lambda0" not in section:
+        if "L" in section and "j" in section:
+            return _build("cavity", CavitySpec, section)
+        raise ValidationError("cavity: requires either lambda0 or both L and j")
+    if "L" in section or "j" in section:
+        raise ValidationError("cavity: give either (L, j) or lambda0, not both")
+    return _build("cavity", CavitySpec.from_rest_wavelength, section)
+
+
+def _parse_gravity(value, cavity: CavitySpec | None) -> GravityProfile:
+    section = _read("gravity", value, _READERS[GravityProfile])
+    if cavity is not None:
+        section.setdefault("n_s", cavity.n_s)
+    gravity = _build("gravity", GravityProfile, section)
+    if cavity is not None and gravity.n_s != cavity.n_s:
         raise ValidationError(
-            f"experiment.width_model: expected one of {sorted(set(WIDTH_MODEL_ALIASES))}, got {model_raw!r}"
+            f"gravity.n_s: must match cavity.n_s (single medium), got {gravity.n_s!r} vs {cavity.n_s!r}"
         )
-    return ExperimentConfig(
-        lambda0=_number("experiment.lambda0", section["lambda0"]),
-        sigma0=_number("experiment.sigma0", section["sigma0"]),
-        y_out=_number("experiment.y_out", section["y_out"]),
-        P_avg=_number("experiment.P_avg", section["P_avg"]),
-        eta_det=_number("experiment.eta_det", section["eta_det"]),
-        T_int=_number("experiment.T_int", section["T_int"]),
-        Q=_number("experiment.Q", section["Q"]),
-        n_s=_number("experiment.n_s", section.get("n_s", 1.0)),
-        g=_number("experiment.g", section.get("g", g_earth)),
-        width_model=model,
-    )
-
-
-def _parse_output(section: dict) -> OutputSettings:
-    directory = section.get("directory", "out")
-    if not isinstance(directory, str) or not directory:
-        raise ValidationError(f"output.directory: expected a non-empty string, got {directory!r}")
-    stride = section.get("stride")
-    return OutputSettings(
-        directory=directory,
-        stride=None if stride is None else _integer("output.stride", stride),
-    )
+    return gravity
 
 
 def _check_shared_physics(
@@ -244,66 +219,41 @@ def parse_scenario(text: str) -> ScenarioFile:
     """Parse and validate a scenario document; every violation is reported
     with the path of the offending key."""
     try:
+        # ValueError: bad JSON or an integer past the digit limit; RecursionError: nesting too deep
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"scenario syntax error: {exc}") from None
-    root = _mapping("", document)
+    root = _mapping("", document, _FIELDS[ScenarioFile])
 
-    cavity = _parse_cavity(_mapping("cavity", root["cavity"])) if "cavity" in root else None
-    gravity = _parse_gravity(_mapping("gravity", root["gravity"]), cavity) if "gravity" in root else None
-    propagation = _parse_propagation(_mapping("propagation", root["propagation"])) if "propagation" in root else None
-    experiment = _parse_experiment(_mapping("experiment", root["experiment"])) if "experiment" in root else None
+    cavity = _parse_cavity(root["cavity"]) if "cavity" in root else None
+    gravity = _parse_gravity(root["gravity"], cavity) if "gravity" in root else None
+    propagation = _section(PropagationSettings, "propagation", root["propagation"]) if "propagation" in root else None
+    experiment = _section(ExperimentConfig, "experiment", root["experiment"]) if "experiment" in root else None
     if experiment is not None:
         _check_shared_physics(experiment, cavity, gravity)
-    output = _parse_output(_mapping("output", root["output"])) if "output" in root else OutputSettings()
+    output = _section(OutputSettings, "output", root.get("output", {}))
 
-    return ScenarioFile(
-        cavity=cavity, gravity=gravity, propagation=propagation, experiment=experiment, output=output
-    )
+    return ScenarioFile(cavity, gravity, propagation, experiment, output)
 
 
 def load_scenario(path) -> ScenarioFile:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse_scenario(handle.read())
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"scenario: {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _as_dict(obj) -> dict:
+    """The fields of a dataclass, nested ones as dicts too, without None values."""
+    values = ((key, getattr(obj, key)) for key in _FIELDS[type(obj)])
+    return {key: _as_dict(value) if type(value) in _FIELDS else value for key, value in values if value is not None}
 
 
 def scenario_to_dict(scenario: ScenarioFile, resolved_stride: int | None = None) -> dict:
     """Serialize back to a document that re-parses to the same scenario, with
     all defaults materialized (used for the replayable run manifest)."""
-    document: dict = {}
-    if scenario.cavity is not None:
-        cav = scenario.cavity
-        section: dict = {"L": cav.L, "j": cav.j, "n_s": cav.n_s}
-        if cav.Q is not None:
-            section["Q"] = cav.Q
-        document["cavity"] = section
-    if scenario.gravity is not None:
-        document["gravity"] = {"g": scenario.gravity.g, "n_s": scenario.gravity.n_s}
-    if scenario.propagation is not None:
-        prop = scenario.propagation
-        document["propagation"] = {
-            "grid": {"y_min": prop.grid.y_min, "y_max": prop.grid.y_max, "n_points": prop.grid.n_points},
-            "dt": prop.dt,
-            "t_final": prop.t_final,
-            "sigma0": prop.sigma0,
-        }
-    if scenario.experiment is not None:
-        exp = scenario.experiment
-        document["experiment"] = {
-            "lambda0": exp.lambda0,
-            "sigma0": exp.sigma0,
-            "y_out": exp.y_out,
-            "P_avg": exp.P_avg,
-            "eta_det": exp.eta_det,
-            "T_int": exp.T_int,
-            "Q": exp.Q,
-            "n_s": exp.n_s,
-            "g": exp.g,
-            "width_model": exp.width_model,
-        }
-    stride = resolved_stride if resolved_stride is not None else scenario.output.stride
-    output: dict = {"directory": scenario.output.directory}
-    if stride is not None:
-        output["stride"] = stride
-    document["output"] = output
+    document = _as_dict(scenario)
+    if resolved_stride is not None:
+        document["output"]["stride"] = resolved_stride
     return document

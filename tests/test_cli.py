@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -413,6 +414,29 @@ class TestMainEntryPoint:
         assert "--q" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
 
+    def test_scenario_not_utf8_exit_two(self, tmp_path, capsys):
+        scenario_path = tmp_path / "latin1.json"
+        scenario_path.write_bytes(b'{"output": {"directory": "\xff"}}')
+        assert main(["dispersion", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
+        assert "validation error: scenario: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["fig2b", "--q", "7e10", "nan"], "--q"),
+            (["fig2b", "--q", "inf"], "--q"),
+            (["qthreshold", "--q-hi", "inf"], "--q-hi"),
+            (["qthreshold", "--q-lo=-inf"], "--q-lo"),
+        ],
+    )
+    def test_non_finite_q_options_name_the_option(self, scenario_dir, tmp_path, capsys, argv, option):
+        out = tmp_path / "out"
+        argv = [*argv, "--scenario", str(scenario_dir / "caf2_wgmc.json"), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {option}: ") and "experiment.Q" not in err
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_experiment_disagreeing_with_cavity_exit_two(self, scenario_dir, tmp_path, capsys):
         reference = json.loads((scenario_dir / "caf2_wgmc.json").read_text())
         doc = {"cavity": {"lambda0": 1.55e-6, "n_s": 1.43}, "experiment": reference["experiment"]}
@@ -724,6 +748,11 @@ class TestExitCodes:
     # Sn crosses 1 closer to t = 0 than the smallest float: the crossing
     # bisection runs out of floats and stops at t_cross = 0
     @example(command_and_options=("fig2b", {}), changes={"sigma0": 1.0, "eta_det": 1.0, "T_int": 4.41e196, "g": 1.439e221}, expected=0)
+    # Q options that are not finite name the option, not experiment.Q
+    @example(command_and_options=("fig2b", {"--q": [math.nan]}), changes={}, expected=2)
+    @example(command_and_options=("fig2b", {"--q": [7e10, math.inf]}), changes={}, expected=2)
+    @example(command_and_options=("qthreshold", {"--q-hi": math.inf}), changes={}, expected=2)
+    @example(command_and_options=("qthreshold", {"--q-lo": math.nan}), changes={}, expected=2)
     # a bracket narrower than the bisection's tolerance: no iteration
     @example(
         command_and_options=("qthreshold", {"--q-lo": _NARROW_Q_BRACKET[0], "--q-hi": _NARROW_Q_BRACKET[1]}),

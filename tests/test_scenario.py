@@ -1,10 +1,10 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cavityfall import ValidationError, parse_scenario, scenario_to_dict
+from cavityfall import DomainError, ValidationError, parse_scenario, scenario_to_dict
 from cavityfall.scenario import load_scenario
 
 MINIMAL_EXPERIMENT = {
@@ -103,6 +103,19 @@ class TestValidationMessages:
     def test_syntax_error_reported(self):
         with pytest.raises(ValidationError, match="syntax"):
             parse_scenario("{not json")
+
+    def test_deeply_nested_document_is_a_syntax_error(self):
+        # 200 kB of brackets, nested deeper than the decoder's recursion limit
+        with pytest.raises(ValidationError, match="scenario syntax error"):
+            parse_scenario("[" * 100_000 + "]" * 100_000)
+
+    def test_integer_past_double_range_is_not_finite(self):
+        with pytest.raises(ValidationError, match="gravity.g: must be finite"):
+            parse_scenario('{"gravity": {"g": 1' + "0" * 400 + "}}")
+
+    def test_integer_past_the_digit_limit_is_a_syntax_error(self):
+        with pytest.raises(ValidationError, match="scenario syntax error"):
+            parse_scenario('{"gravity": {"g": 1' + "0" * 5000 + "}}")
 
     def test_medium_mismatch_between_sections(self):
         doc = {"cavity": {"lambda0": 1.064e-6, "n_s": 1.43}, "gravity": {"g": 9.81, "n_s": 1.0}}
@@ -292,3 +305,48 @@ class TestRoundTrip:
         sc = parse(MINIMAL_EXPERIMENT)
         again = parse_scenario(json.dumps(scenario_to_dict(sc)))
         assert again.experiment == sc.experiment
+
+
+def _leaves(document, path=()):
+    """(path, key) of every non-object value of a scenario document."""
+    for key, value in document.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, (*path, key))
+        else:
+            yield path, key
+
+
+class TestErrorsNameTheKeyPath:
+    """A valid document with one value replaced either parses or fails with
+    a message that starts with that value's section path; a validation error
+    also names its key."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        document=valid_documents(),
+        pick=st.integers(0, 10**6),
+        replacement=st.sampled_from([0, -1, "1", True, None, {}]),
+    )
+    # an object where a width model's name belongs (an unhashable alias key)
+    @example(document={"experiment": dict(MINIMAL_EXPERIMENT["experiment"], width_model="paper")}, pick=7, replacement={})
+    def test_replaced_value_is_blamed_on_its_path(self, document, pick, replacement):
+        document = json.loads(json.dumps(document))
+        leaves = list(_leaves(document))
+        assume(leaves)
+        path, key = leaves[pick % len(leaves)]
+        section = document
+        for name in path:
+            section = section[name]
+        section[key] = replacement
+        try:
+            parse(document)
+        except (ValidationError, DomainError) as exc:
+            message, where = str(exc), ".".join(path)
+            if " must match " in message:
+                # sections that disagree (g = 0 is a valid gravity.g) are
+                # blamed on the experiment, naming the other key too
+                assert f"{where}.{key}" in message, message
+                return
+            assert message.startswith(where), (where, key, message)
+            if isinstance(exc, ValidationError):
+                assert key in message, (where, key, message)
