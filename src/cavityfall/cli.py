@@ -11,12 +11,13 @@ Commands (all scenario-driven, SI units in, SI units out):
 Every run writes its files atomically (temp file + rename) and finishes with
 run_manifest.json: resolved parameters, derived quantities, sha256
 checksums of each artifact, and the environment (cavityfall, Python and
-numpy versions, platform, the malloc thresholds main() pinned).  Re-running
-a command with the manifest's resolved scenario reproduces the CSV bytes
-exactly.  Floats are printed as shortest round-trip decimals to keep
-regression diffs clean.
+numpy versions, platform, numpy's ufunc dispatch targets, the malloc
+thresholds main() pinned).  Re-running a command with the manifest's
+resolved scenario reproduces the CSV bytes exactly.  Floats are printed as
+shortest round-trip decimals to keep regression diffs clean.
 
-Exit codes: 0 success, 2 validation error, 3 numerical-domain error, 4 I/O.
+Exit codes: 0 success, 2 validation error, 3 numerical-domain error, 4 I/O;
+an error prints its key (an option or scenario key path) and message.
 
 main() builds the argument parser once per process, on its first call;
 importing this module builds none.  The same first call pins glibc's malloc
@@ -43,11 +44,11 @@ import numpy as np
 
 from . import __version__
 from .dispersion import CavitySpec, effective_mass, group_velocity, photon_energy
-from .errors import DomainError, ValidationError
+from .errors import CavityFallError, DomainError, ValidationError
 from .gravity import freefall_trajectory, phase_gradient
 from .interferometry import q_threshold, snr_peak, snr_trace
 from .propagator import MAX_GRID_POINTS, MAX_ROWS, PropagationScenario, init_gaussian, propagate, recording_schedule
-from .scenario import WIDTH_MODEL_ALIASES, ScenarioFile, load_scenario, scenario_to_dict
+from .scenario import ScenarioFile, load_scenario, read_width_model, scenario_to_dict
 from .units import c, hbar
 
 DEFAULT_Q_SWEEP = (3e10, 5e10, 7e10)
@@ -56,6 +57,16 @@ _DEFAULT_RECORDS = 256
 # twice the largest grid's complex array: 32 MiB, the largest mmap threshold
 # glibc accepts on 64-bit
 _MALLOC_THRESHOLD = 2 * MAX_GRID_POINTS * np.dtype(complex).itemsize
+#: Per command: the scenario sections it requires, the first also the key of
+#: a library error raised without one, and the option or scenario key of each
+#: library key it sets (in qthreshold, a bracket end fails as the Q).
+_COMMANDS = {
+    "dispersion": (("cavity",), {}),
+    "freefall-analytic": (("propagation", "cavity", "gravity"), {"stride": "output.stride"}),
+    "freefall-numeric": (("propagation", "cavity", "gravity"), {"stride": "output.stride", "mass": "cavity"}),
+    "fig2b": (("experiment",), {"Q": "--q"}),
+    "qthreshold": (("experiment",), {"q_lo": "--q-lo", "q_hi": "--q-hi", "Q": "--q-lo, --q-hi"}),
+}
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -98,13 +109,15 @@ def _environment() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
+        "ufunc_dispatch": _ufunc_dispatch(),
     }
 
 
-def _require(scenario: ScenarioFile, command: str, *sections: str) -> None:
-    for name in sections:
-        if getattr(scenario, name) is None:
-            raise ValidationError(f"{command} requires a '{name}' section in the scenario")
+def _ufunc_dispatch() -> str:
+    """The CPU targets of the ufunc kernels numpy chose on this host, e.g.
+    "X86_V3 baseline(X86_V2)": with the numpy version, they fix the bytes."""
+    loops = np.lib.introspect.opt_func_info().values()
+    return " ".join(sorted({target["current"] for signatures in loops for target in signatures.values()}))
 
 
 def _derived_block(scenario: ScenarioFile) -> dict:
@@ -131,29 +144,29 @@ def _resolve_stride(scenario: ScenarioFile, n_steps: int) -> int:
 
 
 def _run_dispersion(scenario: ScenarioFile, out_dir: Path, args: dict) -> list[Path]:
-    _require(scenario, "dispersion", "cavity")
     cav = scenario.cavity
     k_min, k_max = args["k_min"], args["k_max"]
-    k_max_source = "--k-max"
+    # without --k-max the cavity sets k_max, and --k-min alone sets the span
+    k_max_key, span_key, note = "--k-max", "--k-min, --k-max", ""
     if k_max is None:
         k_max = 2.0 * cav.omega0 / cav.c_medium
-        k_max_source = "cavity (default k_max = 2*omega0/c_medium)"
-    bounds = (("--k-min", k_min), (k_max_source, k_max))
-    for source, value in bounds:
+        k_max_key, span_key, note = "cavity", "--k-min", " (the default k_max = 2*omega0/c_medium)"
+    bounds = (("--k-min", k_min, ""), (k_max_key, k_max, note))
+    for key, value, about in bounds:
         if not math.isfinite(value):
-            raise ValidationError(f"{source}: must be finite, got {value!r}")
+            raise ValidationError(f"must be finite, got {value!r}{about}", key=key)
     if not k_max > k_min:
-        raise ValidationError(f"dispersion needs k_max > k_min, got {k_max!r} <= {k_min!r}")
+        raise ValidationError(f"needs k_max > k_min, got {k_max!r} <= {k_min!r}{note}", key=span_key)
     if not math.isfinite(k_max - k_min):
         raise ValidationError(
-            f"--k-min, {k_max_source}: the span k_max - k_min is out of double range, got {k_min!r} to {k_max!r}"
+            f"the span k_max - k_min is out of double range, got {k_min!r} to {k_max!r}{note}", key=span_key
         )
     # omega grows with |k|, so finite at both ends is finite on every sample
-    for source, value in bounds:
+    for key, value, about in bounds:
         if not math.isfinite(float(photon_energy(cav, value)) / hbar):
-            raise ValidationError(f"{source}: the photon energy omega(k) is out of double range at k = {value!r}")
+            raise ValidationError(f"the photon energy omega(k) is out of double range at k = {value!r}{about}", key=key)
     if not 1 <= args["k_points"] <= MAX_ROWS:
-        raise ValidationError(f"--k-points: must be between 1 and {MAX_ROWS}, got {args['k_points']!r}")
+        raise ValidationError(f"must be between 1 and {MAX_ROWS}, got {args['k_points']!r}", key="--k-points")
     args["k_max"] = k_max
     k_grid = np.linspace(k_min, k_max, args["k_points"])
     path = out_dir / "dispersion.csv"
@@ -212,15 +225,14 @@ def _run_freefall_numeric(scenario: ScenarioFile, out_dir: Path, stride: int) ->
 
 
 def _run_fig2b(scenario: ScenarioFile, out_dir: Path, args: dict) -> tuple[list[Path], dict]:
-    _require(scenario, "fig2b", "experiment")
     base = scenario.experiment
     q_values = tuple(args["q_values"])
-    if not q_values or not all(0.0 < q < math.inf for q in q_values):
-        raise ValidationError(f"--q: Q values must be finite and > 0, got {list(q_values)!r}")
+    if not q_values:
+        raise ValidationError("needs at least one value", key="--q")
     # two values that print alike under {q:g} would overwrite one another's CSV
     names = [f"fig2b_Q{q:g}.csv" for q in q_values]
     if len(set(names)) < len(names):
-        raise ValidationError(f"--q: the values {list(q_values)!r} do not give distinct files {names}")
+        raise ValidationError(f"the values {list(q_values)!r} do not give distinct files {names}", key="--q")
     paths: list[Path] = []
     traces = []
     traces_summary = []
@@ -238,7 +250,7 @@ def _run_fig2b(scenario: ScenarioFile, out_dir: Path, args: dict) -> tuple[list[
         peak_ratio = peak_by_model["paper_verbatim"] / corrected if corrected > 0.0 else math.inf
         if not math.isfinite(peak_ratio):
             raise DomainError(
-                f"experiment: at Q = {q:g} the width models' peak SNR ratio "
+                f"at Q = {q:g} the width models' peak SNR ratio "
                 f"{peak_by_model['paper_verbatim']!r}/{corrected!r} is out of double range"
             )
         traces.append(trace)
@@ -273,10 +285,6 @@ def _run_fig2b(scenario: ScenarioFile, out_dir: Path, args: dict) -> tuple[list[
 
 
 def _run_qthreshold(scenario: ScenarioFile, out_dir: Path, args: dict) -> tuple[list[Path], dict]:
-    _require(scenario, "qthreshold", "experiment")
-    for option in ("q_lo", "q_hi"):
-        if not math.isfinite(args[option]):
-            raise ValidationError(f"--{option.replace('_', '-')}: must be finite, got {args[option]!r}")
     result = q_threshold(scenario.experiment, args["q_lo"], args["q_hi"])
     # a bracket already inside the tolerance takes no iteration: (0, 4)
     iterations = np.array(result.iterations).reshape(-1, 4)
@@ -324,37 +332,40 @@ def run(
     started = time.perf_counter()
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-
-    if width_model is not None:
-        if scenario.experiment is None:
-            raise ValidationError(f"--width-model given but {command} scenario has no experiment section")
-        if width_model not in WIDTH_MODEL_ALIASES:
-            raise ValidationError(f"unknown width model {width_model!r}")
-        scenario = replace(
-            scenario, experiment=replace(scenario.experiment, width_model=WIDTH_MODEL_ALIASES[width_model])
-        )
+    if command not in _COMMANDS:
+        raise ValidationError(f"unknown command {command!r}")
+    sections, library_keys = _COMMANDS[command]
 
     command_args: dict = {}
     convergence: dict | None = None
     resolved_stride = scenario.output.stride
 
-    if command == "dispersion":
-        command_args = {"k_min": k_min, "k_max": k_max, "k_points": k_points}
-        outputs = _run_dispersion(scenario, out_path, command_args)
-    elif command in ("freefall-analytic", "freefall-numeric"):
-        _require(scenario, command, "cavity", "gravity", "propagation")
-        resolved_stride = _resolve_stride(scenario, scenario.propagation.n_steps)
-        if command == "freefall-analytic":
-            outputs = _run_freefall_analytic(scenario, out_path, resolved_stride)
+    try:
+        for name in sections:
+            if getattr(scenario, name) is None:
+                raise ValidationError(f"the {command} command requires this section", key=name)
+        if width_model is not None:
+            if scenario.experiment is None:
+                raise ValidationError("needs the scenario's experiment section", key="--width-model")
+            model = read_width_model("--width-model", width_model)
+            scenario = replace(scenario, experiment=replace(scenario.experiment, width_model=model))
+        if command == "dispersion":
+            command_args = {"k_min": k_min, "k_max": k_max, "k_points": k_points}
+            outputs = _run_dispersion(scenario, out_path, command_args)
+        elif command in ("freefall-analytic", "freefall-numeric"):
+            resolved_stride = _resolve_stride(scenario, scenario.propagation.n_steps)
+            if command == "freefall-analytic":
+                outputs = _run_freefall_analytic(scenario, out_path, resolved_stride)
+            else:
+                outputs, convergence = _run_freefall_numeric(scenario, out_path, resolved_stride)
+        elif command == "fig2b":
+            command_args = {"q_values": list(q_values)}
+            outputs, command_args = _run_fig2b(scenario, out_path, command_args)
         else:
-            outputs, convergence = _run_freefall_numeric(scenario, out_path, resolved_stride)
-    elif command == "fig2b":
-        command_args = {"q_values": list(q_values)}
-        outputs, command_args = _run_fig2b(scenario, out_path, command_args)
-    elif command == "qthreshold":
-        outputs, command_args = _run_qthreshold(scenario, out_path, {"q_lo": q_lo, "q_hi": q_hi})
-    else:
-        raise ValidationError(f"unknown command {command!r}")
+            outputs, command_args = _run_qthreshold(scenario, out_path, {"q_lo": q_lo, "q_hi": q_hi})
+    except CavityFallError as exc:
+        exc.key = sections[0] if exc.key is None else library_keys.get(exc.key, exc.key)
+        raise
 
     manifest = {
         "tool": "cavityfall",

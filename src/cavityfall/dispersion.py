@@ -28,7 +28,7 @@ from .units import c, hbar
 
 def _require_index(n_s: float) -> None:
     if not (math.isfinite(n_s) and n_s >= 1.0):
-        raise ValidationError(f"background index n_s must be >= 1, got {n_s!r}")
+        raise ValidationError(f"must be >= 1, got {n_s!r}", key="n_s")
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,13 @@ class CavitySpec:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.L) and self.L > 0.0):
-            raise ValidationError(f"cavity thickness L must be positive, got {self.L!r}")
+            raise ValidationError(f"must be > 0, got {self.L!r}", key="L")
         # j enters the float formulas, which hold integers exactly up to 2**53
         if not (isinstance(self.j, int) and 1 <= self.j <= 2**53):
-            raise ValidationError(f"mode order j must be an integer in [1, 2**53], got {self.j!r}")
+            raise ValidationError(f"must be an integer in [1, 2**53], got {self.j!r}", key="j")
         _require_index(self.n_s)
         if self.Q is not None and not (math.isfinite(self.Q) and self.Q > 0.0):
-            raise ValidationError(f"quality factor Q must be positive when given, got {self.Q!r}")
+            raise ValidationError(f"must be > 0 when given, got {self.Q!r}", key="Q")
         # every command derives the rest energy and the mass E0/c_medium**2
         if not (0.0 < self.rest_energy < math.inf and self.c_medium**2 > 0.0 and effective_mass(self) < math.inf):
             raise ValidationError(
@@ -71,11 +71,11 @@ class CavitySpec:
         removes the ambiguity of holding (L, j) fixed while changing n_s,
         which would change the rest energy itself.
         """
-        if not (isinstance(lambda0, (int, float)) and math.isfinite(lambda0) and lambda0 > 0.0):
-            raise ValidationError(f"lambda0 must be positive, got {lambda0!r}")
         # checked before the division, which an index of 0 would fail and a
-        # negative one would blame on L
+        # negative one would blame on lambda0
         _require_index(n_s)
+        if not (isinstance(lambda0, (int, float)) and math.isfinite(lambda0) and lambda0 / (2.0 * n_s) > 0.0):
+            raise ValidationError(f"must be > 0, as must lambda0/(2*n_s), got {lambda0!r}", key="lambda0")
         return cls(L=lambda0 / (2.0 * n_s), j=1, n_s=n_s, Q=Q)
 
     @property

@@ -55,10 +55,10 @@ class GravityProfile:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.g) and self.g >= 0.0):
-            raise ValidationError(f"gravity.g: must be >= 0, got {self.g!r}")
+            raise ValidationError(f"must be >= 0, got {self.g!r}", key="g")
         # g_tilde squares n_s as a Python float, which raises on overflow
         if not (self.n_s >= 1.0 and self.n_s * self.n_s < math.inf):
-            raise ValidationError(f"gravity.n_s: must be >= 1 with n_s**2 in double range, got {self.n_s!r}")
+            raise ValidationError(f"must be >= 1 with n_s**2 in double range, got {self.n_s!r}", key="n_s")
 
     @property
     def g_tilde(self) -> float:
@@ -75,14 +75,6 @@ class FreefallState:
     y: float | np.ndarray
     v: float | np.ndarray
     k_y: float | np.ndarray
-
-
-def _require_same_medium(cavity: CavitySpec, profile: GravityProfile) -> None:
-    if cavity.n_s != profile.n_s:
-        raise ValidationError(
-            f"cavity and gravity profile disagree on the medium index: "
-            f"n_s = {cavity.n_s!r} vs {profile.n_s!r}"
-        )
 
 
 def index_correction(profile: GravityProfile, y: float) -> float:
@@ -126,7 +118,8 @@ def freefall_trajectory(cavity: CavitySpec, profile: GravityProfile, t: float | 
     error is that of its first time that is invalid, past the velocity limit
     or overflowing, in that order of checks.
     """
-    _require_same_medium(cavity, profile)
+    if cavity.n_s != profile.n_s:
+        raise ValidationError(f"differs from the cavity's medium index {cavity.n_s!r}, got {profile.n_s!r}", key="n_s")
     times = np.asarray(t, dtype=float)
     g_tilde = profile.g_tilde
     v_max = VELOCITY_LIMIT_FRACTION * cavity.c_medium
@@ -140,7 +133,7 @@ def freefall_trajectory(cavity: CavitySpec, profile: GravityProfile, t: float | 
     if failure is not None:
         check, i = failure
         if check == 0:
-            raise ValidationError(f"t must be >= 0, got {float(times.flat[i])!r}")
+            raise ValidationError(f"must be >= 0, got {float(times.flat[i])!r}", key="t")
         if check == 1:
             raise DomainError(
                 f"|v| = {float(speed.flat[i]):.6g} m/s leaves the non-relativistic domain "
@@ -163,7 +156,7 @@ def phase_gradient(omega0: float, profile: GravityProfile, t: float | np.ndarray
     an error names the column's first invalid or overflowing time.
     """
     if not (omega0 > 0.0 and math.isfinite(omega0)):
-        raise ValidationError(f"omega0 must be > 0, got {omega0!r}")
+        raise ValidationError(f"must be > 0, got {omega0!r}", key="omega0")
     times = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         gradient = omega0 * profile.g * times / c**2
@@ -171,6 +164,6 @@ def phase_gradient(omega0: float, profile: GravityProfile, t: float | np.ndarray
     if failure is not None:
         check, i = failure
         if check == 0:
-            raise ValidationError(f"t must be >= 0, got {float(times.flat[i])!r}")
+            raise ValidationError(f"must be >= 0, got {float(times.flat[i])!r}", key="t")
         raise DomainError(f"the phase gradient omega0*g*t/c^2 overflows at t = {float(times.flat[i]):.6g} s")
     return float(gradient) if times.ndim == 0 else gradient

@@ -84,39 +84,31 @@ class ExperimentConfig:
         )
         for name, value in positive:
             if not (value > 0.0 and math.isfinite(value)):
-                raise ValidationError(f"experiment.{name}: must be > 0, got {value!r}")
+                raise ValidationError(f"must be > 0, got {value!r}", key=name)
         if self.eta_det > 1.0:
-            raise ValidationError(f"experiment.eta_det: must be in (0, 1], got {self.eta_det!r}")
+            raise ValidationError(f"must be in (0, 1], got {self.eta_det!r}", key="eta_det")
         # the model squares these as Python floats, which raise on overflow
         if not (self.n_s >= 1.0 and self.n_s * self.n_s < math.inf):
-            raise ValidationError(f"experiment.n_s: must be >= 1 with n_s**2 in double range, got {self.n_s!r}")
+            raise ValidationError(f"must be >= 1 with n_s**2 in double range, got {self.n_s!r}", key="n_s")
         for name, value in (("sigma0", self.sigma0), ("y_out", self.y_out)):
             if not 0.0 < value * value < math.inf:
-                raise ValidationError(f"experiment.{name}: its square is out of double range, got {value!r}")
+                raise ValidationError(f"its square is out of double range, got {value!r}", key=name)
         if self.width_model not in WIDTH_MODELS:
+            raise ValidationError(f"must be one of {WIDTH_MODELS}, got {self.width_model!r}", key="width_model")
+        if not (math.isfinite(self.omega0) and hbar * self.omega0 > 0.0):
             raise ValidationError(
-                f"experiment.width_model: must be one of {WIDTH_MODELS}, got {self.width_model!r}"
+                f"the photon energy 2*pi*hbar*c/lambda0 is out of double range, got {self.lambda0!r}", key="lambda0"
             )
         # the manifest reports the mass of this photon, as the half-wave
         # cavity of its rest wavelength
-        try:
-            CavitySpec.from_rest_wavelength(self.lambda0, self.n_s)
-        except ValidationError as exc:
-            raise ValidationError(f"experiment.lambda0: {exc}") from None
-        if not (math.isfinite(self.omega0) and hbar * self.omega0 > 0.0):
-            raise ValidationError(
-                f"experiment.lambda0: the photon energy 2*pi*hbar*c/lambda0 is out of double range, "
-                f"got {self.lambda0!r}"
-            )
+        CavitySpec.from_rest_wavelength(self.lambda0, self.n_s)
         # I(t) <= 2, so a finite 2*photons keeps every I*photons finite
         if not 2.0 * self.photons < math.inf:
-            raise ValidationError(
-                f"experiment: the photon count P_avg*eta_det*T_int/(hbar*omega0) = {self.photons!r} overflows"
-            )
+            raise ValidationError(f"the photon count P_avg*eta_det*T_int/(hbar*omega0) = {self.photons!r} overflows")
         if not 0.0 < self.window < math.inf:
             raise ValidationError(
-                f"experiment.Q: the trace window {TRACE_LIFETIMES:g}*Q/omega0 = {self.window!r} s "
-                f"must be positive and finite"
+                f"the trace window {TRACE_LIFETIMES:g}*Q/omega0 = {self.window!r} s must be positive and finite",
+                key="Q",
             )
         # Every intermediate value of Sn(t) is monotone in t, so on the trace
         # window it is bounded by its values at t = 0 and at the window end:
@@ -126,7 +118,7 @@ class ExperimentConfig:
                 snr(self, np.array([0.0, self.window]))
         except FloatingPointError:
             raise DomainError(
-                f"experiment: the signal model overflows on its trace window [0, {self.window:.6g}] s "
+                f"the signal model overflows on its trace window [0, {self.window:.6g}] s "
                 f"(sigma0 = {self.sigma0!r}, y_out = {self.y_out!r}, n_s = {self.n_s!r}, g = {self.g!r})"
             ) from None
 
@@ -188,7 +180,7 @@ class QThresholdResult:
 def _require_time(t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise ValidationError("t must be finite and >= 0")
+        raise ValidationError("must be finite and >= 0", key="t")
     return arr
 
 
@@ -275,7 +267,7 @@ def _sn_at(cfg: ExperimentConfig):
 def _sampled_peak(cfg: ExperimentConfig, n_samples: int):
     # ((t, I, Sn, index of the largest sample), (t_peak, Sn_peak))
     if n_samples < 16:
-        raise ValidationError(f"n_samples must be >= 16, got {n_samples!r}")
+        raise ValidationError(f"must be >= 16, got {n_samples!r}", key="n_samples")
     t = np.linspace(0.0, cfg.window, n_samples)
     i_signal = _signal(cfg, t)
     sn = np.sqrt(i_signal * cfg.photons)
@@ -326,10 +318,12 @@ def q_threshold(cfg: ExperimentConfig, q_lo: float, q_hi: float) -> QThresholdRe
 
     Sn_peak is strictly increasing in Q (only the decay factor exp(-w0 t/Q)
     depends on it), so bisection on [q_lo, q_hi] is valid; the bracket must
-    satisfy Sn_peak(q_lo) < 1 < Sn_peak(q_hi).
+    be finite, with 0 < q_lo < q_hi, and satisfy Sn_peak(q_lo) < 1 < Sn_peak(q_hi).
     """
-    if not (0.0 < q_lo < q_hi):
-        raise ValidationError(f"need 0 < q_lo < q_hi, got {q_lo!r}, {q_hi!r}")
+    if not 0.0 < q_lo < math.inf:
+        raise ValidationError(f"must be finite and > 0, got {q_lo!r}", key="q_lo")
+    if not q_lo < q_hi < math.inf:
+        raise ValidationError(f"must be finite and > q_lo = {q_lo!r}, got {q_hi!r}", key="q_hi")
 
     def peak(q: float) -> float:
         return snr_peak(replace(cfg, Q=q))[1]
@@ -338,7 +332,8 @@ def q_threshold(cfg: ExperimentConfig, q_lo: float, q_hi: float) -> QThresholdRe
     if not (peak_lo < 1.0 < peak_hi):
         raise DomainError(
             f"bracket does not straddle Sn_peak = 1: Sn_peak({q_lo:g}) = {peak_lo:g}, "
-            f"Sn_peak({q_hi:g}) = {peak_hi:g}"
+            f"Sn_peak({q_hi:g}) = {peak_hi:g}",
+            key="q_hi" if peak_lo < 1.0 else "q_lo",
         )
 
     iterations: list[tuple[float, float, float, float]] = []

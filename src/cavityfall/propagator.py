@@ -89,12 +89,12 @@ class Grid1D:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.y_min) and math.isfinite(self.y_max) and self.y_max > self.y_min):
-            raise ValidationError(f"grid needs y_max > y_min, got [{self.y_min!r}, {self.y_max!r}]")
+            raise ValidationError(f"needs y_max > y_min, got [{self.y_min!r}, {self.y_max!r}]")
         n = self.n_points
         if not (isinstance(n, int) and n >= 64 and (n & (n - 1)) == 0):
-            raise ValidationError(f"n_points must be a power of two >= 64, got {n!r}")
+            raise ValidationError(f"must be a power of two >= 64, got {n!r}", key="n_points")
         if n > MAX_GRID_POINTS:
-            raise ValidationError(f"n_points must be <= {MAX_GRID_POINTS} (grid budget), got {n!r}")
+            raise ValidationError(f"must be <= {MAX_GRID_POINTS} (grid budget), got {n!r}", key="n_points")
 
     @property
     def extent(self) -> float:
@@ -143,15 +143,15 @@ class PropagationScenario:
 
     def __post_init__(self) -> None:
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise ValidationError(f"mass must be > 0, got {self.mass!r}")
+            raise ValidationError(f"m/hbar must be finite and > 0, got {self.mass!r}", key="mass")
         if not (self.g_tilde >= 0.0 and math.isfinite(self.g_tilde)):
-            raise ValidationError(f"g_tilde must be >= 0, got {self.g_tilde!r}")
+            raise ValidationError(f"must be >= 0, got {self.g_tilde!r}", key="g_tilde")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValidationError(f"dt must be > 0, got {self.dt!r}")
+            raise ValidationError(f"must be > 0, got {self.dt!r}", key="dt")
         if not (isinstance(self.n_steps, int) and self.n_steps >= 1):
-            raise ValidationError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
+            raise ValidationError(f"must be an integer >= 1, got {self.n_steps!r}", key="n_steps")
         if not (isinstance(self.record_stride, int) and self.record_stride >= 1):
-            raise ValidationError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
+            raise ValidationError(f"must be an integer >= 1, got {self.record_stride!r}", key="record_stride")
 
 
 class Trace(NamedTuple):
@@ -184,7 +184,7 @@ def init_gaussian(grid: Grid1D, sigma0: float, y_center: float = 0.0, k0: float 
     better than 1e-6.
     """
     if not (sigma0 > 0.0 and math.isfinite(sigma0)):
-        raise ValidationError(f"sigma0 must be > 0, got {sigma0!r}")
+        raise ValidationError(f"must be > 0, got {sigma0!r}", key="sigma0")
     if sigma0 <= 4.0 * grid.dy:
         raise DomainError(
             f"unresolved Gaussian: sigma0 = {sigma0:g} must exceed 4*dy = {4.0 * grid.dy:g}"
@@ -276,7 +276,7 @@ def recording_schedule(n_steps: int, stride: int) -> list[int]:
     at most MAX_ROWS of them, checked before the list is built."""
     if n_steps // stride + 2 > MAX_ROWS:
         raise ValidationError(
-            f"output.stride: recording {n_steps} steps at stride {stride} is over the budget of {MAX_ROWS} rows"
+            f"recording {n_steps} steps at stride {stride} is over the budget of {MAX_ROWS} rows", key="stride"
         )
     steps = list(range(0, n_steps + 1, stride))
     if steps[-1] != n_steps:
@@ -334,7 +334,9 @@ def propagate(state: WaveState, scenario: PropagationScenario) -> tuple[WaveStat
     tau = min(stride, scenario.n_steps) * dt
     # complex128 throughout: the buffer's halves are the phasors' float scratch
     u0 = np.asarray(state.amplitudes, dtype=complex)
-    initial_norm = _envelope_moments(u0, y, dy)[0]  # rejects a zero or non-finite state
+    # record 0's moments, which also reject a zero or non-finite state
+    moments = _envelope_moments(u0, y, dy)
+    initial_norm = moments[0]
     spectrum = np.fft.fft(u0)
     mean_k0, mean_k20 = _spectral_moments(spectrum, grid.k_values())
     # the one N-point buffer every transform writes into, and the scratch of
@@ -370,7 +372,8 @@ def propagate(state: WaveState, scenario: PropagationScenario) -> tuple[WaveStat
                 v = np.fft.ifft(spectrum, out=buf)
             if not (math.isfinite(ft) and math.isfinite(offset)):
                 raise DomainError(f"non-finite amplitudes after step {i}")
-        norm, centroid, width, phase_grad = _envelope_moments(v, y, dy, i)
+            moments = _envelope_moments(v, y, dy, i)
+        norm, centroid, width, phase_grad = moments
         if norm > initial_norm * (1.0 + 1e-12):
             raise DomainError(f"norm grew beyond roundoff at step {i}: {norm!r}")
         clearance = 4.0 * width
@@ -407,7 +410,7 @@ def analytic_gaussian_oracle(
     default 1.0 matches the propagator, whose mass is m/hbar.
     """
     if not (t >= 0.0 and math.isfinite(t)):
-        raise ValidationError(f"t must be >= 0, got {t!r}")
+        raise ValidationError(f"must be >= 0, got {t!r}", key="t")
     tau = hbar * t / (2.0 * mass * sigma0**2)
     return GaussianMoments(
         centroid=-0.5 * g_tilde * t**2,

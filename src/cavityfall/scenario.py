@@ -11,7 +11,7 @@ is required when its field has no default, and its value is read by the
 field's annotated type (float: a finite JSON number in plain SI, so "1064nm"
 is an error; int: a JSON integer; str: a non-empty string; X | None: also
 null).  Unknown keys are rejected with their path.  The range checks live in
-the dataclasses alone; their errors get the section path as a prefix.  An
+the dataclasses alone; their errors' keys get the section path in front.  An
 experiment next to cavity or gravity must agree with them on the rest
 frequency, n_s and g.  A file that is not UTF-8, or JSON nested too deeply to
 decode, is a validation error too.
@@ -46,13 +46,13 @@ class PropagationSettings:
 
     def __post_init__(self) -> None:
         if not self.dt > 0.0:
-            raise ValidationError("propagation.dt: must be > 0")
+            raise ValidationError("must be > 0", key="dt")
         if not self.t_final >= self.dt:
-            raise ValidationError("propagation.t_final: must be >= dt")
+            raise ValidationError("must be >= dt", key="t_final")
         if not math.isfinite(self.t_final / self.dt):
-            raise ValidationError(f"propagation.t_final: t_final/dt must be finite, got {self.t_final!r}/{self.dt!r}")
+            raise ValidationError(f"t_final/dt must be finite, got {self.t_final!r}/{self.dt!r}", key="t_final")
         if not self.sigma0 > 0.0:
-            raise ValidationError("propagation.sigma0: must be > 0")
+            raise ValidationError("must be > 0", key="sigma0")
 
     @property
     def n_steps(self) -> int:
@@ -67,7 +67,7 @@ class OutputSettings:
 
     def __post_init__(self) -> None:
         if self.stride is not None and not self.stride >= 1:
-            raise ValidationError(f"output.stride: must be >= 1, got {self.stride!r}")
+            raise ValidationError(f"must be >= 1, got {self.stride!r}", key="stride")
 
 
 @dataclass(frozen=True)
@@ -83,55 +83,53 @@ class ScenarioFile:
 
 def _mapping(path: str, value, allowed) -> dict:
     if not isinstance(value, dict):
-        raise ValidationError(f"{path or 'scenario'}: expected an object, got {type(value).__name__}")
+        raise ValidationError(f"expected an object, got {type(value).__name__}", key=path or "scenario")
     for key in value:
         if key not in allowed:
             where = f"{path}.{key}" if path else key
-            raise ValidationError(f"{where}: unknown key (allowed here: {sorted(allowed)})")
+            raise ValidationError(f"unknown key (allowed here: {sorted(allowed)})", key=where)
     return value
 
 
 def _number(path: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         hint = " (write plain SI numbers, no unit suffixes)" if isinstance(value, str) else ""
-        raise ValidationError(f"{path}: expected a number, got {value!r}{hint}")
+        raise ValidationError(f"expected a number, got {value!r}{hint}", key=path)
     try:
         number = float(value)
     except OverflowError:  # an integer beyond double range
         number = math.inf
     if not math.isfinite(number):
-        raise ValidationError(f"{path}: must be finite, got {value!r}")
+        raise ValidationError(f"must be finite, got {value!r}", key=path)
     return number
 
 
 def _integer(path: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path}: expected an integer, got {value!r}")
+        raise ValidationError(f"expected an integer, got {value!r}", key=path)
     return value
 
 
 def _string(path: str, value) -> str:
     if not isinstance(value, str) or not value:
-        raise ValidationError(f"{path}: expected a non-empty string, got {value!r}")
+        raise ValidationError(f"expected a non-empty string, got {value!r}", key=path)
     return value
 
 
-def _width_model(path: str, value) -> str:
+def read_width_model(path: str, value) -> str:
     model = WIDTH_MODEL_ALIASES.get(value) if isinstance(value, str) else None
     if model is None:
-        raise ValidationError(f"{path}: expected one of {sorted(WIDTH_MODEL_ALIASES)}, got {value!r}")
+        raise ValidationError(f"expected one of {sorted(WIDTH_MODEL_ALIASES)}, got {value!r}", key=path)
     return model
 
 
 def _build(path: str, make, kwargs: dict):
-    """make(**kwargs), its errors prefixed with the section path unless they
-    already start with it."""
+    """make(**kwargs), its errors' keys put under the section path."""
     try:
         return make(**kwargs)
     except CavityFallError as exc:
-        if str(exc).startswith((f"{path}.", f"{path}:")):
-            raise
-        raise type(exc)(f"{path}: {exc}") from None
+        exc.key = path if exc.key is None else f"{path}.{exc.key}"
+        raise
 
 
 def _read(path: str, value, readers: dict) -> dict:
@@ -147,7 +145,7 @@ def _section(cls: type, path: str, value):
     kwargs = _read(path, value, _READERS[cls])
     for key in _REQUIRED[cls]:
         if key not in kwargs:
-            raise ValidationError(f"{path}.{key}: required")
+            raise ValidationError("required", key=f"{path}.{key}")
     return _build(path, cls, kwargs)
 
 
@@ -165,7 +163,7 @@ _SECTIONS = (Grid1D, CavitySpec, GravityProfile, PropagationSettings, Experiment
 _READERS = {cls: {name: _reader(kind) for name, kind in typing.get_type_hints(cls).items()} for cls in _SECTIONS}
 # a width model may also be named by its alias, and a cavity by its rest
 # wavelength in place of (L, j)
-_READERS[ExperimentConfig]["width_model"] = _width_model
+_READERS[ExperimentConfig]["width_model"] = read_width_model
 _CAVITY_READERS = {**_READERS[CavitySpec], "lambda0": _number}
 _REQUIRED = {cls: [field.name for field in fields(cls) if field.default is MISSING] for cls in _SECTIONS}
 # named once, not by fields() per call: each fresh tuple it frees stays on CPython's free list
@@ -177,9 +175,9 @@ def _parse_cavity(value) -> CavitySpec:
     if "lambda0" not in section:
         if "L" in section and "j" in section:
             return _build("cavity", CavitySpec, section)
-        raise ValidationError("cavity: requires either lambda0 or both L and j")
+        raise ValidationError("requires either lambda0 or both L and j", key="cavity")
     if "L" in section or "j" in section:
-        raise ValidationError("cavity: give either (L, j) or lambda0, not both")
+        raise ValidationError("give either (L, j) or lambda0, not both", key="cavity")
     return _build("cavity", CavitySpec.from_rest_wavelength, section)
 
 
@@ -190,7 +188,7 @@ def _parse_gravity(value, cavity: CavitySpec | None) -> GravityProfile:
     gravity = _build("gravity", GravityProfile, section)
     if cavity is not None and gravity.n_s != cavity.n_s:
         raise ValidationError(
-            f"gravity.n_s: must match cavity.n_s (single medium), got {gravity.n_s!r} vs {cavity.n_s!r}"
+            f"must match cavity.n_s (single medium), got {gravity.n_s!r} vs {cavity.n_s!r}", key="gravity.n_s"
         )
     return gravity
 
@@ -204,15 +202,17 @@ def _check_shared_physics(
     # (2*pi*c/lambda0 vs pi*j*c/(L*n_s)), so equality is to 1e-12
     if cavity is not None and abs(experiment.omega0 - cavity.omega0) > 1e-12 * cavity.omega0:
         raise ValidationError(
-            f"experiment.lambda0: rest frequency {experiment.omega0!r} rad/s disagrees with cavity's {cavity.omega0!r}"
+            f"rest frequency {experiment.omega0!r} rad/s disagrees with cavity's {cavity.omega0!r}",
+            key="experiment.lambda0",
         )
     medium, section = (cavity, "cavity") if cavity is not None else (gravity, "gravity")
     if medium is not None and experiment.n_s != medium.n_s:
         raise ValidationError(
-            f"experiment.n_s: must match {section}.n_s (single medium), got {experiment.n_s!r} vs {medium.n_s!r}"
+            f"must match {section}.n_s (single medium), got {experiment.n_s!r} vs {medium.n_s!r}",
+            key="experiment.n_s",
         )
     if gravity is not None and experiment.g != gravity.g:
-        raise ValidationError(f"experiment.g: must match gravity.g, got {experiment.g!r} vs {gravity.g!r}")
+        raise ValidationError(f"must match gravity.g, got {experiment.g!r} vs {gravity.g!r}", key="experiment.g")
 
 
 def parse_scenario(text: str) -> ScenarioFile:
@@ -222,7 +222,7 @@ def parse_scenario(text: str) -> ScenarioFile:
         # ValueError: bad JSON or an integer past the digit limit; RecursionError: nesting too deep
         document = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"scenario syntax error: {exc}") from None
+        raise ValidationError(f"syntax error: {exc}", key="scenario") from None
     root = _mapping("", document, _FIELDS[ScenarioFile])
 
     cavity = _parse_cavity(root["cavity"]) if "cavity" in root else None
@@ -241,7 +241,7 @@ def load_scenario(path) -> ScenarioFile:
         with open(path, "r", encoding="utf-8") as handle:
             return parse_scenario(handle.read())
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"scenario: {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise ValidationError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})", key="scenario") from None
 
 
 def _as_dict(obj) -> dict:

@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -5,7 +7,9 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +17,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cavityfall
-from cavityfall import cli, load_scenario, parse_scenario
+from cavityfall import (
+    CavityFallError,
+    CavitySpec,
+    ExperimentConfig,
+    GravityProfile,
+    Grid1D,
+    OutputSettings,
+    PropagationSettings,
+    cli,
+    load_scenario,
+    parse_scenario,
+)
 from cavityfall.cli import DEFAULT_Q_SWEEP, _write_csv, main, run
 from cavityfall.units import c as c_si
 
@@ -216,7 +231,8 @@ class TestDeterminismAndReplay:
                 assert entry_a["file"] == entry_b["file"]
                 assert entry_a["sha256"] == entry_b["sha256"]
             # the environment that produced the run, the same for every run of a process
-            assert set(first["environment"]) == {"cavityfall", "python", "numpy", "platform", "malloc_thresholds"}
+            environment = {"cavityfall", "python", "numpy", "platform", "ufunc_dispatch", "malloc_thresholds"}
+            assert set(first["environment"]) == environment
             assert first["environment"]["cavityfall"] == cavityfall.__version__
             assert second["environment"] == first["environment"]
 
@@ -359,7 +375,7 @@ class TestMainEntryPoint:
         out = tmp_path / "out"
         assert main(["dispersion", "--scenario", str(scenario_path), "--out", str(out), "--k-points", "4", "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("validation error: cavity (default k_max = 2*omega0/c_medium)")
+        assert err.startswith("validation error: cavity: ") and "(the default k_max = 2*omega0/c_medium)" in err
         assert "--k-max" not in err
         assert not (out / "dispersion.csv").exists()
 
@@ -435,6 +451,25 @@ class TestMainEntryPoint:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"validation error: {option}: ") and "experiment.Q" not in err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "bracket, code, option",
+        [
+            (["--q-lo", "0"], 2, "--q-lo"),
+            (["--q-lo", "1e12", "--q-hi", "1e9"], 2, "--q-hi"),
+            # the default q_hi, 1e12, lies below this q_lo
+            (["--q-lo", "1e13"], 2, "--q-hi"),
+            # peak SNR already above 1 at q_lo, or still below 1 at q_hi
+            (["--q-lo", "5e11"], 3, "--q-lo"),
+            (["--q-hi", "1e10"], 3, "--q-hi"),
+        ],
+    )
+    def test_qthreshold_bracket_names_the_option(self, scenario_dir, tmp_path, capsys, bracket, code, option):
+        out = tmp_path / "out"
+        argv = ["qthreshold", "--scenario", str(scenario_dir / "caf2_wgmc.json"), "--out", str(out), *bracket]
+        assert main(argv) == code
+        assert capsys.readouterr().err.split(": ")[1] == option
         assert not out.exists() or list(out.iterdir()) == []
 
     def test_experiment_disagreeing_with_cavity_exit_two(self, scenario_dir, tmp_path, capsys):
@@ -592,15 +627,63 @@ def _case(command, expected, **changes):
     return example(**{**_SMALL_CASE, "command": command, "expected": expected, **changes})
 
 
+_SECTIONS = {
+    "cavity": CavitySpec,
+    "gravity": GravityProfile,
+    "propagation": PropagationSettings,
+    "propagation.grid": Grid1D,
+    "experiment": ExperimentConfig,
+    "output": OutputSettings,
+}
+#: what an error's key may name: a scenario section or one of its keys
+#: (a cavity may give lambda0 for L and j), or a command-line option
+_KEYS = {
+    *_SECTIONS,
+    *(f"{section}.{field.name}" for section, cls in _SECTIONS.items() for field in fields(cls)),
+    "cavity.lambda0",
+    *("--k-min", "--k-max", "--k-points", "--q", "--q-lo", "--q-hi", "--width-model"),
+}
+
+
+def _names_keys(key):
+    # a check of two options together names both: "--k-min, --k-max"
+    return key is not None and all(part in _KEYS for part in key.split(", "))
+
+
+@contextlib.contextmanager
+def _errors_raised():
+    """The library errors that main() reports, as it reads the scenario and runs the command."""
+    raised = []
+
+    def recorded(function):
+        @functools.wraps(function)
+        def call(*args, **kwargs):
+            try:
+                return function(*args, **kwargs)
+            except CavityFallError as exc:
+                raised.append(exc)
+                raise
+
+        return call
+
+    with mock.patch.object(cli, "load_scenario", recorded(cli.load_scenario)):
+        with mock.patch.object(cli, "run", recorded(cli.run)):
+            yield raised
+
+
 def _run_document(command, doc, options):
     """Exit code of one command on doc with the given command-line options;
     exit 0 must leave only finite numbers, each output listed once in the
-    manifest with its file's sha256."""
+    manifest with its file's sha256, and exit 2 or 3 must come from an error
+    whose key names a scenario key or an option."""
     with tempfile.TemporaryDirectory() as work:
         scenario_path = Path(work) / "scenario.json"
         scenario_path.write_text(json.dumps(doc))
         out = Path(work) / "out"
-        code = main([command, "--scenario", str(scenario_path), "--out", str(out), "--quiet", *_argv(options)])
+        with _errors_raised() as raised:
+            code = main([command, "--scenario", str(scenario_path), "--out", str(out), "--quiet", *_argv(options)])
+        if code in (2, 3):
+            assert len(raised) == 1 and _names_keys(raised[0].key), [str(exc) for exc in raised]
         if code == 0:
             outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
             names = [entry["file"] for entry in outputs]
@@ -677,6 +760,9 @@ class TestExitCodes:
     @_case("dispersion", 2, lambda0=5.8e299)
     # a mode order too large to convert to a float
     @_case("dispersion", 2, geometry=(1e-6, 10**400))
+    # a finite mass m whose m/hbar, the propagator's mass, overflows
+    @_case("freefall-numeric", 2, lambda0=1e-200, n_s=3e60)
+    @_case("freefall-analytic", 0, lambda0=1e-200, n_s=3e60)
     def test_generated_documents_exit_documented(
         self, command, dt, t_final, grid, stride, lambda0, geometry, n_s, quality, sigma0, g, expected
     ):
@@ -753,6 +839,9 @@ class TestExitCodes:
     @example(command_and_options=("fig2b", {"--q": [7e10, math.inf]}), changes={}, expected=2)
     @example(command_and_options=("qthreshold", {"--q-hi": math.inf}), changes={}, expected=2)
     @example(command_and_options=("qthreshold", {"--q-lo": math.nan}), changes={}, expected=2)
+    # a q_lo whose trace window underflows to 0, and a bracket below the threshold
+    @example(command_and_options=("qthreshold", {"--q-lo": 5e-324}), changes={}, expected=2)
+    @example(command_and_options=("qthreshold", {"--q-hi": 1e10}), changes={}, expected=3)
     # a bracket narrower than the bisection's tolerance: no iteration
     @example(
         command_and_options=("qthreshold", {"--q-lo": _NARROW_Q_BRACKET[0], "--q-hi": _NARROW_Q_BRACKET[1]}),

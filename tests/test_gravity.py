@@ -37,8 +37,9 @@ class TestGravityProfile:
 
     def test_rejects_index_whose_square_overflows(self):
         # g_tilde = g/n_s**2 would raise OverflowError
-        with pytest.raises(ValidationError, match="gravity.n_s"):
+        with pytest.raises(ValidationError, match="n_s\\*\\*2") as err:
             GravityProfile(n_s=1.4e154)
+        assert err.value.key == "n_s"
 
 
 class TestGravitationalIndex:
@@ -180,7 +181,7 @@ FAINT = GravityProfile(g=1e-6, n_s=1.0)
 def _one_time_fall(cavity, profile, t):
     # freefall_trajectory of one time as written before it took columns
     if not (t >= 0.0 and math.isfinite(t)):
-        raise ValidationError(f"t must be >= 0, got {t!r}")
+        raise ValidationError(f"must be >= 0, got {t!r}", key="t")
     g_tilde = profile.g_tilde
     v = -g_tilde * t
     v_max = VELOCITY_LIMIT_FRACTION * cavity.c_medium
@@ -199,7 +200,7 @@ def _one_time_fall(cavity, profile, t):
 def _one_time_gradient(omega0, profile, t):
     # phase_gradient of one time as written before it took columns
     if not (t >= 0.0 and math.isfinite(t)):
-        raise ValidationError(f"t must be >= 0, got {t!r}")
+        raise ValidationError(f"must be >= 0, got {t!r}", key="t")
     gradient = omega0 * profile.g * t / c**2
     if not math.isfinite(gradient):
         raise DomainError(f"the phase gradient omega0*g*t/c^2 overflows at t = {t:.6g} s")

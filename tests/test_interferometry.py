@@ -66,19 +66,21 @@ class TestExperimentConfig:
             replace(CORRECTED, width_model="verbatim")
 
     @pytest.mark.parametrize(
-        "changes, error, named",
+        "changes, error, key, named",
         [
-            (dict(sigma0=1e160), ValidationError, "experiment.sigma0"),
-            (dict(y_out=1e200), ValidationError, "experiment.y_out"),
-            (dict(P_avg=1e300, T_int=1e300), ValidationError, "photon count"),
-            (dict(lambda0=1e-300), ValidationError, "experiment.lambda0"),
-            (dict(Q=1e308), ValidationError, "experiment.Q"),
-            (dict(sigma0=1e-150, y_out=1e150), DomainError, "overflows on its trace window"),
+            (dict(sigma0=1e160), ValidationError, "sigma0", "its square"),
+            (dict(y_out=1e200), ValidationError, "y_out", "its square"),
+            (dict(P_avg=1e300, T_int=1e300), ValidationError, None, "photon count"),
+            (dict(lambda0=1e-300), ValidationError, "lambda0", "photon energy"),
+            (dict(Q=1e308), ValidationError, "Q", "trace window"),
+            (dict(sigma0=1e-150, y_out=1e150), DomainError, None, "overflows on its trace window"),
         ],
     )
-    def test_rejects_values_the_model_cannot_evaluate(self, changes, error, named):
-        with pytest.raises(error, match=named):
+    def test_rejects_values_the_model_cannot_evaluate(self, changes, error, key, named):
+        # the key names the field at fault, or none for a check across fields
+        with pytest.raises(error, match=named) as err:
             replace(CORRECTED, **changes)
+        assert err.value.key == key
 
 
 class TestModeWidth:
@@ -203,8 +205,9 @@ class TestSnr:
     @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, [0.0, -1e-300]])
     def test_signal_and_snr_reject_bad_times(self, t):
         for public in (interference_signal, snr):
-            with pytest.raises(ValidationError, match="t must be finite and >= 0"):
+            with pytest.raises(ValidationError, match="must be finite and >= 0") as err:
                 public(PAPER, t)
+            assert err.value.key == "t"
 
 
 class TestSnrTrace:
@@ -320,8 +323,19 @@ class TestQThreshold:
         with pytest.raises(ValidationError):
             q_threshold(PAPER, 1e12, 1e9)
 
+    @pytest.mark.parametrize(
+        "q_lo, q_hi, key",
+        [(1e12, 1e9, "q_hi"), (0.0, 1e12, "q_lo"), (math.nan, 1e12, "q_lo"), (1e9, math.inf, "q_hi")],
+    )
+    def test_bracket_must_be_finite_and_ordered(self, q_lo, q_hi, key):
+        with pytest.raises(ValidationError) as err:
+            q_threshold(PAPER, q_lo, q_hi)
+        assert err.value.key == key
+
     def test_non_straddling_bracket_reports_both_peaks(self):
         with pytest.raises(DomainError) as err:
             q_threshold(PAPER, 1e11, 1e12)
         assert "Sn_peak(1e+11)" in str(err.value)
         assert "Sn_peak(1e+12)" in str(err.value)
+        # the peak at q_lo is already above 1
+        assert err.value.key == "q_lo"

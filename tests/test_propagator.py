@@ -25,6 +25,7 @@ from cavityfall import (
     phase_gradient,
     propagate,
 )
+from cavityfall import propagator
 from cavityfall.propagator import (
     _ANCHOR_INTERVAL,
     MAX_ROWS,
@@ -186,8 +187,9 @@ class TestRecordingSchedule:
 
     def test_row_budget_checked_before_building_the_list(self):
         # 10**12 rows would need terabytes; the check must come first
-        with pytest.raises(ValidationError, match="output.stride"):
+        with pytest.raises(ValidationError, match="over the budget") as err:
             recording_schedule(10**12, 1)
+        assert err.value.key == "stride"
         with pytest.raises(ValidationError, match=f"budget of {MAX_ROWS}"):
             recording_schedule(MAX_ROWS - 1, 1)
 
@@ -584,6 +586,27 @@ class TestPropagate:
         assert trace.t[0] == 0.0
         assert trace.t[-1] == pytest.approx(1.0, rel=1e-15)
         assert np.all(np.diff(trace.t) > 0)
+
+    def test_moments_taken_once_per_record(self, monkeypatch):
+        # record 0 reuses the moments that check the initial state
+        state = init_gaussian(GRID, 1.0)
+        initial = observables(state)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _envelope_moments(*args)
+
+        monkeypatch.setattr(propagator, "_envelope_moments", counted)
+        scenario = PropagationScenario(mass=1.0, g_tilde=0.5, dt=1 / 64, n_steps=100, record_stride=7)
+        _, trace = propagate(state, scenario)
+        assert len(calls) == len(trace.t) == len(recording_schedule(100, 7))
+        assert (trace.norm[0], trace.centroid[0], trace.width[0], trace.phase_gradient[0]) == (
+            initial.norm,
+            initial.centroid,
+            initial.width,
+            initial.phase_gradient,
+        )
 
     def test_domain_escape_suggests_larger_grid(self):
         small = Grid1D(-8.0, 8.0, 128)
