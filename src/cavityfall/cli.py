@@ -9,8 +9,8 @@ Commands (all scenario-driven, SI units in, SI units out):
     qthreshold        quality-factor bisection result plus iteration log
 
 Every run writes its files atomically (temp file + rename) and finishes with
-run_manifest.json: resolved parameters, derived quantities, sha256
-checksums of each artifact, and the environment (cavityfall, Python and
+run_manifest.json: resolved parameters, derived quantities, the sha256 and
+size of the bytes written for each artifact, and the environment (cavityfall, Python and
 numpy versions, platform, numpy's ufunc dispatch targets, the malloc
 thresholds main() pinned).  Re-running a command with the manifest's
 resolved scenario reproduces the CSV bytes exactly.  Floats are printed as
@@ -57,25 +57,15 @@ _DEFAULT_RECORDS = 256
 # twice the largest grid's complex array: 32 MiB, the largest mmap threshold
 # glibc accepts on 64-bit
 _MALLOC_THRESHOLD = 2 * MAX_GRID_POINTS * np.dtype(complex).itemsize
-#: Per command: the scenario sections it requires, the first also the key of
-#: a library error raised without one, and the option or scenario key of each
-#: library key it sets (in qthreshold, a bracket end fails as the Q).
-_COMMANDS = {
-    "dispersion": (("cavity",), {}),
-    "freefall-analytic": (("propagation", "cavity", "gravity"), {"stride": "output.stride"}),
-    "freefall-numeric": (("propagation", "cavity", "gravity"), {"stride": "output.stride", "mass": "cavity"}),
-    "fig2b": (("experiment",), {"Q": "--q"}),
-    "qthreshold": (("experiment",), {"q_lo": "--q-lo", "q_hi": "--q-hi", "Q": "--q-lo, --q-hi"}),
-}
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, data: bytes) -> None:
     # a unique temp name per write, so concurrent runs into one directory
     # never share one; mkstemp creates it 0600, artifacts are 0644
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
     except BaseException:
@@ -83,21 +73,24 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _write_csv(path: Path, header: tuple[str, ...], columns: list[np.ndarray]) -> None:
+def _write(path: Path, text: str) -> dict:
+    """Write text as UTF-8; returns the manifest entry of the bytes written."""
+    data = text.encode()
+    _write_atomic(path, data)
+    return {"file": path.name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+
+def _write_csv(path: Path, header: tuple[str, ...], columns: list[np.ndarray]) -> dict:
     # repr of a Python float is its shortest round-trip decimal.  Values are
     # converted one at a time: col.tolist() is a little faster, but its
     # lists of every column's floats fragment the heap and raise the peak
     # memory of a long run of CSV-heavy commands by a quarter.
     cells = [map(repr, map(float, col)) for col in columns]
-    _write_atomic(path, "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
+    return _write(path, "\n".join([",".join(header), *map(",".join, zip(*cells)), ""]))
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_json(path: Path, payload: dict) -> dict:
+    return _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @functools.cache
@@ -137,15 +130,10 @@ def _derived_block(scenario: ScenarioFile) -> dict:
     return derived
 
 
-def _resolve_stride(scenario: ScenarioFile, n_steps: int) -> int:
-    if scenario.output.stride is not None:
-        return scenario.output.stride
-    return max(1, n_steps // _DEFAULT_RECORDS)
-
-
-def _run_dispersion(scenario: ScenarioFile, out_dir: Path, args: dict) -> list[Path]:
+def _run_dispersion(
+    scenario: ScenarioFile, out_dir: Path, *, k_min: float = 0.0, k_max: float | None = None, k_points: int = 256
+) -> dict:
     cav = scenario.cavity
-    k_min, k_max = args["k_min"], args["k_max"]
     # without --k-max the cavity sets k_max, and --k-min alone sets the span
     k_max_key, span_key, note = "--k-max", "--k-min, --k-max", ""
     if k_max is None:
@@ -165,32 +153,30 @@ def _run_dispersion(scenario: ScenarioFile, out_dir: Path, args: dict) -> list[P
     for key, value, about in bounds:
         if not math.isfinite(float(photon_energy(cav, value)) / hbar):
             raise ValidationError(f"the photon energy omega(k) is out of double range at k = {value!r}{about}", key=key)
-    if not 1 <= args["k_points"] <= MAX_ROWS:
-        raise ValidationError(f"must be between 1 and {MAX_ROWS}, got {args['k_points']!r}", key="--k-points")
-    args["k_max"] = k_max
-    k_grid = np.linspace(k_min, k_max, args["k_points"])
-    path = out_dir / "dispersion.csv"
-    _write_csv(
-        path,
+    if not 1 <= k_points <= MAX_ROWS:
+        raise ValidationError(f"must be between 1 and {MAX_ROWS}, got {k_points!r}", key="--k-points")
+    k_grid = np.linspace(k_min, k_max, k_points)
+    output = _write_csv(
+        out_dir / "dispersion.csv",
         ("k_par", "omega", "v_g"),
         [k_grid, photon_energy(cav, k_grid) / hbar, group_velocity(cav, k_grid)],
     )
-    return [path]
+    return {"command_args": {"k_min": k_min, "k_max": k_max, "k_points": k_points}, "outputs": [output]}
 
 
-def _run_freefall_analytic(scenario: ScenarioFile, out_dir: Path, stride: int) -> list[Path]:
+def _run_freefall_analytic(scenario: ScenarioFile, out_dir: Path) -> dict:
     cav, profile, prop = scenario.cavity, scenario.gravity, scenario.propagation
     # step indices can pass int64, so each time is a Python int times dt
-    times = np.array([i * prop.dt for i in recording_schedule(prop.n_steps, stride)])
+    times = np.array([i * prop.dt for i in recording_schedule(prop.n_steps, scenario.output.stride)])
     state = freefall_trajectory(cav, profile, times)
     grads = phase_gradient(cav.omega0, profile, times)
-    path = out_dir / "freefall_analytic.csv"
-    _write_csv(path, ("t_si", "y_si", "v_si", "k_si", "phase_grad_si"), [times, state.y, state.v, state.k_y, grads])
-    return [path]
+    header = ("t_si", "y_si", "v_si", "k_si", "phase_grad_si")
+    output = _write_csv(out_dir / "freefall_analytic.csv", header, [times, state.y, state.v, state.k_y, grads])
+    return {"command_args": {}, "outputs": [output]}
 
 
-def _run_freefall_numeric(scenario: ScenarioFile, out_dir: Path, stride: int) -> tuple[list[Path], dict]:
-    cav, profile, prop = scenario.cavity, scenario.gravity, scenario.propagation
+def _run_freefall_numeric(scenario: ScenarioFile, out_dir: Path) -> dict:
+    cav, profile, prop, stride = scenario.cavity, scenario.gravity, scenario.propagation, scenario.output.stride
     # SI throughout: hbar enters only through the propagator mass m/hbar [s/m^2]
     run = PropagationScenario(
         mass=effective_mass(cav) / hbar,
@@ -200,19 +186,10 @@ def _run_freefall_numeric(scenario: ScenarioFile, out_dir: Path, stride: int) ->
         record_stride=stride,
     )
     _, trace = propagate(init_gaussian(prop.grid, sigma0=prop.sigma0), run)
-    path = out_dir / "freefall_numeric.csv"
-    _write_csv(
-        path,
+    output = _write_csv(
+        out_dir / "freefall_numeric.csv",
         ("t_si", "y_si", "sigma_si", "k_si", "norm", "energy_si", "phase_grad_si"),
-        [
-            trace.t,
-            trace.centroid,
-            trace.width,
-            trace.mean_k,
-            trace.norm,
-            trace.energy * hbar,
-            trace.phase_gradient,
-        ],
+        [trace.t, trace.centroid, trace.width, trace.mean_k, trace.norm, trace.energy * hbar, trace.phase_gradient],
     )
     convergence = {
         "n_steps": prop.n_steps,
@@ -221,19 +198,18 @@ def _run_freefall_numeric(scenario: ScenarioFile, out_dir: Path, stride: int) ->
         "norm_drift": float(np.max(np.abs(trace.norm - trace.norm[0]))),
         "energy_drift": float(np.max(np.abs(trace.energy - trace.energy[0]) / abs(trace.energy[0]))),
     }
-    return [path], convergence
+    return {"command_args": {}, "outputs": [output], "convergence": convergence}
 
 
-def _run_fig2b(scenario: ScenarioFile, out_dir: Path, args: dict) -> tuple[list[Path], dict]:
+def _run_fig2b(scenario: ScenarioFile, out_dir: Path, *, q_values=DEFAULT_Q_SWEEP) -> dict:
     base = scenario.experiment
-    q_values = tuple(args["q_values"])
+    q_values = tuple(q_values)
     if not q_values:
         raise ValidationError("needs at least one value", key="--q")
     # two values that print alike under {q:g} would overwrite one another's CSV
     names = [f"fig2b_Q{q:g}.csv" for q in q_values]
     if len(set(names)) < len(names):
         raise ValidationError(f"the values {list(q_values)!r} do not give distinct files {names}", key="--q")
-    paths: list[Path] = []
     traces = []
     traces_summary = []
     divergence = []
@@ -266,103 +242,89 @@ def _run_fig2b(scenario: ScenarioFile, out_dir: Path, args: dict) -> tuple[list[
             }
         )
     # every Q is evaluated before the first file is written
-    for name, trace in zip(names, traces):
-        path = out_dir / name
-        _write_csv(path, ("t_si", "i_signal", "sn"), [trace.t, trace.i_signal, trace.sn])
-        paths.append(path)
-    summary_path = out_dir / "fig2b_summary.json"
-    _write_json(
-        summary_path,
-        {
-            "width_model": base.width_model,
-            "n_samples": _FIG2B_SAMPLES,
-            "traces": traces_summary,
-            "width_model_divergence": divergence,
-        },
-    )
-    paths.append(summary_path)
-    return paths, {"q_values": list(q_values)}
+    outputs = [
+        _write_csv(out_dir / name, ("t_si", "i_signal", "sn"), [trace.t, trace.i_signal, trace.sn])
+        for name, trace in zip(names, traces)
+    ]
+    summary = {
+        "width_model": base.width_model,
+        "n_samples": _FIG2B_SAMPLES,
+        "traces": traces_summary,
+        "width_model_divergence": divergence,
+    }
+    outputs.append(_write_json(out_dir / "fig2b_summary.json", summary))
+    return {"command_args": {"q_values": list(q_values)}, "outputs": outputs}
 
 
-def _run_qthreshold(scenario: ScenarioFile, out_dir: Path, args: dict) -> tuple[list[Path], dict]:
-    result = q_threshold(scenario.experiment, args["q_lo"], args["q_hi"])
+def _run_qthreshold(scenario: ScenarioFile, out_dir: Path, *, q_lo: float = 1e9, q_hi: float = 1e12) -> dict:
+    result = q_threshold(scenario.experiment, q_lo, q_hi)
     # a bracket already inside the tolerance takes no iteration: (0, 4)
     iterations = np.array(result.iterations).reshape(-1, 4)
-    log_path = out_dir / "qthreshold_iterations.csv"
-    _write_csv(
-        log_path,
+    log = _write_csv(
+        out_dir / "qthreshold_iterations.csv",
         ("iteration", "q_lo", "q_hi", "q_mid", "sn_peak_mid"),
-        [
-            np.arange(len(result.iterations), dtype=float),
-            iterations[:, 0],
-            iterations[:, 1],
-            iterations[:, 2],
-            iterations[:, 3],
-        ],
+        [np.arange(len(result.iterations), dtype=float), *iterations.T],
     )
-    result_path = out_dir / "qthreshold_result.json"
-    _write_json(
-        result_path,
-        {
-            "q_lo": args["q_lo"],
-            "q_hi": args["q_hi"],
-            "q_min": result.q_min,
-            "sn_peak": result.sn_peak,
-            "n_iterations": len(result.iterations),
-        },
-    )
-    return [log_path, result_path], {"q_lo": args["q_lo"], "q_hi": args["q_hi"]}
+    summary = {
+        "q_lo": q_lo,
+        "q_hi": q_hi,
+        "q_min": result.q_min,
+        "sn_peak": result.sn_peak,
+        "n_iterations": len(result.iterations),
+    }
+    outputs = [log, _write_json(out_dir / "qthreshold_result.json", summary)]
+    return {"command_args": {"q_lo": q_lo, "q_hi": q_hi}, "outputs": outputs}
+
+
+_FREEFALL = ("propagation", "cavity", "gravity")
+#: Per command: its runner, the scenario sections it requires (the first also
+#: the key of a library error raised without one), and the option or scenario
+#: key of each library key it sets.  A runner takes the scenario and the
+#: output directory, and its own options as keyword-only parameters; it
+#: returns its manifest blocks: outputs, command_args, and convergence where
+#: it has one.
+_COMMANDS = {
+    "dispersion": (_run_dispersion, ("cavity",), {}),
+    "freefall-analytic": (_run_freefall_analytic, _FREEFALL, {"stride": "output.stride"}),
+    "freefall-numeric": (_run_freefall_numeric, _FREEFALL, {"stride": "output.stride", "mass": "cavity"}),
+    "fig2b": (_run_fig2b, ("experiment",), {"Q": "--q"}),
+    "qthreshold": (_run_qthreshold, ("experiment",), {"q_lo": "--q-lo", "q_hi": "--q-hi"}),
+}
 
 
 def run(
-    command: str,
-    scenario: ScenarioFile,
-    out_dir,
-    *,
-    width_model: str | None = None,
-    q_values=DEFAULT_Q_SWEEP,
-    q_lo: float = 1e9,
-    q_hi: float = 1e12,
-    k_min: float = 0.0,
-    k_max: float | None = None,
-    k_points: int = 256,
-    quiet: bool = True,
+    command: str, scenario: ScenarioFile, out_dir, *, width_model: str | None = None, quiet: bool = True, **options
 ) -> dict:
-    """Execute one command against a validated scenario; returns the manifest."""
+    """Execute one command against a validated scenario; returns the manifest.
+
+    options are the command's own, the keyword-only parameters of its
+    runner; another command's option is a TypeError.  A command that
+    requires propagation runs with the default output.stride written into
+    the scenario, so the manifest's resolved scenario carries it."""
     started = time.perf_counter()
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     if command not in _COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
-    sections, library_keys = _COMMANDS[command]
-
-    command_args: dict = {}
-    convergence: dict | None = None
-    resolved_stride = scenario.output.stride
+    runner, sections, library_keys = _COMMANDS[command]
 
     try:
         for name in sections:
             if getattr(scenario, name) is None:
                 raise ValidationError(f"the {command} command requires this section", key=name)
+        if "propagation" in sections and scenario.output.stride is None:
+            stride = max(1, scenario.propagation.n_steps // _DEFAULT_RECORDS)
+            scenario = replace(scenario, output=replace(scenario.output, stride=stride))
         if width_model is not None:
             if scenario.experiment is None:
                 raise ValidationError("needs the scenario's experiment section", key="--width-model")
             model = read_width_model("--width-model", width_model)
-            scenario = replace(scenario, experiment=replace(scenario.experiment, width_model=model))
-        if command == "dispersion":
-            command_args = {"k_min": k_min, "k_max": k_max, "k_points": k_points}
-            outputs = _run_dispersion(scenario, out_path, command_args)
-        elif command in ("freefall-analytic", "freefall-numeric"):
-            resolved_stride = _resolve_stride(scenario, scenario.propagation.n_steps)
-            if command == "freefall-analytic":
-                outputs = _run_freefall_analytic(scenario, out_path, resolved_stride)
-            else:
-                outputs, convergence = _run_freefall_numeric(scenario, out_path, resolved_stride)
-        elif command == "fig2b":
-            command_args = {"q_values": list(q_values)}
-            outputs, command_args = _run_fig2b(scenario, out_path, command_args)
-        else:
-            outputs, command_args = _run_qthreshold(scenario, out_path, {"q_lo": q_lo, "q_hi": q_hi})
+            try:
+                scenario = replace(scenario, experiment=replace(scenario.experiment, width_model=model))
+            except CavityFallError as exc:  # the scenario's own Q, under this width model
+                exc.key = f"experiment.{exc.key}"
+                raise
+        blocks = runner(scenario, out_path, **options)
     except CavityFallError as exc:
         exc.key = sections[0] if exc.key is None else library_keys.get(exc.key, exc.key)
         raise
@@ -371,23 +333,18 @@ def run(
         "tool": "cavityfall",
         "version": __version__,
         "command": command,
-        "command_args": command_args,
-        "resolved_scenario": scenario_to_dict(scenario, resolved_stride=resolved_stride),
+        **blocks,
+        "resolved_scenario": scenario_to_dict(scenario),
         "derived": _derived_block(scenario),
-        "outputs": [
-            {"file": p.name, "sha256": _sha256(p), "bytes": p.stat().st_size} for p in outputs
-        ],
         "duration_s": time.perf_counter() - started,
         "environment": {**_environment(), "malloc_thresholds": _pinned_malloc_thresholds()},
     }
-    if convergence is not None:
-        manifest["convergence"] = convergence
     manifest_path = out_path / "run_manifest.json"
     _write_json(manifest_path, manifest)
 
     if not quiet:
-        for p in outputs:
-            print(f"wrote {p}")
+        for entry in manifest["outputs"]:
+            print(f"wrote {out_path / entry['file']}")
         print(f"wrote {manifest_path}")
     return manifest
 
@@ -396,9 +353,11 @@ def run(
 def _build_parser() -> argparse.ArgumentParser:
     # built on the first main() call, not at import, and reused: parse_args
     # keeps its results in a fresh namespace, so no call sees another's.
-    # run()'s signature is the one home of the option defaults: options not
-    # given stay out of the namespace, and the help text quotes the signature
-    defaults = {name: p.default for name, p in inspect.signature(run).parameters.items()}
+    # the runners' signatures are the one home of the option defaults: options
+    # not given stay out of the namespace, and the help text quotes them
+    defaults = {
+        name: p.default for runner, *_ in _COMMANDS.values() for name, p in inspect.signature(runner).parameters.items()
+    }
     parser = argparse.ArgumentParser(
         prog="cavityfall",
         description="Massive cavity photons: dispersion, gravitational free fall, interferometer SNR.",

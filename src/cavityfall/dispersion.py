@@ -76,7 +76,15 @@ class CavitySpec:
         _require_index(n_s)
         if not (isinstance(lambda0, (int, float)) and math.isfinite(lambda0) and lambda0 / (2.0 * n_s) > 0.0):
             raise ValidationError(f"must be > 0, as must lambda0/(2*n_s), got {lambda0!r}", key="lambda0")
-        return cls(L=lambda0 / (2.0 * n_s), j=1, n_s=n_s, Q=Q)
+        try:
+            return cls(L=lambda0 / (2.0 * n_s), j=1, n_s=n_s, Q=Q)
+        except ValidationError as exc:
+            if exc.key is not None:  # Q's own check
+                raise
+            # the caller gave lambda0 and n_s, not the half-wave cavity's L and j
+            raise ValidationError(
+                f"rest energy and effective mass of lambda0 = {lambda0!r}, n_s = {n_s!r} must be in double range"
+            ) from None
 
     @property
     def c_medium(self) -> float:

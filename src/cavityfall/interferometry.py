@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import CavitySpec
-from .errors import DomainError, ValidationError
+from .errors import CavityFallError, DomainError, ValidationError
 from .units import c, g_earth, hbar
 
 WIDTH_MODELS = ("corrected", "paper_verbatim")
@@ -112,15 +112,13 @@ class ExperimentConfig:
             )
         # Every intermediate value of Sn(t) is monotone in t, so on the trace
         # window it is bounded by its values at t = 0 and at the window end:
-        # finite there is finite on every sample.
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                snr(self, np.array([0.0, self.window]))
-        except FloatingPointError:
+        # finite there is finite on every sample.  Only the end depends on Q.
+        if not _snr_finite(self, [0.0, self.window]):
             raise DomainError(
                 f"the signal model overflows on its trace window [0, {self.window:.6g}] s "
-                f"(sigma0 = {self.sigma0!r}, y_out = {self.y_out!r}, n_s = {self.n_s!r}, g = {self.g!r})"
-            ) from None
+                f"(sigma0 = {self.sigma0!r}, y_out = {self.y_out!r}, n_s = {self.n_s!r}, g = {self.g!r})",
+                key="Q" if _snr_finite(self, [0.0]) else None,
+            )
 
     @property
     def omega0(self) -> float:
@@ -175,6 +173,15 @@ class QThresholdResult:
     q_min: float
     sn_peak: float
     iterations: tuple[tuple[float, float, float, float], ...]
+
+
+def _snr_finite(cfg: ExperimentConfig, times: list[float]) -> bool:
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            snr(cfg, np.array(times))
+    except FloatingPointError:
+        return False
+    return True
 
 
 def _require_time(t) -> np.ndarray:
@@ -328,7 +335,16 @@ def q_threshold(cfg: ExperimentConfig, q_lo: float, q_hi: float) -> QThresholdRe
     def peak(q: float) -> float:
         return snr_peak(replace(cfg, Q=q))[1]
 
-    peak_lo, peak_hi = peak(q_lo), peak(q_hi)
+    def end_peak(q: float, key: str) -> float:
+        # a bracket end the model cannot take at all fails as that end
+        try:
+            return peak(q)
+        except CavityFallError as exc:
+            if exc.key == "Q":
+                exc.key = key
+            raise
+
+    peak_lo, peak_hi = end_peak(q_lo, "q_lo"), end_peak(q_hi, "q_hi")
     if not (peak_lo < 1.0 < peak_hi):
         raise DomainError(
             f"bracket does not straddle Sn_peak = 1: Sn_peak({q_lo:g}) = {peak_lo:g}, "

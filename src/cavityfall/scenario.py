@@ -250,10 +250,7 @@ def _as_dict(obj) -> dict:
     return {key: _as_dict(value) if type(value) in _FIELDS else value for key, value in values if value is not None}
 
 
-def scenario_to_dict(scenario: ScenarioFile, resolved_stride: int | None = None) -> dict:
+def scenario_to_dict(scenario: ScenarioFile) -> dict:
     """Serialize back to a document that re-parses to the same scenario, with
     all defaults materialized (used for the replayable run manifest)."""
-    document = _as_dict(scenario)
-    if resolved_stride is not None:
-        document["output"]["stride"] = resolved_stride
-    return document
+    return _as_dict(scenario)

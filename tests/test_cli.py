@@ -28,6 +28,7 @@ from cavityfall import (
     cli,
     load_scenario,
     parse_scenario,
+    scenario_to_dict,
 )
 from cavityfall.cli import DEFAULT_Q_SWEEP, _write_csv, main, run
 from cavityfall.units import c as c_si
@@ -941,3 +942,107 @@ class TestMallocThresholds:
         first, second, pinned = json.loads(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
         assert first is None
         assert second == pinned
+
+
+class TestErrorKeysOfDerivedValues:
+    """A check of a value the run derives names the key that set it: the
+    experiment's lambda0 and n_s for its photon's mass, and the option or
+    scenario key of the Q at which the signal model overflows."""
+
+    @pytest.mark.parametrize(
+        "command, changes, options, code, line",
+        [
+            (
+                "fig2b",
+                {"lambda0": 1e-200, "n_s": 1e80},
+                [],
+                2,
+                "validation error: experiment: rest energy and effective mass of lambda0 = 1e-200, n_s = 1e+80 "
+                "must be in double range",
+            ),
+            # the window's end overflows at the option's Q, or at a bracket end
+            ("fig2b", {}, ["--q", "1e307"], 3, "numerical-domain error: --q: the signal model overflows"),
+            ("qthreshold", {}, ["--q-hi", "1e307"], 3, "numerical-domain error: --q-hi: the signal model overflows"),
+            (
+                "qthreshold",
+                {},
+                ["--q-lo", "1e306", "--q-hi", "1e307"],
+                3,
+                "numerical-domain error: --q-lo: the signal model overflows",
+            ),
+            # a q_lo whose trace window underflows to 0
+            ("qthreshold", {}, ["--q-lo", "5e-324"], 2, "validation error: --q-lo: the trace window"),
+            # at the scenario's own Q, also under another width model
+            ("fig2b", {"Q": 1e307}, [], 3, "numerical-domain error: experiment.Q: the signal model overflows"),
+            (
+                "fig2b",
+                {"width_model": "paper", "Q": 1e200},
+                ["--q", "7e10", "--width-model", "corrected"],
+                3,
+                "numerical-domain error: experiment.Q: the signal model overflows",
+            ),
+            # an overflow already at t = 0 does not depend on Q
+            (
+                "fig2b",
+                {"y_out": 1e150, "sigma0": 1e-150},
+                [],
+                3,
+                "numerical-domain error: experiment: the signal model overflows",
+            ),
+        ],
+    )
+    def test_main_names_the_key(self, scenario_dir, tmp_path, capsys, command, changes, options, code, line):
+        doc = json.loads((scenario_dir / "caf2_wgmc.json").read_text())
+        doc["experiment"].update(changes)
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(scenario_path), "--out", str(out), "--quiet", *options]) == code
+        assert capsys.readouterr().err.startswith(line)
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_cavity_given_as_length_and_order_keeps_its_keys(self, tmp_path, capsys):
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps({"cavity": {"L": 2.9e-194, "j": 2, "n_s": 2.7e230}}))
+        assert main(["dispersion", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
+        expected = "rest energy and effective mass of L = 2.9e-194, j = 2, n_s = 2.7e+230 must be in double range"
+        assert capsys.readouterr().err == f"validation error: cavity: {expected}\n"
+
+
+class TestCommandTable:
+    """run() passes a command's options to its runner alone, and only a
+    command that propagates resolves the output stride."""
+
+    @pytest.mark.parametrize(
+        "command, scenario, option",
+        [
+            ("dispersion", "small", {"q_lo": 5.0}),
+            ("freefall-numeric", "small", {"q_values": [7e10]}),
+            ("freefall-analytic", "small", {"k_points": 8}),
+            ("fig2b", "reference", {"q_lo": 1e9}),
+            ("qthreshold", "reference", {"k_max": 1.0}),
+        ],
+    )
+    def test_another_commands_option_is_rejected(
+        self, small_scenario, reference_scenario, tmp_path, command, scenario, option
+    ):
+        scenario = small_scenario if scenario == "small" else reference_scenario
+        with pytest.raises(TypeError):
+            run(command, scenario, tmp_path, **option)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_only_a_propagating_command_writes_the_default_stride(self, tmp_path):
+        doc = json.loads(json.dumps(SMALL_FREEFALL))
+        doc["propagation"]["dt"] = 2e-6  # 2000 steps: 2000 // 256 records
+        del doc["output"]["stride"]
+        scenario = parse_scenario(json.dumps(doc))
+        dispersion = run("dispersion", scenario, tmp_path / "dispersion", k_points=4)
+        assert dispersion["resolved_scenario"]["output"] == {"directory": "out"}
+        for command in ("freefall-analytic", "freefall-numeric"):
+            manifest = run(command, scenario, tmp_path / command)
+            assert manifest["resolved_scenario"]["output"] == {"directory": "out", "stride": 7}
+        assert manifest["convergence"]["record_stride"] == 7
+        # the stride is the command's decision: the scenario serializes as it is
+        assert scenario_to_dict(scenario)["output"] == {"directory": "out"}
+        with pytest.raises(TypeError):
+            scenario_to_dict(scenario, resolved_stride=7)
