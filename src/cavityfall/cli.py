@@ -298,7 +298,9 @@ def run(
     """Execute one command against a validated scenario; returns the manifest.
 
     options are the command's own, the keyword-only parameters of its
-    runner; another command's option is a TypeError.  A command that
+    runner; another command's option is a TypeError.  width_model replaces
+    the experiment's width model, and so is an option of the commands that
+    read the experiment, fig2b and qthreshold, alone.  A command that
     requires propagation runs with the default output.stride written into
     the scenario, so the manifest's resolved scenario carries it."""
     started = time.perf_counter()
@@ -307,6 +309,9 @@ def run(
     if command not in _COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
     runner, sections, library_keys = _COMMANDS[command]
+    if width_model is not None and "experiment" not in sections:
+        # the width model is the experiment's: only a command that reads it takes one
+        raise TypeError(f"{runner.__name__}() got an unexpected keyword argument 'width_model'")
 
     try:
         for name in sections:
@@ -316,8 +321,6 @@ def run(
             stride = max(1, scenario.propagation.n_steps // _DEFAULT_RECORDS)
             scenario = replace(scenario, output=replace(scenario.output, stride=stride))
         if width_model is not None:
-            if scenario.experiment is None:
-                raise ValidationError("needs the scenario's experiment section", key="--width-model")
             model = read_width_model("--width-model", width_model)
             try:
                 scenario = replace(scenario, experiment=replace(scenario.experiment, width_model=model))

@@ -54,6 +54,9 @@ _CROSS_REL_TOL = 1e-9
 #: Relative width of the final bracket of the Q bisection.
 _Q_REL_TOL = 1e-4
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_C_SQUARED = c**2
+#: Samples of the trace window in snr_peak, snr_trace and the Q bisection.
+_N_SAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -191,24 +194,35 @@ def _require_time(t) -> np.ndarray:
     return arr
 
 
-def _width_squared(cfg: ExperimentConfig, t: np.ndarray) -> np.ndarray:
-    term = c**2 * t / (2.0 * cfg.omega0 * cfg.n_s**2 * cfg.sigma0)
-    if cfg.width_model == "paper_verbatim":
-        return cfg.sigma0**2 + term
-    return cfg.sigma0**2 + term**2
+def _constants(cfg: ExperimentConfig, q: float | None = None) -> tuple:
+    # The constants of I(t) for cfg at quality factor q (default cfg.Q), each
+    # rounded as the formula rounds it inline, so that precomputing them keeps
+    # every bit: ((2*omega0*n_s^2*sigma0, sigma0^2, is paper_verbatim),
+    # omega0, omega0*g, y_out, y_out^2, Q)
+    omega0 = cfg.omega0
+    width = (2.0 * omega0 * cfg.n_s**2 * cfg.sigma0, cfg.sigma0**2, cfg.width_model == "paper_verbatim")
+    return width, omega0, omega0 * cfg.g, cfg.y_out, cfg.y_out**2, cfg.Q if q is None else q
+
+
+def _width_squared(width: tuple, t):
+    scale, sigma0_squared, verbatim = width
+    term = _C_SQUARED * t / scale
+    return sigma0_squared + (term if verbatim else term**2)
 
 
 def mode_width(cfg: ExperimentConfig, t) -> np.ndarray | float:
     """Vertical mode width sigma(t) [m] under the configured width model."""
-    return np.sqrt(_width_squared(cfg, _require_time(t)))
+    return np.sqrt(_width_squared(_constants(cfg)[0], _require_time(t)))
 
 
-def _signal(cfg: ExperimentConfig, t):
-    # I(t) on checked times: an array, or one float of the trace window.  A
-    # float goes through np.exp, np.sin and libm pow for **2, which give the
-    # bits of a checked 0-d array; math.exp and x*x differ in the last bit.
-    dphi = cfg.omega0 * cfg.g * t * 2.0 * cfg.y_out / c**2
-    envelope = np.exp(-cfg.omega0 * t / cfg.Q - cfg.y_out**2 / _width_squared(cfg, t))
+def _signal(k: tuple, t):
+    # I(t) from _constants on checked times: an array, or one float of the
+    # trace window.  A float goes through np.exp, np.sin and libm pow for **2,
+    # which give the bits of a checked 0-d array; math.exp and x*x differ in
+    # the last bit.
+    width, omega0, omega0_g, y_out, y_out_squared, q = k
+    dphi = omega0_g * t * 2.0 * y_out / _C_SQUARED
+    envelope = np.exp(-omega0 * t / q - y_out_squared / _width_squared(width, t))
     return envelope * 2.0 * np.sin(0.5 * dphi) ** 2
 
 
@@ -218,7 +232,7 @@ def interference_signal(cfg: ExperimentConfig, t) -> np.ndarray | float:
     1 - cos(dphi) is evaluated as 2*sin(dphi/2)^2, which neither cancels nor
     underflows at the tiny early-time phase differences.
     """
-    return _signal(cfg, _require_time(t))
+    return _signal(_constants(cfg), _require_time(t))
 
 
 def snr(cfg: ExperimentConfig, t) -> np.ndarray | float:
@@ -236,8 +250,9 @@ def _refine_peak(f, a: float, b: float) -> tuple[float, float]:
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    # the order test stops a search that has run out of floats between a and b
-    while (b - a) > _PEAK_REL_TOL * max(abs(a), abs(b)) and a < x1 < x2 < b:
+    # the order test stops a search that has run out of floats between a and
+    # b; a and b are times, 0 <= a < b, so b is the larger magnitude
+    while (b - a) > _PEAK_REL_TOL * b and a < x1 < x2 < b:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INV_GOLDEN * (b - a)
@@ -265,28 +280,32 @@ def _refine_crossing(f, a: float, b: float, level: float = 1.0) -> float:
     return mid
 
 
-def _sn_at(cfg: ExperimentConfig):
-    # Sn at one time of the trace window, which ExperimentConfig has checked
+def _sn_at(cfg: ExperimentConfig, q: float | None = None):
+    # Sn at one time of the trace window of cfg at quality factor q (default
+    # cfg.Q): a Q that ExperimentConfig has checked, or one between two such
+    k = _constants(cfg, q)
     photons = cfg.photons
-    return lambda ti: math.sqrt(_signal(cfg, ti) * photons)
+    return lambda ti: math.sqrt(_signal(k, ti) * photons)
 
 
-def _sampled_peak(cfg: ExperimentConfig, n_samples: int):
-    # ((t, I, Sn, index of the largest sample), (t_peak, Sn_peak))
+def _sampled_peak(cfg: ExperimentConfig, n_samples: int, q: float | None = None):
+    # ((t, I, Sn, index of the largest sample), (t_peak, Sn_peak)) of cfg at
+    # quality factor q (default cfg.Q), a Q as _sn_at takes it
     if n_samples < 16:
         raise ValidationError(f"must be >= 16, got {n_samples!r}", key="n_samples")
-    t = np.linspace(0.0, cfg.window, n_samples)
-    i_signal = _signal(cfg, t)
+    q = cfg.Q if q is None else q
+    t = np.linspace(0.0, TRACE_LIFETIMES * q / cfg.omega0, n_samples)
+    i_signal = _signal(_constants(cfg, q), t)
     sn = np.sqrt(i_signal * cfg.photons)
     idx = int(np.argmax(sn))
     if 0 < idx < n_samples - 1 and sn[idx] > 0.0:
-        t_peak, sn_peak = _refine_peak(_sn_at(cfg), float(t[idx - 1]), float(t[idx + 1]))
+        t_peak, sn_peak = _refine_peak(_sn_at(cfg, q), float(t[idx - 1]), float(t[idx + 1]))
     else:
         t_peak, sn_peak = float(t[idx]), float(sn[idx])
     return (t, i_signal, sn, idx), (t_peak, sn_peak)
 
 
-def snr_peak(cfg: ExperimentConfig, n_samples: int = 512) -> tuple[float, float]:
+def snr_peak(cfg: ExperimentConfig, n_samples: int = _N_SAMPLES) -> tuple[float, float]:
     """(t_peak, Sn_peak): the maximum of Sn(t) on the trace window
     [0, cfg.window], sampled at n_samples points and refined to much better
     than 1e-6 relative in t.  The same values as snr_trace's, without its
@@ -298,7 +317,7 @@ def snr_peak(cfg: ExperimentConfig, n_samples: int = 512) -> tuple[float, float]
     return _sampled_peak(cfg, n_samples)[1]
 
 
-def snr_trace(cfg: ExperimentConfig, n_samples: int = 512) -> SnrTrace:
+def snr_trace(cfg: ExperimentConfig, n_samples: int = _N_SAMPLES) -> SnrTrace:
     """Uniformly sampled Sn(t) on the trace window [0, cfg.window] with
     refined peak and crossing.
 
@@ -333,16 +352,18 @@ def q_threshold(cfg: ExperimentConfig, q_lo: float, q_hi: float) -> QThresholdRe
         raise ValidationError(f"must be finite and > q_lo = {q_lo!r}, got {q_hi!r}", key="q_hi")
 
     def peak(q: float) -> float:
-        return snr_peak(replace(cfg, Q=q))[1]
+        return _sampled_peak(cfg, _N_SAMPLES, q)[1][1]
 
     def end_peak(q: float, key: str) -> float:
-        # a bracket end the model cannot take at all fails as that end
+        # each bracket end is checked as a config of its own, and one the
+        # model cannot take at all fails as that end
         try:
-            return peak(q)
+            replace(cfg, Q=q)
         except CavityFallError as exc:
             if exc.key == "Q":
                 exc.key = key
             raise
+        return peak(q)
 
     peak_lo, peak_hi = end_peak(q_lo, "q_lo"), end_peak(q_hi, "q_hi")
     if not (peak_lo < 1.0 < peak_hi):
@@ -352,6 +373,11 @@ def q_threshold(cfg: ExperimentConfig, q_lo: float, q_hi: float) -> QThresholdRe
             key="q_hi" if peak_lo < 1.0 else "q_lo",
         )
 
+    # A Q between two checked ones passes every check that depends on Q:
+    # finite and > 0, a finite trace window 10*Q/omega0 > 0, and Sn finite at
+    # the window's end.  The window grows with Q and each intermediate value
+    # of Sn is monotone in t (see ExperimentConfig), so the midpoints and
+    # q_min run on cfg with no config of their own.
     iterations: list[tuple[float, float, float, float]] = []
     lo, hi = q_lo, q_hi
     while (hi - lo) > _Q_REL_TOL * lo:

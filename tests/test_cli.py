@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -1021,12 +1021,22 @@ class TestCommandTable:
             ("freefall-analytic", "small", {"k_points": 8}),
             ("fig2b", "reference", {"q_lo": 1e9}),
             ("qthreshold", "reference", {"k_max": 1.0}),
+            # the width model is an option of the commands that read the experiment
+            ("dispersion", "both", {"width_model": "paper"}),
+            ("freefall-analytic", "both", {"width_model": "paper"}),
+            ("freefall-numeric", "both", {"width_model": "corrected"}),
         ],
     )
     def test_another_commands_option_is_rejected(
         self, small_scenario, reference_scenario, tmp_path, command, scenario, option
     ):
-        scenario = small_scenario if scenario == "small" else reference_scenario
+        scenarios = {
+            "small": small_scenario,
+            "reference": reference_scenario,
+            # every command can run on it: cavity, gravity, propagation and experiment
+            "both": replace(small_scenario, experiment=reference_scenario.experiment),
+        }
+        scenario = scenarios[scenario]
         with pytest.raises(TypeError):
             run(command, scenario, tmp_path, **option)
         assert list(tmp_path.iterdir()) == []

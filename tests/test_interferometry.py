@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityfall import (
+    CavityFallError,
     DomainError,
     ExperimentConfig,
     PropagationScenario,
@@ -22,7 +24,7 @@ from cavityfall import (
     snr_peak,
     snr_trace,
 )
-from cavityfall.interferometry import WIDTH_MODELS, _sn_at
+from cavityfall.interferometry import _Q_REL_TOL, WIDTH_MODELS, _sn_at
 from cavityfall.units import c, hbar
 
 # Frozen from an independent 60-digit evaluation of the interference signal
@@ -276,10 +278,16 @@ class TestRefinementKeepsItsBits:
     math.exp or x*x would differ in the last bit."""
 
     @pytest.mark.parametrize("model", WIDTH_MODELS)
-    @pytest.mark.parametrize("q", [1e9, 3.7e10, 1e12])
+    # the last: a config's kernel at another Q than its own, as the Q
+    # bisection runs it, against the config at that Q
+    @pytest.mark.parametrize("q", [1e9, 3.7e10, 1e12, pytest.param((7e10, 2.3e11), id="7e10-at-2.3e11")])
     def test_scalar_sn_matches_snr(self, model, q):
+        q, kernel_q = q if isinstance(q, tuple) else (q, None)
         cfg = ExperimentConfig.caf2_reference(Q=q, width_model=model)
-        sn_at = _sn_at(cfg)
+        if kernel_q is None:
+            sn_at = _sn_at(cfg)
+        else:
+            sn_at, cfg = _sn_at(cfg, kernel_q), replace(cfg, Q=kernel_q)
         times = np.random.default_rng(2048).uniform(0.0, cfg.window, 4000).tolist() + [0.0, cfg.window]
         differ = [t for t in times if sn_at(t).hex() != float(snr(cfg, t)).hex()]
         assert differ == []
@@ -339,3 +347,92 @@ class TestQThreshold:
         assert "Sn_peak(1e+12)" in str(err.value)
         # the peak at q_lo is already above 1
         assert err.value.key == "q_lo"
+
+
+def bisect_by_config(cfg, q_lo, q_hi):
+    """(q_min, sn_peak, iterations) of the Q bisection with a checked config
+    at every Q it evaluates, each peak from snr_peak: the reference that
+    q_threshold, which checks its bracket ends alone, must match bit for bit."""
+
+    def peak(q):
+        return snr_peak(replace(cfg, Q=q))[1]
+
+    assert peak(q_lo) < 1.0 < peak(q_hi)
+    iterations = []
+    lo, hi = q_lo, q_hi
+    while (hi - lo) > _Q_REL_TOL * lo:
+        mid = 0.5 * (lo + hi)
+        peak_mid = peak(mid)
+        iterations.append((lo, hi, mid, peak_mid))
+        if peak_mid < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    q_min = 0.5 * (lo + hi)
+    return q_min, peak(q_min), tuple(iterations)
+
+
+def largest_accepted_q(cfg):
+    """The largest float Q that ExperimentConfig accepts with cfg's other
+    fields.  Acceptance is monotone in Q, so bisect between an accepted and
+    a rejected value until no float lies between them."""
+    lo, hi = cfg.Q, sys.float_info.max
+    with pytest.raises(CavityFallError):
+        replace(cfg, Q=hi)
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        try:
+            replace(cfg, Q=mid)
+            lo = mid
+        except CavityFallError:
+            hi = mid
+    return lo
+
+
+class TestQThresholdKeepsItsBits:
+    """q_threshold checks its two bracket ends as configs and evaluates every
+    Q between them on cfg with that Q, unchecked."""
+
+    @staticmethod
+    def matches_reference(cfg, q_lo, q_hi):
+        result = q_threshold(cfg, q_lo, q_hi)
+        assert (result.q_min, result.sn_peak, result.iterations) == bisect_by_config(cfg, q_lo, q_hi)
+        return result
+
+    @pytest.mark.parametrize("model", WIDTH_MODELS)
+    def test_seeded_random_brackets(self, model):
+        cfg = ExperimentConfig.caf2_reference(width_model=model)
+        q_min = q_threshold(cfg, 1e9, 1e12).q_min
+        for below, above in 10.0 ** np.random.default_rng(1512).uniform(1e-3, 3.0, (6, 2)):
+            self.matches_reference(cfg, q_min / below, q_min * above)
+
+    @pytest.mark.parametrize("model", WIDTH_MODELS)
+    def test_q_hi_at_the_largest_q_the_model_accepts(self, model):
+        # the edge of the argument that a Q between two checked ones is valid
+        cfg = ExperimentConfig.caf2_reference(width_model=model)
+        q_max = largest_accepted_q(cfg)
+        with pytest.raises(CavityFallError):
+            replace(cfg, Q=float(np.nextafter(q_max, math.inf)))
+        assert len(self.matches_reference(cfg, 1e9, q_max).iterations) > 500
+
+    @pytest.mark.parametrize("model", WIDTH_MODELS)
+    def test_bracket_already_inside_the_tolerance(self, model):
+        cfg = ExperimentConfig.caf2_reference(width_model=model)
+        lo, hi, mid, peak_mid = q_threshold(cfg, 1e9, 1e12).iterations[-1]
+        lo, hi = (mid, hi) if peak_mid < 1.0 else (lo, mid)
+        assert self.matches_reference(cfg, lo, hi).iterations == ()
+
+    def test_builds_a_config_for_each_bracket_end_alone(self, monkeypatch):
+        built = []
+        post_init = ExperimentConfig.__post_init__
+
+        def counting(cfg):
+            built.append(cfg.Q)
+            post_init(cfg)
+
+        monkeypatch.setattr(ExperimentConfig, "__post_init__", counting)
+        iterations = set()
+        for q_lo, q_hi in [(1e9, 1e12), (3e10, 5e10), (1e9, 1e200)]:
+            built.clear()
+            iterations.add(len(q_threshold(PAPER, q_lo, q_hi).iterations))
+            assert built == [q_lo, q_hi]
+        assert len(iterations) == 3
