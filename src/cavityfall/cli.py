@@ -304,29 +304,25 @@ def run(
     requires propagation runs with the default output.stride written into
     the scenario, so the manifest's resolved scenario carries it."""
     started = time.perf_counter()
-    out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
     if command not in _COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
     runner, sections, library_keys = _COMMANDS[command]
     if width_model is not None and "experiment" not in sections:
         # the width model is the experiment's: only a command that reads it takes one
         raise TypeError(f"{runner.__name__}() got an unexpected keyword argument 'width_model'")
+    for name in sections:
+        if getattr(scenario, name) is None:
+            raise ValidationError(f"the {command} command requires this section", key=name)
+    if "propagation" in sections and scenario.output.stride is None:
+        stride = max(1, scenario.propagation.n_steps // _DEFAULT_RECORDS)
+        scenario = replace(scenario, output=replace(scenario.output, stride=stride))
+    if width_model is not None:
+        model = read_width_model("--width-model", width_model)
+        scenario = replace(scenario, experiment=replace(scenario.experiment, width_model=model))
 
+    out_path = Path(out_dir)
+    out_path.mkdir(parents=True, exist_ok=True)
     try:
-        for name in sections:
-            if getattr(scenario, name) is None:
-                raise ValidationError(f"the {command} command requires this section", key=name)
-        if "propagation" in sections and scenario.output.stride is None:
-            stride = max(1, scenario.propagation.n_steps // _DEFAULT_RECORDS)
-            scenario = replace(scenario, output=replace(scenario.output, stride=stride))
-        if width_model is not None:
-            model = read_width_model("--width-model", width_model)
-            try:
-                scenario = replace(scenario, experiment=replace(scenario.experiment, width_model=model))
-            except CavityFallError as exc:  # the scenario's own Q, under this width model
-                exc.key = f"experiment.{exc.key}"
-                raise
         blocks = runner(scenario, out_path, **options)
     except CavityFallError as exc:
         exc.key = sections[0] if exc.key is None else library_keys.get(exc.key, exc.key)

@@ -31,7 +31,7 @@ rather than hidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,20 +108,6 @@ class ExperimentConfig:
         # I(t) <= 2, so a finite 2*photons keeps every I*photons finite
         if not 2.0 * self.photons < math.inf:
             raise ValidationError(f"the photon count P_avg*eta_det*T_int/(hbar*omega0) = {self.photons!r} overflows")
-        if not 0.0 < self.window < math.inf:
-            raise ValidationError(
-                f"the trace window {TRACE_LIFETIMES:g}*Q/omega0 = {self.window!r} s must be positive and finite",
-                key="Q",
-            )
-        # Every intermediate value of Sn(t) is monotone in t, so on the trace
-        # window it is bounded by its values at t = 0 and at the window end:
-        # finite there is finite on every sample.  Only the end depends on Q.
-        if not _snr_finite(self, [0.0, self.window]):
-            raise DomainError(
-                f"the signal model overflows on its trace window [0, {self.window:.6g}] s "
-                f"(sigma0 = {self.sigma0!r}, y_out = {self.y_out!r}, n_s = {self.n_s!r}, g = {self.g!r})",
-                key="Q" if _snr_finite(self, [0.0]) else None,
-            )
 
     @property
     def omega0(self) -> float:
@@ -178,15 +164,6 @@ class QThresholdResult:
     iterations: tuple[tuple[float, float, float, float], ...]
 
 
-def _snr_finite(cfg: ExperimentConfig, times: list[float]) -> bool:
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            snr(cfg, np.array(times))
-    except FloatingPointError:
-        return False
-    return True
-
-
 def _require_time(t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
@@ -194,14 +171,14 @@ def _require_time(t) -> np.ndarray:
     return arr
 
 
-def _constants(cfg: ExperimentConfig, q: float | None = None) -> tuple:
-    # The constants of I(t) for cfg at quality factor q (default cfg.Q), each
-    # rounded as the formula rounds it inline, so that precomputing them keeps
-    # every bit: ((2*omega0*n_s^2*sigma0, sigma0^2, is paper_verbatim),
-    # omega0, omega0*g, y_out, y_out^2, Q)
+def _constants(cfg: ExperimentConfig, q: float) -> tuple:
+    # The constants of I(t) for cfg at quality factor q, each rounded as the
+    # formula rounds it inline, so that precomputing them keeps every bit:
+    # ((2*omega0*n_s^2*sigma0, sigma0^2, is paper_verbatim), omega0,
+    # omega0*g, y_out, y_out^2, Q)
     omega0 = cfg.omega0
     width = (2.0 * omega0 * cfg.n_s**2 * cfg.sigma0, cfg.sigma0**2, cfg.width_model == "paper_verbatim")
-    return width, omega0, omega0 * cfg.g, cfg.y_out, cfg.y_out**2, cfg.Q if q is None else q
+    return width, omega0, omega0 * cfg.g, cfg.y_out, cfg.y_out**2, q
 
 
 def _width_squared(width: tuple, t):
@@ -212,7 +189,7 @@ def _width_squared(width: tuple, t):
 
 def mode_width(cfg: ExperimentConfig, t) -> np.ndarray | float:
     """Vertical mode width sigma(t) [m] under the configured width model."""
-    return np.sqrt(_width_squared(_constants(cfg)[0], _require_time(t)))
+    return np.sqrt(_width_squared(_constants(cfg, cfg.Q)[0], _require_time(t)))
 
 
 def _signal(k: tuple, t):
@@ -226,20 +203,36 @@ def _signal(k: tuple, t):
     return envelope * 2.0 * np.sin(0.5 * dphi) ** 2
 
 
+def _checked_signal(k: tuple, t: np.ndarray) -> np.ndarray | None:
+    # I(t) from _constants on an array of times, or None where a value of the
+    # formula overflows, divides by zero or is nan.  A Python float would not
+    # do: its arithmetic overflows to inf with no floating-point error.
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _signal(k, t)
+    except FloatingPointError:
+        return None
+
+
 def interference_signal(cfg: ExperimentConfig, t) -> np.ndarray | float:
     """Photodiode signal fraction I(t) >= 0, with I(0) = 0.
 
     1 - cos(dphi) is evaluated as 2*sin(dphi/2)^2, which neither cancels nor
-    underflows at the tiny early-time phase differences.
+    underflows at the tiny early-time phase differences.  A time at which
+    the model overflows is a DomainError keyed t.
     """
-    return _signal(_constants(cfg), _require_time(t))
+    t = _require_time(t)
+    i_signal = _checked_signal(_constants(cfg, cfg.Q), t)
+    if i_signal is None:
+        raise DomainError(f"the signal model overflows at times up to {float(np.max(t)):.6g} s", key="t")
+    return i_signal
 
 
 def snr(cfg: ExperimentConfig, t) -> np.ndarray | float:
     """Shot-noise SNR sqrt(I * P_avg * eta_det * T_int / (hbar*omega0)).
 
     The detected-power factor P_avg*eta_det makes the count under the root a
-    photon number.
+    photon number.  Times are checked as interference_signal checks them.
     """
     return np.sqrt(interference_signal(cfg, t) * cfg.photons)
 
@@ -280,60 +273,73 @@ def _refine_crossing(f, a: float, b: float, level: float = 1.0) -> float:
     return mid
 
 
-def _sn_at(cfg: ExperimentConfig, q: float | None = None):
-    # Sn at one time of the trace window of cfg at quality factor q (default
-    # cfg.Q): a Q that ExperimentConfig has checked, or one between two such
-    k = _constants(cfg, q)
-    photons = cfg.photons
-    return lambda ti: math.sqrt(_signal(k, ti) * photons)
-
-
-def _sampled_peak(cfg: ExperimentConfig, n_samples: int, q: float | None = None):
-    # ((t, I, Sn, index of the largest sample), (t_peak, Sn_peak)) of cfg at
-    # quality factor q (default cfg.Q), a Q as _sn_at takes it
+def _sampled_peak(cfg: ExperimentConfig, n_samples: int, q: float):
+    # ((t, I, Sn, index of the largest sample), (t_peak, Sn_peak), Sn at one
+    # time of the window) of cfg at quality factor q.  Each intermediate value
+    # of Sn(t) is monotone in t, so a scan finite at both ends of the window
+    # is finite at every time the refinement takes.
     if n_samples < 16:
         raise ValidationError(f"must be >= 16, got {n_samples!r}", key="n_samples")
-    q = cfg.Q if q is None else q
-    t = np.linspace(0.0, TRACE_LIFETIMES * q / cfg.omega0, n_samples)
-    i_signal = _signal(_constants(cfg, q), t)
-    sn = np.sqrt(i_signal * cfg.photons)
+    window = TRACE_LIFETIMES * q / cfg.omega0
+    if not 0.0 < window < math.inf:
+        raise ValidationError(
+            f"the trace window {TRACE_LIFETIMES:g}*Q/omega0 = {window!r} s must be positive and finite", key="Q"
+        )
+    k = _constants(cfg, q)
+    photons = cfg.photons
+    t = np.linspace(0.0, window, n_samples)
+    i_signal = _checked_signal(k, t)
+    if i_signal is None:
+        raise DomainError(
+            f"the signal model overflows on its trace window [0, {window:.6g}] s "
+            f"(sigma0 = {cfg.sigma0!r}, y_out = {cfg.y_out!r}, n_s = {cfg.n_s!r}, g = {cfg.g!r})",
+            key="Q" if _checked_signal(k, t[:1]) is not None else None,  # only the window's end depends on Q
+        )
+    sn = np.sqrt(i_signal * photons)
+
+    def sn_at(ti: float) -> float:
+        return math.sqrt(_signal(k, ti) * photons)
+
     idx = int(np.argmax(sn))
     if 0 < idx < n_samples - 1 and sn[idx] > 0.0:
-        t_peak, sn_peak = _refine_peak(_sn_at(cfg, q), float(t[idx - 1]), float(t[idx + 1]))
+        t_peak, sn_peak = _refine_peak(sn_at, float(t[idx - 1]), float(t[idx + 1]))
     else:
         t_peak, sn_peak = float(t[idx]), float(sn[idx])
-    return (t, i_signal, sn, idx), (t_peak, sn_peak)
+    return (t, i_signal, sn, idx), (t_peak, sn_peak), sn_at
 
 
 def snr_peak(cfg: ExperimentConfig, n_samples: int = _N_SAMPLES) -> tuple[float, float]:
-    """(t_peak, Sn_peak): the maximum of Sn(t) on the trace window
+    """(t_peak, Sn_peak): the maximum of Sn(t) at cfg.Q on the trace window
     [0, cfg.window], sampled at n_samples points and refined to much better
     than 1e-6 relative in t.  The same values as snr_trace's, without its
     crossing search.
 
     The maximum is taken on the window only: where the global peak lies past
-    it (see TRACE_LIFETIMES), this is the value at the window's edge.
+    it (see TRACE_LIFETIMES), this is the value at the window's edge.  A
+    window that is not finite and positive, or on which the signal model
+    overflows, is an error keyed Q (no key for an overflow at t = 0).
     """
-    return _sampled_peak(cfg, n_samples)[1]
+    return _sampled_peak(cfg, n_samples, cfg.Q)[1]
 
 
 def snr_trace(cfg: ExperimentConfig, n_samples: int = _N_SAMPLES) -> SnrTrace:
-    """Uniformly sampled Sn(t) on the trace window [0, cfg.window] with
-    refined peak and crossing.
+    """Uniformly sampled Sn(t) at cfg.Q on the trace window [0, cfg.window]
+    with refined peak and crossing.
 
     The peak and the first Sn = 1 crossing (when one exists) are located to
     much better than 1e-6 relative in t.  Both are searched on the window
     only, so a global peak past it (see TRACE_LIFETIMES) is reported as the
-    value at the window's edge.
+    value at the window's edge.  The window and the signal model on it are
+    checked as in snr_peak.
     """
-    (t, i_signal, sn, idx), (t_peak, sn_peak) = _sampled_peak(cfg, n_samples)
+    (t, i_signal, sn, idx), (t_peak, sn_peak), sn_at = _sampled_peak(cfg, n_samples, cfg.Q)
     t_cross: float | None = None
     above = np.nonzero(sn >= 1.0)[0]
     if above.size:
         first = int(above[0])
-        t_cross = _refine_crossing(_sn_at(cfg), float(t[max(first - 1, 0)]), float(t[first]))
+        t_cross = _refine_crossing(sn_at, float(t[max(first - 1, 0)]), float(t[first]))
     elif sn_peak >= 1.0:
-        t_cross = _refine_crossing(_sn_at(cfg), float(t[max(idx - 1, 0)]), t_peak)
+        t_cross = _refine_crossing(sn_at, float(t[max(idx - 1, 0)]), t_peak)
 
     return SnrTrace(t=t, i_signal=i_signal, sn=sn, t_peak=t_peak, sn_peak=sn_peak, t_cross=t_cross)
 
@@ -345,6 +351,8 @@ def q_threshold(cfg: ExperimentConfig, q_lo: float, q_hi: float) -> QThresholdRe
     Sn_peak is strictly increasing in Q (only the decay factor exp(-w0 t/Q)
     depends on it), so bisection on [q_lo, q_hi] is valid; the bracket must
     be finite, with 0 < q_lo < q_hi, and satisfy Sn_peak(q_lo) < 1 < Sn_peak(q_hi).
+    A bracket end at which the model cannot be evaluated fails keyed as that
+    end, q_lo or q_hi.
     """
     if not 0.0 < q_lo < math.inf:
         raise ValidationError(f"must be finite and > 0, got {q_lo!r}", key="q_lo")
@@ -355,15 +363,12 @@ def q_threshold(cfg: ExperimentConfig, q_lo: float, q_hi: float) -> QThresholdRe
         return _sampled_peak(cfg, _N_SAMPLES, q)[1][1]
 
     def end_peak(q: float, key: str) -> float:
-        # each bracket end is checked as a config of its own, and one the
-        # model cannot take at all fails as that end
         try:
-            replace(cfg, Q=q)
+            return peak(q)
         except CavityFallError as exc:
             if exc.key == "Q":
                 exc.key = key
             raise
-        return peak(q)
 
     peak_lo, peak_hi = end_peak(q_lo, "q_lo"), end_peak(q_hi, "q_hi")
     if not (peak_lo < 1.0 < peak_hi):
@@ -373,11 +378,6 @@ def q_threshold(cfg: ExperimentConfig, q_lo: float, q_hi: float) -> QThresholdRe
             key="q_hi" if peak_lo < 1.0 else "q_lo",
         )
 
-    # A Q between two checked ones passes every check that depends on Q:
-    # finite and > 0, a finite trace window 10*Q/omega0 > 0, and Sn finite at
-    # the window's end.  The window grows with Q and each intermediate value
-    # of Sn is monotone in t (see ExperimentConfig), so the midpoints and
-    # q_min run on cfg with no config of their own.
     iterations: list[tuple[float, float, float, float]] = []
     lo, hi = q_lo, q_hi
     while (hi - lo) > _Q_REL_TOL * lo:

@@ -66,8 +66,8 @@ class OutputSettings:
     stride: int | None = None
 
     def __post_init__(self) -> None:
-        if self.stride is not None and not self.stride >= 1:
-            raise ValidationError(f"must be >= 1, got {self.stride!r}", key="stride")
+        if self.stride is not None and not (type(self.stride) is int and self.stride >= 1):
+            raise ValidationError(f"must be an integer >= 1, got {self.stride!r}", key="stride")
 
 
 @dataclass(frozen=True)

@@ -835,6 +835,8 @@ class TestExitCodes:
     # Sn crosses 1 closer to t = 0 than the smallest float: the crossing
     # bisection runs out of floats and stops at t_cross = 0
     @example(command_and_options=("fig2b", {}), changes={"sigma0": 1.0, "eta_det": 1.0, "T_int": 4.41e196, "g": 1.439e221}, expected=0)
+    # the scenario's own Q is not one that fig2b evaluates
+    @example(command_and_options=("fig2b", {}), changes={"Q": 1e307}, expected=0)
     # Q options that are not finite name the option, not experiment.Q
     @example(command_and_options=("fig2b", {"--q": [math.nan]}), changes={}, expected=2)
     @example(command_and_options=("fig2b", {"--q": [7e10, math.inf]}), changes={}, expected=2)
@@ -972,15 +974,10 @@ class TestErrorKeysOfDerivedValues:
             ),
             # a q_lo whose trace window underflows to 0
             ("qthreshold", {}, ["--q-lo", "5e-324"], 2, "validation error: --q-lo: the trace window"),
-            # at the scenario's own Q, also under another width model
-            ("fig2b", {"Q": 1e307}, [], 3, "numerical-domain error: experiment.Q: the signal model overflows"),
-            (
-                "fig2b",
-                {"width_model": "paper", "Q": 1e200},
-                ["--q", "7e10", "--width-model", "corrected"],
-                3,
-                "numerical-domain error: experiment.Q: the signal model overflows",
-            ),
+            # the scenario's own Q, where the model overflows, is not one that
+            # fig2b evaluates, also under another width model
+            ("fig2b", {"Q": 1e307}, [], 0, ""),
+            ("fig2b", {"width_model": "paper", "Q": 1e200}, ["--q", "7e10", "--width-model", "corrected"], 0, ""),
             # an overflow already at t = 0 does not depend on Q
             (
                 "fig2b",
@@ -998,8 +995,10 @@ class TestErrorKeysOfDerivedValues:
         scenario_path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert main([command, "--scenario", str(scenario_path), "--out", str(out), "--quiet", *options]) == code
-        assert capsys.readouterr().err.startswith(line)
-        assert not out.exists() or list(out.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith(line) if code else err == ""
+        # a failed run writes no file
+        assert (not out.exists() or list(out.iterdir()) == []) == bool(code)
 
     def test_cavity_given_as_length_and_order_keeps_its_keys(self, tmp_path, capsys):
         scenario_path = tmp_path / "scenario.json"
@@ -1040,6 +1039,19 @@ class TestCommandTable:
         with pytest.raises(TypeError):
             run(command, scenario, tmp_path, **option)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case", ["unknown command", "missing section", "width model"])
+    def test_rejected_before_the_output_directory_is_made(self, scenario_dir, small_scenario, tmp_path, case):
+        out = tmp_path / "out"
+        if case == "unknown command":
+            with pytest.raises(cavityfall.ValidationError):
+                run("fig2c", small_scenario, out)
+        elif case == "missing section":
+            assert main(["dispersion", "--scenario", str(scenario_dir / "caf2_wgmc.json"), "--out", str(out)]) == 2
+        else:
+            with pytest.raises(TypeError):
+                run("dispersion", small_scenario, out, width_model="paper")
+        assert not out.exists()
 
     def test_only_a_propagating_command_writes_the_default_stride(self, tmp_path):
         doc = json.loads(json.dumps(SMALL_FREEFALL))

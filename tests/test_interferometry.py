@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from cavityfall import (
     snr_peak,
     snr_trace,
 )
-from cavityfall.interferometry import _Q_REL_TOL, WIDTH_MODELS, _sn_at
+from cavityfall.interferometry import _N_SAMPLES, _Q_REL_TOL, WIDTH_MODELS, _sampled_peak
 from cavityfall.units import c, hbar
 
 # Frozen from an independent 60-digit evaluation of the interference signal
@@ -68,21 +69,35 @@ class TestExperimentConfig:
             replace(CORRECTED, width_model="verbatim")
 
     @pytest.mark.parametrize(
-        "changes, error, key, named",
+        "changes, evaluated, error, key, named",
         [
-            (dict(sigma0=1e160), ValidationError, "sigma0", "its square"),
-            (dict(y_out=1e200), ValidationError, "y_out", "its square"),
-            (dict(P_avg=1e300, T_int=1e300), ValidationError, None, "photon count"),
-            (dict(lambda0=1e-300), ValidationError, "lambda0", "photon energy"),
-            (dict(Q=1e308), ValidationError, "Q", "trace window"),
-            (dict(sigma0=1e-150, y_out=1e150), DomainError, None, "overflows on its trace window"),
+            (dict(sigma0=1e160), False, ValidationError, "sigma0", "its square"),
+            (dict(y_out=1e200), False, ValidationError, "y_out", "its square"),
+            (dict(P_avg=1e300, T_int=1e300), False, ValidationError, None, "photon count"),
+            (dict(lambda0=1e-300), False, ValidationError, "lambda0", "photon energy"),
+            # the config builds: its trace window is checked where the signal
+            # model is evaluated on it
+            (dict(Q=1e308), True, ValidationError, "Q", "trace window"),
+            (dict(sigma0=1e-150, y_out=1e150), True, DomainError, None, "overflows on its trace window"),
         ],
     )
-    def test_rejects_values_the_model_cannot_evaluate(self, changes, error, key, named):
+    def test_rejects_values_the_model_cannot_evaluate(self, changes, evaluated, error, key, named):
         # the key names the field at fault, or none for a check across fields
+        if evaluated:
+            cfg = replace(CORRECTED, **changes)
         with pytest.raises(error, match=named) as err:
-            replace(CORRECTED, **changes)
+            snr_peak(cfg) if evaluated else replace(CORRECTED, **changes)
         assert err.value.key == key
+
+    @pytest.mark.parametrize("evaluate", [interference_signal, snr])
+    def test_times_the_model_cannot_evaluate_are_an_error(self, evaluate):
+        # the model overflows at the end of this config's trace window
+        cfg = replace(CORRECTED, Q=1e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows") as err:
+                evaluate(cfg, [0.0, cfg.window])
+        assert err.value.key == "t"
 
 
 class TestModeWidth:
@@ -285,9 +300,9 @@ class TestRefinementKeepsItsBits:
         q, kernel_q = q if isinstance(q, tuple) else (q, None)
         cfg = ExperimentConfig.caf2_reference(Q=q, width_model=model)
         if kernel_q is None:
-            sn_at = _sn_at(cfg)
+            sn_at = _sampled_peak(cfg, _N_SAMPLES, q)[2]
         else:
-            sn_at, cfg = _sn_at(cfg, kernel_q), replace(cfg, Q=kernel_q)
+            sn_at, cfg = _sampled_peak(cfg, _N_SAMPLES, kernel_q)[2], replace(cfg, Q=kernel_q)
         times = np.random.default_rng(2048).uniform(0.0, cfg.window, 4000).tolist() + [0.0, cfg.window]
         differ = [t for t in times if sn_at(t).hex() != float(snr(cfg, t)).hex()]
         assert differ == []
@@ -350,9 +365,9 @@ class TestQThreshold:
 
 
 def bisect_by_config(cfg, q_lo, q_hi):
-    """(q_min, sn_peak, iterations) of the Q bisection with a checked config
-    at every Q it evaluates, each peak from snr_peak: the reference that
-    q_threshold, which checks its bracket ends alone, must match bit for bit."""
+    """(q_min, sn_peak, iterations) of the Q bisection with a config of its
+    own at every Q it evaluates, each peak from snr_peak: the reference that
+    q_threshold, which builds no config, must match bit for bit."""
 
     def peak(q):
         return snr_peak(replace(cfg, Q=q))[1]
@@ -373,15 +388,15 @@ def bisect_by_config(cfg, q_lo, q_hi):
 
 
 def largest_accepted_q(cfg):
-    """The largest float Q that ExperimentConfig accepts with cfg's other
-    fields.  Acceptance is monotone in Q, so bisect between an accepted and
-    a rejected value until no float lies between them."""
+    """The largest float Q at which snr_peak evaluates cfg's signal model.
+    Acceptance is monotone in Q, so bisect between an accepted and a
+    rejected value until no float lies between them."""
     lo, hi = cfg.Q, sys.float_info.max
     with pytest.raises(CavityFallError):
-        replace(cfg, Q=hi)
+        snr_peak(replace(cfg, Q=hi))
     while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
         try:
-            replace(cfg, Q=mid)
+            snr_peak(replace(cfg, Q=mid))
             lo = mid
         except CavityFallError:
             hi = mid
@@ -389,8 +404,7 @@ def largest_accepted_q(cfg):
 
 
 class TestQThresholdKeepsItsBits:
-    """q_threshold checks its two bracket ends as configs and evaluates every
-    Q between them on cfg with that Q, unchecked."""
+    """q_threshold evaluates every Q on cfg with that Q, building no config."""
 
     @staticmethod
     def matches_reference(cfg, q_lo, q_hi):
@@ -407,11 +421,11 @@ class TestQThresholdKeepsItsBits:
 
     @pytest.mark.parametrize("model", WIDTH_MODELS)
     def test_q_hi_at_the_largest_q_the_model_accepts(self, model):
-        # the edge of the argument that a Q between two checked ones is valid
+        # the last Q before the signal model overflows on its trace window
         cfg = ExperimentConfig.caf2_reference(width_model=model)
         q_max = largest_accepted_q(cfg)
         with pytest.raises(CavityFallError):
-            replace(cfg, Q=float(np.nextafter(q_max, math.inf)))
+            snr_peak(replace(cfg, Q=float(np.nextafter(q_max, math.inf))))
         assert len(self.matches_reference(cfg, 1e9, q_max).iterations) > 500
 
     @pytest.mark.parametrize("model", WIDTH_MODELS)
@@ -421,7 +435,7 @@ class TestQThresholdKeepsItsBits:
         lo, hi = (mid, hi) if peak_mid < 1.0 else (lo, mid)
         assert self.matches_reference(cfg, lo, hi).iterations == ()
 
-    def test_builds_a_config_for_each_bracket_end_alone(self, monkeypatch):
+    def test_builds_no_config(self, monkeypatch):
         built = []
         post_init = ExperimentConfig.__post_init__
 
@@ -432,7 +446,6 @@ class TestQThresholdKeepsItsBits:
         monkeypatch.setattr(ExperimentConfig, "__post_init__", counting)
         iterations = set()
         for q_lo, q_hi in [(1e9, 1e12), (3e10, 5e10), (1e9, 1e200)]:
-            built.clear()
             iterations.add(len(q_threshold(PAPER, q_lo, q_hi).iterations))
-            assert built == [q_lo, q_hi]
+        assert built == []
         assert len(iterations) == 3

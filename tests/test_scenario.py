@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cavityfall import DomainError, ValidationError, parse_scenario, scenario_to_dict
+from cavityfall import DomainError, OutputSettings, ValidationError, parse_scenario, scenario_to_dict
 from cavityfall.scenario import load_scenario
 
 MINIMAL_EXPERIMENT = {
@@ -54,6 +54,16 @@ class TestDefaults:
         doc = json.loads(json.dumps(MINIMAL_EXPERIMENT))
         doc["experiment"]["width_model"] = "paper"
         assert parse(doc).experiment.width_model == "paper_verbatim"
+
+
+class TestOutputSection:
+    @pytest.mark.parametrize("stride", [0, 2.5, True])
+    def test_stride_must_be_an_integer_of_at_least_one(self, stride):
+        # the scenario reader takes JSON integers alone; the dataclass checks
+        # a stride given in Python as the propagator does
+        with pytest.raises(ValidationError, match="must be an integer >= 1") as err:
+            OutputSettings(stride=stride)
+        assert err.value.key == "stride"
 
 
 class TestCavitySection:
