@@ -80,17 +80,17 @@ def _write(path: Path, text: str) -> dict:
     return {"file": path.name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
-def _write_csv(path: Path, header: tuple[str, ...], columns: list[np.ndarray]) -> dict:
+def _csv(header: tuple[str, ...], columns: list[np.ndarray]) -> str:
     # repr of a Python float is its shortest round-trip decimal.  Values are
     # converted one at a time: col.tolist() is a little faster, but its
     # lists of every column's floats fragment the heap and raise the peak
     # memory of a long run of CSV-heavy commands by a quarter.
     cells = [map(repr, map(float, col)) for col in columns]
-    return _write(path, "\n".join([",".join(header), *map(",".join, zip(*cells)), ""]))
+    return "\n".join([",".join(header), *map(",".join, zip(*cells)), ""])
 
 
-def _write_json(path: Path, payload: dict) -> dict:
-    return _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @functools.cache
@@ -131,7 +131,7 @@ def _derived_block(scenario: ScenarioFile) -> dict:
 
 
 def _run_dispersion(
-    scenario: ScenarioFile, out_dir: Path, *, k_min: float = 0.0, k_max: float | None = None, k_points: int = 256
+    scenario: ScenarioFile, *, k_min: float = 0.0, k_max: float | None = None, k_points: int = 256
 ) -> dict:
     cav = scenario.cavity
     # without --k-max the cavity sets k_max, and --k-min alone sets the span
@@ -156,26 +156,23 @@ def _run_dispersion(
     if not 1 <= k_points <= MAX_ROWS:
         raise ValidationError(f"must be between 1 and {MAX_ROWS}, got {k_points!r}", key="--k-points")
     k_grid = np.linspace(k_min, k_max, k_points)
-    output = _write_csv(
-        out_dir / "dispersion.csv",
-        ("k_par", "omega", "v_g"),
-        [k_grid, photon_energy(cav, k_grid) / hbar, group_velocity(cav, k_grid)],
-    )
-    return {"command_args": {"k_min": k_min, "k_max": k_max, "k_points": k_points}, "outputs": [output]}
+    columns = [k_grid, photon_energy(cav, k_grid) / hbar, group_velocity(cav, k_grid)]
+    artifacts = {"dispersion.csv": (("k_par", "omega", "v_g"), columns)}
+    return {"command_args": {"k_min": k_min, "k_max": k_max, "k_points": k_points}, "artifacts": artifacts}
 
 
-def _run_freefall_analytic(scenario: ScenarioFile, out_dir: Path) -> dict:
+def _run_freefall_analytic(scenario: ScenarioFile) -> dict:
     cav, profile, prop = scenario.cavity, scenario.gravity, scenario.propagation
     # step indices can pass int64, so each time is a Python int times dt
     times = np.array([i * prop.dt for i in recording_schedule(prop.n_steps, scenario.output.stride)])
     state = freefall_trajectory(cav, profile, times)
     grads = phase_gradient(cav.omega0, profile, times)
     header = ("t_si", "y_si", "v_si", "k_si", "phase_grad_si")
-    output = _write_csv(out_dir / "freefall_analytic.csv", header, [times, state.y, state.v, state.k_y, grads])
-    return {"command_args": {}, "outputs": [output]}
+    columns = [times, state.y, state.v, state.k_y, grads]
+    return {"command_args": {}, "artifacts": {"freefall_analytic.csv": (header, columns)}}
 
 
-def _run_freefall_numeric(scenario: ScenarioFile, out_dir: Path) -> dict:
+def _run_freefall_numeric(scenario: ScenarioFile) -> dict:
     cav, profile, prop, stride = scenario.cavity, scenario.gravity, scenario.propagation, scenario.output.stride
     # SI throughout: hbar enters only through the propagator mass m/hbar [s/m^2]
     run = PropagationScenario(
@@ -186,11 +183,10 @@ def _run_freefall_numeric(scenario: ScenarioFile, out_dir: Path) -> dict:
         record_stride=stride,
     )
     _, trace = propagate(init_gaussian(prop.grid, sigma0=prop.sigma0), run)
-    output = _write_csv(
-        out_dir / "freefall_numeric.csv",
-        ("t_si", "y_si", "sigma_si", "k_si", "norm", "energy_si", "phase_grad_si"),
-        [trace.t, trace.centroid, trace.width, trace.mean_k, trace.norm, trace.energy * hbar, trace.phase_gradient],
-    )
+    header = ("t_si", "y_si", "sigma_si", "k_si", "norm", "energy_si", "phase_grad_si")
+    columns = [
+        trace.t, trace.centroid, trace.width, trace.mean_k, trace.norm, trace.energy * hbar, trace.phase_gradient
+    ]
     convergence = {
         "n_steps": prop.n_steps,
         "record_stride": stride,
@@ -198,23 +194,26 @@ def _run_freefall_numeric(scenario: ScenarioFile, out_dir: Path) -> dict:
         "norm_drift": float(np.max(np.abs(trace.norm - trace.norm[0]))),
         "energy_drift": float(np.max(np.abs(trace.energy - trace.energy[0]) / abs(trace.energy[0]))),
     }
-    return {"command_args": {}, "outputs": [output], "convergence": convergence}
+    return {"command_args": {}, "artifacts": {"freefall_numeric.csv": (header, columns)}, "convergence": convergence}
 
 
-def _run_fig2b(scenario: ScenarioFile, out_dir: Path, *, q_values=DEFAULT_Q_SWEEP) -> dict:
+def _run_fig2b(scenario: ScenarioFile, *, q_values=DEFAULT_Q_SWEEP) -> dict:
     base = scenario.experiment
     q_values = tuple(q_values)
     if not q_values:
         raise ValidationError("needs at least one value", key="--q")
+    if len(q_values) * _FIG2B_SAMPLES > MAX_ROWS:
+        limit = f"at most {MAX_ROWS // _FIG2B_SAMPLES} values ({_FIG2B_SAMPLES} rows each, {MAX_ROWS} in all)"
+        raise ValidationError(f"takes {limit}, got {len(q_values)}", key="--q")
     # two values that print alike under {q:g} would overwrite one another's CSV
     names = [f"fig2b_Q{q:g}.csv" for q in q_values]
     if len(set(names)) < len(names):
         raise ValidationError(f"the values {list(q_values)!r} do not give distinct files {names}", key="--q")
-    traces = []
+    artifacts = {}
     traces_summary = []
     divergence = []
     other = "corrected" if base.width_model == "paper_verbatim" else "paper_verbatim"
-    for q in q_values:
+    for name, q in zip(names, q_values):
         cfg = replace(base, Q=q)
         trace = snr_trace(cfg, n_samples=_FIG2B_SAMPLES)
         peak_by_model = {
@@ -229,10 +228,8 @@ def _run_fig2b(scenario: ScenarioFile, out_dir: Path, *, q_values=DEFAULT_Q_SWEE
                 f"at Q = {q:g} the width models' peak SNR ratio "
                 f"{peak_by_model['paper_verbatim']!r}/{corrected!r} is out of double range"
             )
-        traces.append(trace)
-        traces_summary.append(
-            {"Q": q, "t_peak": trace.t_peak, "sn_peak": trace.sn_peak, "t_cross": trace.t_cross}
-        )
+        artifacts[name] = (("t_si", "i_signal", "sn"), [trace.t, trace.i_signal, trace.sn])
+        traces_summary.append({"Q": q, "t_peak": trace.t_peak, "sn_peak": trace.sn_peak, "t_cross": trace.t_cross})
         divergence.append(
             {
                 "Q": q,
@@ -241,30 +238,21 @@ def _run_fig2b(scenario: ScenarioFile, out_dir: Path, *, q_values=DEFAULT_Q_SWEE
                 "peak_ratio": peak_ratio,
             }
         )
-    # every Q is evaluated before the first file is written
-    outputs = [
-        _write_csv(out_dir / name, ("t_si", "i_signal", "sn"), [trace.t, trace.i_signal, trace.sn])
-        for name, trace in zip(names, traces)
-    ]
-    summary = {
+    artifacts["fig2b_summary.json"] = {
         "width_model": base.width_model,
         "n_samples": _FIG2B_SAMPLES,
         "traces": traces_summary,
         "width_model_divergence": divergence,
     }
-    outputs.append(_write_json(out_dir / "fig2b_summary.json", summary))
-    return {"command_args": {"q_values": list(q_values)}, "outputs": outputs}
+    return {"command_args": {"q_values": list(q_values)}, "artifacts": artifacts}
 
 
-def _run_qthreshold(scenario: ScenarioFile, out_dir: Path, *, q_lo: float = 1e9, q_hi: float = 1e12) -> dict:
+def _run_qthreshold(scenario: ScenarioFile, *, q_lo: float = 1e9, q_hi: float = 1e12) -> dict:
     result = q_threshold(scenario.experiment, q_lo, q_hi)
     # a bracket already inside the tolerance takes no iteration: (0, 4)
     iterations = np.array(result.iterations).reshape(-1, 4)
-    log = _write_csv(
-        out_dir / "qthreshold_iterations.csv",
-        ("iteration", "q_lo", "q_hi", "q_mid", "sn_peak_mid"),
-        [np.arange(len(result.iterations), dtype=float), *iterations.T],
-    )
+    header = ("iteration", "q_lo", "q_hi", "q_mid", "sn_peak_mid")
+    columns = [np.arange(len(result.iterations), dtype=float), *iterations.T]
     summary = {
         "q_lo": q_lo,
         "q_hi": q_hi,
@@ -272,17 +260,18 @@ def _run_qthreshold(scenario: ScenarioFile, out_dir: Path, *, q_lo: float = 1e9,
         "sn_peak": result.sn_peak,
         "n_iterations": len(result.iterations),
     }
-    outputs = [log, _write_json(out_dir / "qthreshold_result.json", summary)]
-    return {"command_args": {"q_lo": q_lo, "q_hi": q_hi}, "outputs": outputs}
+    artifacts = {"qthreshold_iterations.csv": (header, columns), "qthreshold_result.json": summary}
+    return {"command_args": {"q_lo": q_lo, "q_hi": q_hi}, "artifacts": artifacts}
 
 
 _FREEFALL = ("propagation", "cavity", "gravity")
 #: Per command: its runner, the scenario sections it requires (the first also
 #: the key of a library error raised without one), and the option or scenario
-#: key of each library key it sets.  A runner takes the scenario and the
-#: output directory, and its own options as keyword-only parameters; it
-#: returns its manifest blocks: outputs, command_args, and convergence where
-#: it has one.
+#: key of each library key it sets.  A runner takes the scenario, and its own
+#: options as keyword-only parameters; it writes nothing.  It returns its
+#: artifacts, {file name: (header, columns) of a CSV, or the payload dict of a
+#: JSON file} in the order they are written, with its manifest blocks:
+#: command_args, and convergence where it has one.
 _COMMANDS = {
     "dispersion": (_run_dispersion, ("cavity",), {}),
     "freefall-analytic": (_run_freefall_analytic, _FREEFALL, {"stride": "output.stride"}),
@@ -302,7 +291,10 @@ def run(
     the experiment's width model, and so is an option of the commands that
     read the experiment, fig2b and qthreshold, alone.  A command that
     requires propagation runs with the default output.stride written into
-    the scenario, so the manifest's resolved scenario carries it."""
+    the scenario, so the manifest's resolved scenario carries it.  The runner
+    returns its artifacts and writes nothing: out_dir is made, each artifact
+    written and then the manifest only once it has returned, so a command
+    that fails writes no file and makes no directory."""
     started = time.perf_counter()
     if command not in _COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
@@ -320,29 +312,36 @@ def run(
         model = read_width_model("--width-model", width_model)
         scenario = replace(scenario, experiment=replace(scenario.experiment, width_model=model))
 
-    out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
     try:
-        blocks = runner(scenario, out_path, **options)
+        blocks = runner(scenario, **options)
     except CavityFallError as exc:
         exc.key = sections[0] if exc.key is None else library_keys.get(exc.key, exc.key)
         raise
+
+    out_path = Path(out_dir)
+    out_path.mkdir(parents=True, exist_ok=True)
+    # one text at a time: each is freed once written
+    outputs = [
+        _write(out_path / name, _json(content) if isinstance(content, dict) else _csv(*content))
+        for name, content in blocks.pop("artifacts").items()
+    ]
 
     manifest = {
         "tool": "cavityfall",
         "version": __version__,
         "command": command,
         **blocks,
+        "outputs": outputs,
         "resolved_scenario": scenario_to_dict(scenario),
         "derived": _derived_block(scenario),
         "duration_s": time.perf_counter() - started,
         "environment": {**_environment(), "malloc_thresholds": _pinned_malloc_thresholds()},
     }
     manifest_path = out_path / "run_manifest.json"
-    _write_json(manifest_path, manifest)
+    _write(manifest_path, _json(manifest))
 
     if not quiet:
-        for entry in manifest["outputs"]:
+        for entry in outputs:
             print(f"wrote {out_path / entry['file']}")
         print(f"wrote {manifest_path}")
     return manifest

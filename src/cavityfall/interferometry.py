@@ -124,24 +124,6 @@ class ExperimentConfig:
         """Trace window TRACE_LIFETIMES*Q/omega0 [s]."""
         return TRACE_LIFETIMES * self.Q / self.omega0
 
-    @classmethod
-    def caf2_reference(cls, Q: float = 7e10, width_model: str = "corrected") -> "ExperimentConfig":
-        """Reference CaF2 whispering-gallery configuration: 1064 nm light,
-        10 cm initial mode, out-couplers at +/- 50 cm, 1 mW average power,
-        1e-3 detection efficiency, one hour integration."""
-        return cls(
-            lambda0=1.064e-6,
-            sigma0=0.1,
-            y_out=0.5,
-            P_avg=1e-3,
-            eta_det=1e-3,
-            T_int=3600.0,
-            Q=Q,
-            n_s=1.43,
-            g=9.81,
-            width_model=width_model,
-        )
-
 
 @dataclass
 class SnrTrace:
@@ -188,8 +170,14 @@ def _width_squared(width: tuple, t):
 
 
 def mode_width(cfg: ExperimentConfig, t) -> np.ndarray | float:
-    """Vertical mode width sigma(t) [m] under the configured width model."""
-    return np.sqrt(_width_squared(_constants(cfg, cfg.Q)[0], _require_time(t)))
+    """Vertical mode width sigma(t) [m] under the configured width model.
+    A time at which sigma^2 overflows is a DomainError keyed t."""
+    t = _require_time(t)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return np.sqrt(_width_squared(_constants(cfg, cfg.Q)[0], t))
+    except FloatingPointError:
+        raise DomainError(f"the width model overflows at times up to {float(np.max(t)):.6g} s", key="t") from None
 
 
 def _signal(k: tuple, t):

@@ -10,13 +10,13 @@ import json
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cavityfall import (
     CavitySpec,
-    ExperimentConfig,
     Grid1D,
     PropagationScenario,
     analytic_gaussian_oracle,
@@ -44,6 +44,8 @@ PEAK_RATIO_PAPER_OVER_CORRECTED = {3e10: 494.964037970709, 5e10: 1927.2194677552
 Q_MIN_TRUE = 36955286105.5196
 
 GRID = Grid1D(-32.0, 32.0, 1024)
+# the shipped CaF2 whispering-gallery experiment
+REFERENCE = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "caf2_wgmc.json").experiment
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +181,7 @@ def test_criterion_5_dispersion_exactness():
 
 
 def test_criterion_6_fig2b_reproduction():
-    cfg = ExperimentConfig.caf2_reference(width_model="paper_verbatim")
+    cfg = replace(REFERENCE, width_model="paper_verbatim")
     started = time.perf_counter()
     traces = {q: snr_trace(replace(cfg, Q=q), n_samples=2001) for q in (3e10, 5e10, 7e10)}
     elapsed = time.perf_counter() - started
@@ -210,7 +212,7 @@ def test_criterion_6_fig2b_reproduction():
 
 
 def test_criterion_7_q_threshold():
-    cfg = ExperimentConfig.caf2_reference(width_model="paper_verbatim")
+    cfg = replace(REFERENCE, width_model="paper_verbatim")
     result = q_threshold(cfg, 1e9, 1e12)
     assert 1e10 <= result.q_min <= 1e11
     assert result.q_min == pytest.approx(Q_MIN_TRUE, rel=3e-4)

@@ -30,7 +30,7 @@ from cavityfall import (
     parse_scenario,
     scenario_to_dict,
 )
-from cavityfall.cli import DEFAULT_Q_SWEEP, _write_csv, main, run
+from cavityfall.cli import DEFAULT_Q_SWEEP, _csv, main, run
 from cavityfall.units import c as c_si
 
 
@@ -246,10 +246,9 @@ class TestDeterminismAndReplay:
             col[: len(special)] = special
         columns.append(np.arange(2001, dtype=float))
         header = ("a", "b", "c", "i")
-        _write_csv(tmp_path / "columns.csv", header, columns)
         rows = [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
         expected = "\n".join([",".join(header), *rows]) + "\n"
-        assert (tmp_path / "columns.csv").read_bytes() == expected.encode()
+        assert _csv(header, columns) == expected
 
     def test_csv_floats_are_shortest_round_trip(self, small_scenario, tmp_path):
         run("freefall-analytic", small_scenario, tmp_path)
@@ -420,7 +419,7 @@ class TestMainEntryPoint:
         argv = ["fig2b", "--scenario", str(scenario_path), "--out", str(out), "--q", "7e10", "1e3", "--quiet"]
         assert main(argv) == 3
         assert "experiment: at Q = 1000" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("q_values", [["7e10", "7.0000001e10"], ["5e10", "3e10", "5e10"]])
     def test_fig2b_q_values_sharing_a_file_name_exit_two(self, scenario_dir, tmp_path, capsys, q_values):
@@ -430,6 +429,27 @@ class TestMainEntryPoint:
         assert main(argv + ["--quiet"]) == 2
         assert "--q" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
+
+    def test_fig2b_over_the_row_budget_exits_two_before_any_trace(
+        self, scenario_dir, reference_scenario, tmp_path, capsys, monkeypatch
+    ):
+        # 499 traces of 2001 samples fit the budget of 10^6 rows, 500 do not
+        class Evaluated(Exception):
+            pass
+
+        def evaluated(*args, **kwargs):
+            raise Evaluated
+
+        monkeypatch.setattr(cli, "snr_trace", evaluated)
+        q_values = [3e10 + 1e8 * i for i in range(500)]
+        out = tmp_path / "out"
+        argv = ["fig2b", "--scenario", str(scenario_dir / "caf2_wgmc.json"), "--out", str(out), "--quiet", "--q"]
+        assert main([*argv, *map(repr, q_values)]) == 2
+        expected = "takes at most 499 values (2001 rows each, 1000000 in all), got 500"
+        assert capsys.readouterr().err == f"validation error: --q: {expected}\n"
+        assert not out.exists()
+        with pytest.raises(Evaluated):
+            run("fig2b", reference_scenario, out, q_values=q_values[:499])
 
     def test_scenario_not_utf8_exit_two(self, tmp_path, capsys):
         scenario_path = tmp_path / "latin1.json"
@@ -1040,17 +1060,39 @@ class TestCommandTable:
             run(command, scenario, tmp_path, **option)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("case", ["unknown command", "missing section", "width model"])
-    def test_rejected_before_the_output_directory_is_made(self, scenario_dir, small_scenario, tmp_path, case):
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "unknown command",
+            "missing section",
+            "width model",
+            "foreign option",
+            "runner domain error",
+            "runner validation error",
+        ],
+    )
+    def test_rejected_before_the_output_directory_is_made(
+        self, scenario_dir, small_scenario, reference_scenario, tmp_path, case
+    ):
         out = tmp_path / "out"
         if case == "unknown command":
             with pytest.raises(cavityfall.ValidationError):
                 run("fig2c", small_scenario, out)
         elif case == "missing section":
             assert main(["dispersion", "--scenario", str(scenario_dir / "caf2_wgmc.json"), "--out", str(out)]) == 2
-        else:
+        elif case == "width model":
             with pytest.raises(TypeError):
                 run("dispersion", small_scenario, out, width_model="paper")
+        elif case == "foreign option":
+            with pytest.raises(TypeError):
+                run("fig2b", reference_scenario, out, k_points=8)
+        # the last two fail inside the runner, once the command has started
+        elif case == "runner domain error":
+            argv = ["qthreshold", "--scenario", str(scenario_dir / "caf2_wgmc.json"), "--out", str(out)]
+            assert main([*argv, "--q-lo", "1e12", "--q-hi", "1e13"]) == 3
+        else:
+            argv = ["dispersion", "--scenario", str(scenario_dir / "freefall_caf2.json"), "--out", str(out)]
+            assert main([*argv, "--k-points", "0"]) == 2
         assert not out.exists()
 
     def test_only_a_propagating_command_writes_the_default_stride(self, tmp_path):

@@ -2,6 +2,7 @@ import math
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cavityfall import (
     analytic_gaussian_oracle,
     init_gaussian,
     interference_signal,
+    load_scenario,
     mode_width,
     propagate,
     q_threshold,
@@ -37,8 +39,10 @@ WIDTH_AT_TAU = {"paper_verbatim": 0.122099012198104, "corrected": 0.100120378149
 T_CROSS_7E10 = 7.89388757712735e-5
 Q_MIN_TRUE = 36955286105.5196
 
-PAPER = ExperimentConfig.caf2_reference(width_model="paper_verbatim")
-CORRECTED = ExperimentConfig.caf2_reference(width_model="corrected")
+# the shipped CaF2 whispering-gallery experiment (Q = 7e10, corrected widths)
+REFERENCE = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "caf2_wgmc.json").experiment
+PAPER = replace(REFERENCE, width_model="paper_verbatim")
+CORRECTED = replace(REFERENCE, width_model="corrected")
 # no decay and a mode far wider than y_out: the envelope is exactly 1, so
 # I(t) is the modulation 1 - cos(dphi) itself
 FLAT = replace(PAPER, Q=1e300, sigma0=1e150)
@@ -89,7 +93,7 @@ class TestExperimentConfig:
             snr_peak(cfg) if evaluated else replace(CORRECTED, **changes)
         assert err.value.key == key
 
-    @pytest.mark.parametrize("evaluate", [interference_signal, snr])
+    @pytest.mark.parametrize("evaluate", [interference_signal, snr, mode_width])
     def test_times_the_model_cannot_evaluate_are_an_error(self, evaluate):
         # the model overflows at the end of this config's trace window
         cfg = replace(CORRECTED, Q=1e307)
@@ -198,7 +202,7 @@ class TestInterferenceSignal:
     model=st.sampled_from(("paper_verbatim", "corrected")),
 )
 def test_signal_nonnegative_property(t, q, model):
-    cfg = ExperimentConfig.caf2_reference(Q=q, width_model=model)
+    cfg = replace(REFERENCE, Q=q, width_model=model)
     assert float(interference_signal(cfg, t)) >= 0.0
     assert float(snr(cfg, t)) >= 0.0
 
@@ -298,7 +302,7 @@ class TestRefinementKeepsItsBits:
     @pytest.mark.parametrize("q", [1e9, 3.7e10, 1e12, pytest.param((7e10, 2.3e11), id="7e10-at-2.3e11")])
     def test_scalar_sn_matches_snr(self, model, q):
         q, kernel_q = q if isinstance(q, tuple) else (q, None)
-        cfg = ExperimentConfig.caf2_reference(Q=q, width_model=model)
+        cfg = replace(REFERENCE, Q=q, width_model=model)
         if kernel_q is None:
             sn_at = _sampled_peak(cfg, _N_SAMPLES, q)[2]
         else:
@@ -414,7 +418,7 @@ class TestQThresholdKeepsItsBits:
 
     @pytest.mark.parametrize("model", WIDTH_MODELS)
     def test_seeded_random_brackets(self, model):
-        cfg = ExperimentConfig.caf2_reference(width_model=model)
+        cfg = replace(REFERENCE, width_model=model)
         q_min = q_threshold(cfg, 1e9, 1e12).q_min
         for below, above in 10.0 ** np.random.default_rng(1512).uniform(1e-3, 3.0, (6, 2)):
             self.matches_reference(cfg, q_min / below, q_min * above)
@@ -422,7 +426,7 @@ class TestQThresholdKeepsItsBits:
     @pytest.mark.parametrize("model", WIDTH_MODELS)
     def test_q_hi_at_the_largest_q_the_model_accepts(self, model):
         # the last Q before the signal model overflows on its trace window
-        cfg = ExperimentConfig.caf2_reference(width_model=model)
+        cfg = replace(REFERENCE, width_model=model)
         q_max = largest_accepted_q(cfg)
         with pytest.raises(CavityFallError):
             snr_peak(replace(cfg, Q=float(np.nextafter(q_max, math.inf))))
@@ -430,7 +434,7 @@ class TestQThresholdKeepsItsBits:
 
     @pytest.mark.parametrize("model", WIDTH_MODELS)
     def test_bracket_already_inside_the_tolerance(self, model):
-        cfg = ExperimentConfig.caf2_reference(width_model=model)
+        cfg = replace(REFERENCE, width_model=model)
         lo, hi, mid, peak_mid = q_threshold(cfg, 1e9, 1e12).iterations[-1]
         lo, hi = (mid, hi) if peak_mid < 1.0 else (lo, mid)
         assert self.matches_reference(cfg, lo, hi).iterations == ()
