@@ -1,4 +1,5 @@
-"""The shipped runs' artifacts, byte for byte, against golden_sha256.json.
+"""The shipped runs' artifacts, byte for byte, against golden_sha256.json,
+and those of the benchmark's operations against golden_bench_sha256.json.
 
 Artifact bytes are fixed per numpy version and per CPU target of numpy's
 ufunc kernels, which numpy picks at run time: its transcendental kernels
@@ -6,13 +7,21 @@ round differently from one target to the next.  The golden file is keyed by
 both, and on a host where either differs the test is skipped, naming the
 difference; only the values are portable there, to a few ulps.
 
-A documented artifact change rewrites the file:
+The benchmark file holds, for each workload, seed in BENCH_SEEDS and
+operation index, the exit code, the stderr and the artifact digests of the
+operation that bench/workloads.py generates, run through cli.main.
+
+A documented artifact change rewrites both files:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -21,8 +30,14 @@ import pytest
 
 from cavityfall import cli
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("golden_sha256.json")
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BENCH_GOLDEN = Path(__file__).with_name("golden_bench_sha256.json")
+SCENARIOS = ROOT / "scenarios"
+BENCH_SEEDS = (1, 2, 3)
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
 #: the shipped runs, as command and options, and their scenario files
 SHIPPED = {
     "dispersion": "freefall_caf2.json",
@@ -63,14 +78,50 @@ def shipped_digests(work: Path) -> dict:
     return digests
 
 
-def test_shipped_runs_match_the_golden_file(tmp_path):
-    golden = json.loads(GOLDEN.read_text())
+def bench_outcomes(work: Path) -> dict:
+    """{workload: {seed: [{exit, stderr, sha256} of each operation]}}; each
+    output directory is removed once digested."""
+    outcomes: dict = {}
+    for name in workloads.WORKLOADS:
+        for seed in BENCH_SEEDS:
+            workload = workloads.generate(name, seed, SCENARIOS)
+            paths = [work / f"{name}{seed}-s{i:03d}.json" for i in range(len(workload.documents))]
+            for path, doc in zip(paths, workload.documents):
+                path.write_text(json.dumps(doc), encoding="utf-8")
+            runs = outcomes.setdefault(name, {}).setdefault(str(seed), [])
+            for j, op in enumerate(workload.ops):
+                out = work / f"{name}{seed}-op{j}"
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    code = cli.main(workloads.argv(op, paths[op.scenario], out))
+                runs.append({"exit": code, "stderr": stderr.getvalue(), "sha256": _digests(out) if out.exists() else {}})
+                shutil.rmtree(out, ignore_errors=True)
+    return outcomes
+
+
+def _golden(path: Path) -> dict:
+    golden = json.loads(path.read_text())
     if golden["key"] != golden_key():
         pytest.skip(f"golden bytes are for {golden['key']}, this host runs {golden_key()}")
-    assert shipped_digests(tmp_path) == golden["sha256"]
+    return golden
+
+
+def test_shipped_runs_match_the_golden_file(tmp_path):
+    assert shipped_digests(tmp_path) == _golden(GOLDEN)["sha256"]
+
+
+def test_bench_operations_match_the_golden_file(tmp_path):
+    golden = _golden(BENCH_GOLDEN)["outcomes"]
+    outcomes = bench_outcomes(tmp_path)
+    for name, seeds in golden.items():
+        for seed, runs in seeds.items():
+            for j, expected in enumerate(runs):
+                assert outcomes[name][seed][j] == expected, f"{name} seed {seed} operation {j}"
+    assert outcomes == golden
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as work:
-        golden = {"key": golden_key(), "sha256": shipped_digests(Path(work))}
-    GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    for path, field, collect in ((GOLDEN, "sha256", shipped_digests), (BENCH_GOLDEN, "outcomes", bench_outcomes)):
+        with tempfile.TemporaryDirectory() as work:
+            golden = {"key": golden_key(), field: collect(Path(work))}
+        path.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
