@@ -40,11 +40,9 @@ from .propagator import (
     Grid1D,
     PropagationScenario,
     Trace,
-    WaveState,
     analytic_gaussian_oracle,
     exact_accelerating_gaussian,
     init_gaussian,
-    observables,
     propagate,
 )
 from .scenario import (
@@ -72,12 +70,10 @@ __all__ = [
     "freefall_trajectory",
     "phase_gradient",
     "Grid1D",
-    "WaveState",
     "PropagationScenario",
     "Trace",
     "GaussianMoments",
     "init_gaussian",
-    "observables",
     "propagate",
     "analytic_gaussian_oracle",
     "exact_accelerating_gaussian",

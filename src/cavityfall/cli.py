@@ -182,7 +182,7 @@ def _run_freefall_numeric(scenario: ScenarioFile) -> dict:
         n_steps=prop.n_steps,
         record_stride=stride,
     )
-    _, trace = propagate(init_gaussian(prop.grid, sigma0=prop.sigma0), run)
+    _, trace = propagate(prop.grid, init_gaussian(prop.grid, prop.sigma0), run)
     header = ("t_si", "y_si", "sigma_si", "k_si", "norm", "energy_si", "phase_grad_si")
     columns = [
         trace.t, trace.centroid, trace.width, trace.mean_k, trace.norm, trace.energy * hbar, trace.phase_gradient
@@ -226,7 +226,8 @@ def _run_fig2b(scenario: ScenarioFile, *, q_values=DEFAULT_Q_SWEEP) -> dict:
         if not math.isfinite(peak_ratio):
             raise DomainError(
                 f"at Q = {q:g} the width models' peak SNR ratio "
-                f"{peak_by_model['paper_verbatim']!r}/{corrected!r} is out of double range"
+                f"{peak_by_model['paper_verbatim']!r}/{corrected!r} is out of double range",
+                key="Q",
             )
         artifacts[name] = (("t_si", "i_signal", "sn"), [trace.t, trace.i_signal, trace.sn])
         traces_summary.append({"Q": q, "t_peak": trace.t_peak, "sn_peak": trace.sn_peak, "t_cross": trace.t_cross})

@@ -50,7 +50,7 @@ class CavitySpec:
         if not (math.isfinite(self.L) and self.L > 0.0):
             raise ValidationError(f"must be > 0, got {self.L!r}", key="L")
         # j enters the float formulas, which hold integers exactly up to 2**53
-        if not (isinstance(self.j, int) and 1 <= self.j <= 2**53):
+        if not (type(self.j) is int and 1 <= self.j <= 2**53):
             raise ValidationError(f"must be an integer in [1, 2**53], got {self.j!r}", key="j")
         _require_index(self.n_s)
         if self.Q is not None and not (math.isfinite(self.Q) and self.Q > 0.0):

@@ -73,6 +73,8 @@ from .errors import DomainError, ValidationError
 MAX_GRID_POINTS = 2**20
 #: Largest number of rows (recorded samples, wavenumbers) a command may write.
 MAX_ROWS = 10**6
+#: Largest records x n_points of a propagation: a record is one IFFT and the grid's moments.
+MAX_RECORD_SAMPLES = 2**30
 #: Records from one closed-form anchor of propagate's phasor recurrence to
 #: the next; the phase drift between anchors grows as its square.
 _ANCHOR_INTERVAL = 16
@@ -91,7 +93,7 @@ class Grid1D:
         if not (math.isfinite(self.y_min) and math.isfinite(self.y_max) and self.y_max > self.y_min):
             raise ValidationError(f"needs y_max > y_min, got [{self.y_min!r}, {self.y_max!r}]")
         n = self.n_points
-        if not (isinstance(n, int) and n >= 64 and (n & (n - 1)) == 0):
+        if not (type(n) is int and n >= 64 and (n & (n - 1)) == 0):
             raise ValidationError(f"must be a power of two >= 64, got {n!r}", key="n_points")
         if n > MAX_GRID_POINTS:
             raise ValidationError(f"must be <= {MAX_GRID_POINTS} (grid budget), got {n!r}", key="n_points")
@@ -120,15 +122,6 @@ class Grid1D:
         return k
 
 
-@dataclass
-class WaveState:
-    """Complex envelope samples on a grid at time t."""
-
-    grid: Grid1D
-    amplitudes: np.ndarray
-    t: float = 0.0
-
-
 @dataclass(frozen=True)
 class PropagationScenario:
     """Parameters of one propagation run: n_steps Strang steps of size dt,
@@ -148,23 +141,23 @@ class PropagationScenario:
             raise ValidationError(f"must be >= 0, got {self.g_tilde!r}", key="g_tilde")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValidationError(f"must be > 0, got {self.dt!r}", key="dt")
-        if not (isinstance(self.n_steps, int) and self.n_steps >= 1):
+        if not (type(self.n_steps) is int and self.n_steps >= 1):
             raise ValidationError(f"must be an integer >= 1, got {self.n_steps!r}", key="n_steps")
-        if not (isinstance(self.record_stride, int) and self.record_stride >= 1):
+        if not (type(self.record_stride) is int and self.record_stride >= 1):
             raise ValidationError(f"must be an integer >= 1, got {self.record_stride!r}", key="record_stride")
 
 
 class Trace(NamedTuple):
-    """Observables of one state (floats) or of a run (one numpy column per
-    field, one row per recorded sample)."""
+    """Observables of a run: one numpy column per field, one row per
+    recorded sample."""
 
-    t: float | np.ndarray
-    centroid: float | np.ndarray
-    width: float | np.ndarray
-    mean_k: float | np.ndarray
-    norm: float | np.ndarray
-    energy: float | np.ndarray
-    phase_gradient: float | np.ndarray
+    t: np.ndarray
+    centroid: np.ndarray
+    width: np.ndarray
+    mean_k: np.ndarray
+    norm: np.ndarray
+    energy: np.ndarray
+    phase_gradient: np.ndarray
 
 
 class GaussianMoments(NamedTuple):
@@ -176,8 +169,9 @@ class GaussianMoments(NamedTuple):
     phase_gradient: float
 
 
-def init_gaussian(grid: Grid1D, sigma0: float, y_center: float = 0.0, k0: float = 0.0) -> WaveState:
-    """Unit-norm Gaussian envelope exp(-(y-y_center)^2/(4 sigma0^2) + i k0 y).
+def init_gaussian(grid: Grid1D, sigma0: float) -> np.ndarray:
+    """Unit-norm Gaussian envelope exp(-y^2/(4 sigma0^2)) at rest on the grid,
+    as complex samples.
 
     Requires the packet to be resolved (sigma0 > 4 dy) and to fit the domain
     (4 sigma0 < extent); the measured width of |u|^2 then equals sigma0 to
@@ -195,9 +189,9 @@ def init_gaussian(grid: Grid1D, sigma0: float, y_center: float = 0.0, k0: float 
             f"domain extent {grid.extent:g}"
         )
     y = grid.y_values()
-    u = np.exp(-((y - y_center) ** 2) / (4.0 * sigma0**2) + 1j * k0 * y)
+    u = np.exp(-(y**2) / (4.0 * sigma0**2) + 0j)
     u /= math.sqrt(float(np.sum(np.abs(u) ** 2)) * grid.dy)
-    return WaveState(grid=grid, amplitudes=u, t=0.0)
+    return u
 
 
 #: Weights of the 4 phase increments between the 5 samples s = -2..2 that
@@ -258,19 +252,6 @@ def _spectral_moments(spectrum: np.ndarray, k: np.ndarray) -> tuple[float, float
     return float(power @ k) / total, float(power @ (k * k)) / total
 
 
-def observables(state: WaveState, mass: float = 1.0, g_tilde: float = 0.0) -> Trace:
-    """Measure (centroid, width, <k>, norm, <H>, phase gradient) of a state.
-
-    mass and g_tilde define the Hamiltonian for <H>; for a linear potential
-    <V> = m*g_tilde*<y> exactly.
-    """
-    grid = state.grid
-    norm, centroid, width, phase_grad = _envelope_moments(state.amplitudes, grid.y_values(), grid.dy)
-    mean_k, mean_k2 = _spectral_moments(np.fft.fft(state.amplitudes), grid.k_values())
-    energy = mean_k2 / (2.0 * mass) + mass * g_tilde * centroid
-    return Trace(state.t, centroid, width, mean_k, norm, energy, phase_grad)
-
-
 def recording_schedule(n_steps: int, stride: int) -> list[int]:
     """Recorded step indices: 0, every stride-th step, and always n_steps;
     at most MAX_ROWS of them, checked before the list is built."""
@@ -307,8 +288,9 @@ def _kinetic_phasor(
     return np.exp(out, out=out)
 
 
-def propagate(state: WaveState, scenario: PropagationScenario) -> tuple[WaveState, Trace]:
-    """Evolve n_steps steps, recording observables every record_stride steps.
+def propagate(grid: Grid1D, u0: np.ndarray, scenario: PropagationScenario) -> tuple[np.ndarray, Trace]:
+    """Evolve the samples u0 on grid n_steps steps from t = 0, recording
+    observables every record_stride steps.
 
     Each record is the composed Strang state at its step index, evaluated
     in the falling frame (see the module docstring): the spectrum advances
@@ -317,15 +299,22 @@ def propagate(state: WaveState, scenario: PropagationScenario) -> tuple[WaveStat
     form.  The cost is one IFFT, into a buffer held for the run, and two
     complex multiplies per record, whatever the step count; a record
     allocates no complex N-point array.  Records always include the initial
-    state and the final step.  The packet must keep 4 sigma of clearance
+    state and the final step; records x n_points is bounded by
+    MAX_RECORD_SAMPLES, checked before anything is allocated (a
+    ValidationError keyed stride).  The packet must keep 4 sigma of clearance
     from the domain edges (checked at every recorded sample); violations
     raise a DomainError suggesting a larger grid.  Norm growth beyond
     roundoff or non-finite amplitudes abort the run naming the step.  The
-    returned state is the lab-frame envelope, carrier and global phase
-    included.
+    returned array is the lab-frame envelope at t = n_steps dt, carrier and
+    global phase included.
     """
-    grid = state.grid
     stride = scenario.record_stride
+    n_records = -(-scenario.n_steps // stride) + 1
+    if n_records * grid.n_points > MAX_RECORD_SAMPLES:
+        work = f"{n_records} records of n_points = {grid.n_points} samples"
+        raise ValidationError(f"{work} are over the work budget of {MAX_RECORD_SAMPLES} samples", key="stride")
+    if np.shape(u0) != (grid.n_points,):
+        raise ValidationError(f"must hold the grid's {grid.n_points} samples, got shape {np.shape(u0)}", key="u0")
     schedule = recording_schedule(scenario.n_steps, stride)
     y, dy = grid.y_values(), grid.dy
     mass, dt = scenario.mass, scenario.dt
@@ -333,7 +322,7 @@ def propagate(state: WaveState, scenario: PropagationScenario) -> tuple[WaveStat
     # record spacing on the stride; a stride past n_steps has no such record
     tau = min(stride, scenario.n_steps) * dt
     # complex128 throughout: the buffer's halves are the phasors' float scratch
-    u0 = np.asarray(state.amplitudes, dtype=complex)
+    u0 = np.asarray(u0, dtype=complex)
     # record 0's moments, which also reject a zero or non-finite state
     moments = _envelope_moments(u0, y, dy)
     initial_norm = moments[0]
@@ -391,7 +380,7 @@ def propagate(state: WaveState, scenario: PropagationScenario) -> tuple[WaveStat
         u = np.exp(-1j * (ft * y + offset / (2.0 * mass))) * v
     if not np.all(np.isfinite(u.view(float))):
         raise DomainError(f"non-finite amplitudes after step {schedule[-1]}")
-    return WaveState(grid=grid, amplitudes=u, t=t), Trace(*records.T)
+    return u, Trace(*records.T)
 
 
 def analytic_gaussian_oracle(

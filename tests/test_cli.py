@@ -408,6 +408,20 @@ class TestMainEntryPoint:
         assert "t = 0.14" in err
         assert "+/- 86.9157" in err
 
+    def test_freefall_numeric_over_the_work_budget_exits_two(self, scenario_dir, tmp_path, capsys):
+        # 1126 records of 2**20 points: over the 2**30 samples of the work budget
+        doc = json.loads((scenario_dir / "freefall_caf2.json").read_text())
+        doc["propagation"]["grid"]["n_points"] = 2**20
+        doc["propagation"]["t_final"] = 0.09
+        doc["output"]["stride"] = 1
+        scenario_path = tmp_path / "long_trace.json"
+        scenario_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["freefall-numeric", "--scenario", str(scenario_path), "--out", str(out), "--quiet"]) == 2
+        expected = "1126 records of n_points = 1048576 samples are over the work budget of 1073741824 samples"
+        assert capsys.readouterr().err == f"validation error: output.stride: {expected}\n"
+        assert not out.exists()
+
     def test_fig2b_failing_at_a_later_q_writes_nothing(self, scenario_dir, tmp_path, capsys):
         # out-couplers 50 sigma0 off centre: at Q = 1e3 the mode has no time
         # to spread, so both peaks underflow to 0 and their ratio is undefined
@@ -418,7 +432,7 @@ class TestMainEntryPoint:
         out = tmp_path / "out"
         argv = ["fig2b", "--scenario", str(scenario_path), "--out", str(out), "--q", "7e10", "1e3", "--quiet"]
         assert main(argv) == 3
-        assert "experiment: at Q = 1000" in capsys.readouterr().err
+        assert "--q: at Q = 1000" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("q_values", [["7e10", "7.0000001e10"], ["5e10", "3e10", "5e10"]])
@@ -1005,6 +1019,14 @@ class TestErrorKeysOfDerivedValues:
                 [],
                 3,
                 "numerical-domain error: experiment: the signal model overflows",
+            ),
+            # both width models' peaks underflow to 0 at the option's Q
+            (
+                "fig2b",
+                {},
+                ["--q", "1e-300"],
+                3,
+                "numerical-domain error: --q: at Q = 1e-300 the width models' peak SNR ratio 0.0/0.0",
             ),
         ],
     )

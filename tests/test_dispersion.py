@@ -30,6 +30,8 @@ class TestCavitySpec:
             CavitySpec(L=1e-6, j=1, n_s=0.9)
         with pytest.raises(ValidationError):
             CavitySpec(L=1e-6, j=1, Q=-1.0)
+        with pytest.raises(ValidationError, match=r"^j: must be an integer in \[1, 2\*\*53\], got True$"):
+            CavitySpec(L=1e-6, j=True)
         with pytest.raises(ValidationError):
             CavitySpec.from_rest_wavelength(-1e-6)
 

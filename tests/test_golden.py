@@ -3,8 +3,8 @@ and those of the benchmark's operations against golden_bench_sha256.json.
 
 Artifact bytes are fixed per numpy version and per CPU target of numpy's
 ufunc kernels, which numpy picks at run time: its transcendental kernels
-round differently from one target to the next.  The golden file is keyed by
-both, and on a host where either differs the test is skipped, naming the
+round differently from one target to the next.  Each golden file is keyed
+by both, and on a host where either differs the test is skipped, naming the
 difference; only the values are portable there, to a few ulps.
 
 The benchmark file holds, for each workload, seed in BENCH_SEEDS and
@@ -94,7 +94,8 @@ def bench_outcomes(work: Path) -> dict:
                 stderr = io.StringIO()
                 with contextlib.redirect_stderr(stderr):
                     code = cli.main(workloads.argv(op, paths[op.scenario], out))
-                runs.append({"exit": code, "stderr": stderr.getvalue(), "sha256": _digests(out) if out.exists() else {}})
+                digests = _digests(out) if out.exists() else {}
+                runs.append({"exit": code, "stderr": stderr.getvalue(), "sha256": digests})
                 shutil.rmtree(out, ignore_errors=True)
     return outcomes
 

@@ -135,7 +135,7 @@ class TestModeWidth:
         mass_over_hbar = cfg.n_s**2 * cfg.omega0 / c**2
         grid = Grid1D(-3.2, 3.2, 1024)
         scenario = PropagationScenario(mass=mass_over_hbar, g_tilde=0.0, dt=2e-5, n_steps=80, record_stride=20)
-        _, trace = propagate(init_gaussian(grid, cfg.sigma0), scenario)
+        _, trace = propagate(grid, init_gaussian(grid, cfg.sigma0), scenario)
         for t, width in zip(trace.t[1:], trace.width[1:]):
             assert width == pytest.approx(float(mode_width(cfg, float(t))), rel=1e-6)
 

@@ -16,12 +16,10 @@ from cavityfall import (
     PropagationScenario,
     Trace,
     ValidationError,
-    WaveState,
     analytic_gaussian_oracle,
     effective_mass,
     exact_accelerating_gaussian,
     init_gaussian,
-    observables,
     phase_gradient,
     propagate,
 )
@@ -46,6 +44,16 @@ def l2_distance(u, v, dy):
     return math.sqrt(float(np.sum(np.abs(u - v) ** 2)) * dy)
 
 
+def measure(u, grid=GRID, mass=1.0, g_tilde=0.0, t=0.0):
+    """{Trace field: value} of the samples u at time t, measured as propagate
+    measures its record 0; mass and g_tilde define the Hamiltonian of the
+    energy, whose <V> = m*g_tilde*<y> exactly for a linear potential."""
+    norm, centroid, width, phase_gradient = _envelope_moments(u, grid.y_values(), grid.dy)
+    mean_k, mean_k2 = _spectral_moments(np.fft.fft(u), grid.k_values())
+    energy = mean_k2 / (2.0 * mass) + mass * g_tilde * centroid
+    return dict(zip(Trace._fields, (t, centroid, width, mean_k, norm, energy, phase_gradient)))
+
+
 def strang_reference(u, grid, mass, g_tilde, dt, n_steps):
     """Step-by-step complex128 Strang loop: the scheme propagate composes in
     closed form.  Reference only; half potential, full kinetic, half potential."""
@@ -56,17 +64,16 @@ def strang_reference(u, grid, mass, g_tilde, dt, n_steps):
     return u
 
 
-def closed_form_reference(state, scenario):
+def closed_form_reference(grid, u0, scenario):
     """Trace of the per-record closed form: each record's lab-frame state
     exp(-i F t y) IFFT[exp(-i theta(k)) FFT u(0)], theta less its
-    k-independent term, measured by observables.  Reference only; it stops
+    k-independent term, measured with measure().  Reference only; it stops
     where the composed phase leaves double range, as propagate must."""
-    grid = state.grid
     y, k = grid.y_values(), grid.k_values()
     mass, dt = scenario.mass, scenario.dt
     force = mass * scenario.g_tilde
     spread_rate, drift_rate = k * k / (2.0 * mass), k / (2.0 * mass)
-    spectrum0 = np.fft.fft(state.amplitudes)
+    spectrum0 = np.fft.fft(u0)
     rows = []
     for i in recording_schedule(scenario.n_steps, scenario.record_stride):
         t = i * dt
@@ -75,18 +82,16 @@ def closed_form_reference(state, scenario):
         v = np.fft.ifft(np.exp(-1j * (spread_rate * t - drift_rate * (ft * t))) * spectrum0)
         if not (math.isfinite(ft) and math.isfinite(offset) and np.all(np.isfinite(v))):
             raise DomainError(f"non-finite amplitudes after step {i}")
-        lab_frame = WaveState(grid, np.exp(-1j * ft * y) * v, t)
-        rows.append(observables(lab_frame, mass, scenario.g_tilde))
+        rows.append(list(measure(np.exp(-1j * ft * y) * v, grid, mass, scenario.g_tilde, t).values()))
     return Trace(*np.array(rows, dtype=float).T)
 
 
-def allocating_propagate(state, scenario):
+def allocating_propagate(grid, u0, scenario):
     """propagate's loop as it was before the held buffer: every record
     allocates its IFFT output, every anchor its FFT u(0) and its phasor
     temporaries, and each record's envelope is scanned for non-finite
     samples before its moments.  Reference only; the moments and the
     spectral sums are propagate's own."""
-    grid = state.grid
     stride = scenario.record_stride
     schedule = recording_schedule(scenario.n_steps, stride)
     y, dy = grid.y_values(), grid.dy
@@ -102,7 +107,6 @@ def allocating_propagate(state, scenario):
         out.imag = -phase
         return np.exp(out)
 
-    u0 = state.amplitudes
     initial_norm = _envelope_moments(u0, y, dy)[0]
     spectrum = np.fft.fft(u0)
     mean_k0, mean_k20 = _spectral_moments(spectrum, k)
@@ -143,11 +147,11 @@ def allocating_propagate(state, scenario):
         u = np.exp(-1j * (ft * y + offset / (2.0 * mass))) * v
     if not np.all(np.isfinite(u)):
         raise DomainError(f"non-finite amplitudes after step {schedule[-1]}")
-    return WaveState(grid=grid, amplitudes=u, t=t), Trace(*np.array(records, dtype=float).T)
+    return u, Trace(*np.array(records, dtype=float).T)
 
 
-def propagate_steps(state, dt, mass=1.0, g_tilde=0.0, n_steps=1):
-    final, _ = propagate(state, PropagationScenario(mass=mass, g_tilde=g_tilde, dt=dt, n_steps=n_steps))
+def propagate_steps(u0, dt, mass=1.0, g_tilde=0.0, n_steps=1):
+    final, _ = propagate(GRID, u0, PropagationScenario(mass=mass, g_tilde=g_tilde, dt=dt, n_steps=n_steps))
     return final
 
 
@@ -208,29 +212,26 @@ class TestScenarioValidation:
             PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.5, n_steps=2.5)
         with pytest.raises(ValidationError):
             PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.1, n_steps=10, record_stride=0)
+        for field in ("n_steps", "record_stride"):
+            counts = {"n_steps": 10, "record_stride": 1, field: True}
+            with pytest.raises(ValidationError, match=f"^{field}: must be an integer >= 1, got True$"):
+                PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.5, **counts)
 
 
 class TestInitGaussian:
     def test_zero_momentum_profile_is_real(self):
-        state = init_gaussian(GRID, sigma0=1.0)
-        assert np.all(state.amplitudes.imag == 0.0)
-        assert np.all(state.amplitudes.real > 0.0)
-        assert abs(observables(state).mean_k) < 1e-10
+        u = init_gaussian(GRID, sigma0=1.0)
+        assert np.all(u.imag == 0.0)
+        assert np.all(u.real > 0.0)
+        assert abs(measure(u)["mean_k"]) < 1e-10
 
     def test_measured_moments(self):
         # 8 sigma of edge clearance: wrapped tails are then below the 1e-6
         # width contract (at 5 sigma they already bias the variance by ~7e-6)
-        state = init_gaussian(GRID, sigma0=4.0, y_center=0.0)
-        rec = observables(state)
-        assert rec.norm == pytest.approx(1.0, rel=1e-14)
-        assert rec.centroid == pytest.approx(0.0, abs=1e-12)
-        assert rec.width == pytest.approx(4.0, rel=1e-6)
-
-    def test_spectral_moment_recovers_k0(self):
-        k0 = 16.0 * 2.0 * math.pi / 64.0  # lattice wavenumber
-        state = init_gaussian(GRID, sigma0=1.0, k0=k0)
-        rec = observables(state)
-        assert rec.mean_k == pytest.approx(k0, rel=1e-8)
+        rec = measure(init_gaussian(GRID, sigma0=4.0))
+        assert rec["norm"] == pytest.approx(1.0, rel=1e-14)
+        assert rec["centroid"] == pytest.approx(0.0, abs=1e-12)
+        assert rec["width"] == pytest.approx(4.0, rel=1e-6)
 
     def test_unresolved_gaussian_rejected(self):
         with pytest.raises(DomainError, match="unresolved"):
@@ -244,20 +245,18 @@ class TestInitGaussian:
 class TestObservables:
     def test_lattice_phase_shifts_mean_k_exactly(self):
         q = 8.0 * 2.0 * math.pi / 64.0
-        state = init_gaussian(GRID, sigma0=1.0)
-        rec0 = observables(state)
-        shifted = WaveState(GRID, state.amplitudes * np.exp(1j * q * GRID.y_values()), 0.0)
-        rec1 = observables(shifted)
-        assert rec1.mean_k - rec0.mean_k == pytest.approx(q, rel=1e-12)
+        u = init_gaussian(GRID, sigma0=1.0)
+        rec0 = measure(u)
+        rec1 = measure(u * np.exp(1j * q * GRID.y_values()))
+        assert rec1["mean_k"] - rec0["mean_k"] == pytest.approx(q, rel=1e-12)
 
     def test_zero_norm_rejected(self):
-        dead = WaveState(GRID, np.zeros(1024, dtype=complex), 0.0)
         with pytest.raises(DomainError, match="norm"):
-            observables(dead)
+            measure(np.zeros(1024, dtype=complex))
 
     def test_energy_is_conserved_along_a_run(self):
         scenario = PropagationScenario(mass=1.0, g_tilde=0.5, dt=1 / 64, n_steps=128, record_stride=16)
-        _, trace = propagate(init_gaussian(GRID, 1.0), scenario)
+        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
         drift = np.max(np.abs(trace.energy - trace.energy[0]) / abs(trace.energy[0]))
         assert drift < 1e-10
 
@@ -280,7 +279,7 @@ class TestEnvelopeMoments:
         ids=["nan", "inf", "imaginary-inf", "nan-beside-1e200", "1e200-then-nan"],
     )
     def test_non_finite_sample_names_the_step(self, bad):
-        u = init_gaussian(GRID, 1.0).amplitudes
+        u = init_gaussian(GRID, 1.0)
         for index, value in bad.items():
             u[index] = value
         with pytest.raises(DomainError, match=r"^non-finite amplitudes after step 7$"):
@@ -295,7 +294,8 @@ class TestEnvelopeMoments:
             _envelope_moments(u, self.Y, GRID.dy, step)
 
     def test_finite_state_is_measured_as_without_a_step(self):
-        u = init_gaussian(GRID, 1.0, y_center=3.0, k0=0.5).amplitudes
+        # centred at y = 3 (48 samples along) and moving at k = 0.5
+        u = np.roll(init_gaussian(GRID, 1.0), 48) * np.exp(1j * 0.5 * GRID.y_values())
         assert _envelope_moments(u, self.Y, GRID.dy, 7) == _envelope_moments(u, self.Y, GRID.dy)
 
 
@@ -320,39 +320,36 @@ class TestStep:
     """Single and double steps of propagate (one step is one Strang step)."""
 
     def test_free_step_preserves_norm_and_centroid(self):
-        after = propagate_steps(init_gaussian(GRID, 1.0), dt=0.05)
-        rec = observables(after)
-        assert after.t == 0.05
-        assert rec.norm == pytest.approx(1.0, abs=1e-14)
-        assert rec.centroid == pytest.approx(0.0, abs=1e-12)
+        rec = measure(propagate_steps(init_gaussian(GRID, 1.0), dt=0.05))
+        assert rec["norm"] == pytest.approx(1.0, abs=1e-14)
+        assert rec["centroid"] == pytest.approx(0.0, abs=1e-12)
 
     def test_single_step_impulse(self):
         # a linear potential transfers exactly -m*g_tilde*dt of momentum;
         # Strang splitting reproduces it to roundoff (splitting errors are
         # global phases for linear potentials)
         mass, g_tilde, dt = 2.0, 1.5, 0.02
-        after = propagate_steps(init_gaussian(GRID, 1.0), dt, mass, g_tilde)
-        rec = observables(after, mass, g_tilde)
-        assert rec.mean_k == pytest.approx(-mass * g_tilde * dt, abs=1e-12)
+        rec = measure(propagate_steps(init_gaussian(GRID, 1.0), dt, mass, g_tilde), GRID, mass, g_tilde)
+        assert rec["mean_k"] == pytest.approx(-mass * g_tilde * dt, abs=1e-12)
 
     def test_two_half_steps_match_one_full_step_to_third_order(self):
         # Richardson pair: the deviation is a pure phase ~ m*g_tilde^2*dt^3,
         # so halving dt must shrink it by 8
-        state = init_gaussian(GRID, 1.0)
+        u0 = init_gaussian(GRID, 1.0)
         deviations = []
         for dt in (0.25, 0.125):
-            full = propagate_steps(state, dt, g_tilde=4.0)
-            halves = propagate_steps(state, dt / 2, g_tilde=4.0, n_steps=2)
-            deviations.append(l2_distance(full.amplitudes, halves.amplitudes, GRID.dy))
+            full = propagate_steps(u0, dt, g_tilde=4.0)
+            halves = propagate_steps(u0, dt / 2, g_tilde=4.0, n_steps=2)
+            deviations.append(l2_distance(full, halves, GRID.dy))
         ratio = deviations[0] / deviations[1]
         assert deviations[0] < 0.25**3
         assert ratio == pytest.approx(8.0, rel=0.05)
 
     def test_non_finite_amplitudes_raise(self):
-        state = init_gaussian(GRID, 1.0)
-        state.amplitudes[100] = np.nan
+        u0 = init_gaussian(GRID, 1.0)
+        u0[100] = np.nan
         with pytest.raises(DomainError, match="non-finite"):
-            propagate_steps(state, dt=0.1, g_tilde=1.0)
+            propagate_steps(u0, dt=0.1, g_tilde=1.0)
 
     def test_overflowing_step_raises_non_finite(self):
         # t^3 overflows to inf in the composed phase; the run must stop with
@@ -377,12 +374,12 @@ class TestStrangComposition:
         # (>= 8 sigma initially, where the edges are 32 sigma away)
         t_max = min(2.0 * math.sqrt(3.0) * mass, math.sqrt(16.0 / g_tilde) if g_tilde > 0 else math.inf)
         dt = span * t_max / n_steps
-        state = init_gaussian(GRID, 1.0)
-        final = propagate_steps(state, dt, mass, g_tilde, n_steps)
-        stepped = strang_reference(state.amplitudes, GRID, mass, g_tilde, dt, n_steps)
-        rec = observables(final, mass, g_tilde)
-        assert rec.centroid - 8.0 * rec.width > GRID.y_min and rec.centroid + 8.0 * rec.width < GRID.y_max
-        assert l2_distance(final.amplitudes, stepped, GRID.dy) <= 1e-12
+        u0 = init_gaussian(GRID, 1.0)
+        final = propagate_steps(u0, dt, mass, g_tilde, n_steps)
+        stepped = strang_reference(u0, GRID, mass, g_tilde, dt, n_steps)
+        rec = measure(final, GRID, mass, g_tilde)
+        assert rec["centroid"] - 8.0 * rec["width"] > GRID.y_min and rec["centroid"] + 8.0 * rec["width"] < GRID.y_max
+        assert l2_distance(final, stepped, GRID.dy) <= 1e-12
 
 
 class TestPhasorRecurrence:
@@ -404,9 +401,9 @@ class TestPhasorRecurrence:
     def test_every_column_matches_the_closed_form(self, scenario, k0):
         # the momentum stays below 3 and the packet >= 8 sigma from the edges,
         # so the lab-frame reference measures every column unaliased
-        state = init_gaussian(GRID, 1.0, k0=k0)
-        _, trace = propagate(state, scenario)
-        reference = closed_form_reference(state, scenario)
+        u0 = init_gaussian(GRID, 1.0) * np.exp(1j * k0 * GRID.y_values())
+        _, trace = propagate(GRID, u0, scenario)
+        reference = closed_form_reference(GRID, u0, scenario)
         assert len(trace.t) == len(reference.t)
         for name, column, expected in zip(Trace._fields, trace, reference):
             assert np.max(np.abs(column - expected)) <= 1e-12 * np.max(np.abs(expected)), name
@@ -415,9 +412,9 @@ class TestPhasorRecurrence:
         # F = m*g_tilde = 6e153: the composed phase's F^2 t^3/3 leaves double
         # range at t ~ 2.5 of 4, on a record between two anchors
         scenario = PropagationScenario(mass=1.2e154, g_tilde=0.5, dt=1 / 64, n_steps=256, record_stride=16)
-        state = init_gaussian(GRID, 1.0)
+        u0 = init_gaussian(GRID, 1.0)
         with pytest.raises(DomainError) as closed_form:
-            closed_form_reference(state, scenario)
+            closed_form_reference(GRID, u0, scenario)
         message = str(closed_form.value)
         record = int(message.rsplit(" ", 1)[1]) // scenario.record_stride
         assert 1 < record < len(recording_schedule(scenario.n_steps, scenario.record_stride)) - 1
@@ -425,7 +422,7 @@ class TestPhasorRecurrence:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-                propagate(state, scenario)
+                propagate(GRID, u0, scenario)
 
 
 def extreme_input(rng):
@@ -449,8 +446,8 @@ def extreme_input(rng):
         log_g = (308.0 + math.log10(3.0) - 3.0 * log_t) / 2.0 - log_mass
         log_t += rng.uniform(-0.3, 0.5)
     log_dt = min(max(log_t - math.log10(n_steps), -300.0), 300.0)
-    state = init_gaussian(Grid1D(-n / 16, n / 16, n), 1.0)
-    state.amplitudes *= 10.0 ** rng.uniform(-160.0, 160.0)
+    grid = Grid1D(-n / 16, n / 16, n)
+    u0 = init_gaussian(grid, 1.0) * 10.0 ** rng.uniform(-160.0, 160.0)
     scenario = PropagationScenario(
         mass=float(10.0**log_mass),
         g_tilde=float(10.0**log_g),
@@ -458,15 +455,15 @@ def extreme_input(rng):
         n_steps=n_steps,
         record_stride=stride,
     )
-    return state, scenario
+    return grid, u0, scenario
 
 
-def outcome(run, state, scenario):
+def outcome(run, grid, u0, scenario):
     """(result or (exception type, message), messages of the warnings raised)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = run(state, scenario)
+            result = run(grid, u0, scenario)
         except (DomainError, ValidationError) as exc:
             result = (type(exc), str(exc))
     return result, {str(w.message) for w in caught}
@@ -479,17 +476,16 @@ class TestHeldBuffer:
         rng = np.random.default_rng(20261018)
         finished = 0
         for _ in range(200):
-            state, scenario = extreme_input(rng)
-            expected, expected_warnings = outcome(allocating_propagate, state, scenario)
-            result, result_warnings = outcome(propagate, state, scenario)
+            grid, u0, scenario = extreme_input(rng)
+            expected, expected_warnings = outcome(allocating_propagate, grid, u0, scenario)
+            result, result_warnings = outcome(propagate, grid, u0, scenario)
             assert result_warnings <= expected_warnings, scenario
             if isinstance(expected[0], type):
                 assert result == expected, scenario
                 continue
             finished += 1
             (final, trace), (expected_final, expected_trace) = result, expected
-            assert final.t == expected_final.t, scenario
-            assert final.amplitudes.tobytes() == expected_final.amplitudes.tobytes(), scenario
+            assert final.tobytes() == expected_final.tobytes(), scenario
             for name, column, reference in zip(Trace._fields, trace, expected_trace):
                 assert column.tobytes() == reference.tobytes(), (name, scenario)
         assert finished >= 20
@@ -502,12 +498,12 @@ class TestHeldBuffer:
         # The bound, 6 such arrays, is within 4 % of that peak; one more
         # held N-point real array (32768 bytes) would exceed it.
         grid = Grid1D(-256.0, 256.0, 4096)
-        state = init_gaussian(grid, 2.0)
+        u0 = init_gaussian(grid, 2.0)
         scenario = PropagationScenario(mass=1.0, g_tilde=0.05, dt=0.05, n_steps=64)
-        propagate(state, scenario)
+        propagate(grid, u0, scenario)
         tracemalloc.start()
         try:
-            propagate(state, scenario)
+            propagate(grid, u0, scenario)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -539,11 +535,13 @@ class TestUnitInvariance:
         stride = max(1, n_steps // 8)
         si_grid = Grid1D(-32.0 * length, 32.0 * length, 1024)
         _, si = propagate(
+            si_grid,
             init_gaussian(si_grid, sigma0),
             PropagationScenario(mass=mass, g_tilde=g_tilde, dt=dt, n_steps=n_steps, record_stride=stride),
         )
         scaled_grid = Grid1D(si_grid.y_min / length, si_grid.y_max / length, 1024)
         _, scaled = propagate(
+            scaled_grid,
             init_gaussian(scaled_grid, 1.0),
             PropagationScenario(mass=1.0, g_tilde=g_scaled, dt=dt / time, n_steps=n_steps, record_stride=stride),
         )
@@ -561,14 +559,14 @@ class TestUnitInvariance:
 class TestPropagate:
     def test_free_packet_spreads_on_schedule(self):
         scenario = PropagationScenario(mass=1.0, g_tilde=0.0, dt=1 / 64, n_steps=256, record_stride=32)
-        _, trace = propagate(init_gaussian(GRID, 1.0), scenario)
+        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
         assert np.max(np.abs(trace.centroid)) < 1e-12
         expected = np.sqrt(1.0 + (trace.t / 2.0) ** 2)
         assert np.max(np.abs(trace.width - expected) / expected) < 1e-6
 
     def test_centroid_falls_on_the_parabola(self):
         scenario = PropagationScenario(mass=1.0, g_tilde=1.0, dt=1 / 64, n_steps=256, record_stride=16)
-        _, trace = propagate(init_gaussian(GRID, 1.0), scenario)
+        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
         final_drop = 0.5 * 1.0 * 4.0**2
         assert np.max(np.abs(trace.centroid + 0.5 * trace.t**2)) < 1e-8 * final_drop
 
@@ -576,21 +574,21 @@ class TestPropagate:
         traces = []
         for mass in (1.0, 10.0):
             scenario = PropagationScenario(mass=mass, g_tilde=1.0, dt=1 / 64, n_steps=128, record_stride=16)
-            _, trace = propagate(init_gaussian(GRID, 1.0), scenario)
+            _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
             traces.append(trace.centroid)
         assert np.max(np.abs(traces[0] - traces[1])) < 1e-10 * 2.0
 
     def test_records_include_final_partial_stride(self):
         scenario = PropagationScenario(mass=1.0, g_tilde=0.0, dt=0.1, n_steps=10, record_stride=3)
-        _, trace = propagate(init_gaussian(GRID, 1.0), scenario)
+        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
         assert trace.t[0] == 0.0
         assert trace.t[-1] == pytest.approx(1.0, rel=1e-15)
         assert np.all(np.diff(trace.t) > 0)
 
     def test_moments_taken_once_per_record(self, monkeypatch):
         # record 0 reuses the moments that check the initial state
-        state = init_gaussian(GRID, 1.0)
-        initial = observables(state)
+        u0 = init_gaussian(GRID, 1.0)
+        initial = measure(u0)
         calls = []
 
         def counted(*args):
@@ -599,26 +597,53 @@ class TestPropagate:
 
         monkeypatch.setattr(propagator, "_envelope_moments", counted)
         scenario = PropagationScenario(mass=1.0, g_tilde=0.5, dt=1 / 64, n_steps=100, record_stride=7)
-        _, trace = propagate(state, scenario)
+        _, trace = propagate(GRID, u0, scenario)
         assert len(calls) == len(trace.t) == len(recording_schedule(100, 7))
         assert (trace.norm[0], trace.centroid[0], trace.width[0], trace.phase_gradient[0]) == (
-            initial.norm,
-            initial.centroid,
-            initial.width,
-            initial.phase_gradient,
+            initial["norm"],
+            initial["centroid"],
+            initial["width"],
+            initial["phase_gradient"],
         )
+
+    @pytest.mark.parametrize("n_steps, stride", [(1024, 1), (2048, 2), (2047, 2)])
+    def test_work_budget_checked_before_any_allocation(self, n_steps, stride):
+        # one record past 2**30 samples on the largest grid, counted as the
+        # schedule counts its records, the final off-stride one included
+        grid = Grid1D(-2048.0, 2048.0, 2**20)
+        u0 = init_gaussian(grid, 1.0)
+        scenario = PropagationScenario(mass=1.0, g_tilde=0.0, dt=1e-3, n_steps=n_steps, record_stride=stride)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as err:
+                propagate(grid, u0, scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        records = len(recording_schedule(n_steps, stride))
+        assert records == 1025
+        expected = f"stride: {records} records of n_points = 1048576 samples are over the work budget of 1073741824"
+        assert str(err.value).startswith(expected)
+        assert peak < grid.n_points
+
+    @pytest.mark.parametrize("shape", [(512,), (1024, 1), ()])
+    def test_samples_must_match_the_grid(self, shape):
+        scenario = PropagationScenario(mass=1.0, g_tilde=0.0, dt=0.1, n_steps=5)
+        expected = f"u0: must hold the grid's 1024 samples, got shape {shape}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
+            propagate(GRID, np.ones(shape, dtype=complex), scenario)
 
     def test_domain_escape_suggests_larger_grid(self):
         small = Grid1D(-8.0, 8.0, 128)
         scenario = PropagationScenario(mass=1.0, g_tilde=2.0, dt=1 / 32, n_steps=128, record_stride=4)
         with pytest.raises(DomainError, match="enlarge the grid"):
-            propagate(init_gaussian(small, 1.0), scenario)
+            propagate(small, init_gaussian(small, 1.0), scenario)
 
     def test_non_finite_initial_state_rejected(self):
-        state = init_gaussian(GRID, 1.0)
-        state.amplitudes[0] = np.inf
+        u0 = init_gaussian(GRID, 1.0)
+        u0[0] = np.inf
         with pytest.raises(DomainError):
-            propagate(state, PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.1, n_steps=5))
+            propagate(GRID, u0, PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.1, n_steps=5))
 
 
 class TestAnalyticOracle:
@@ -652,7 +677,7 @@ class TestOracleEquivalence:
     def test_observables_match_closed_form(self):
         mass, g_tilde = 1.0, 1.0
         scenario = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=1 / 64, n_steps=192, record_stride=16)
-        _, trace = propagate(init_gaussian(GRID, 1.0), scenario)
+        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
         final_drop = 0.5 * g_tilde * 3.0**2
         for i, t in enumerate(trace.t):
             m = analytic_gaussian_oracle(1.0, mass, g_tilde, float(t))
@@ -673,8 +698,8 @@ class TestOracleEquivalence:
         for dt in dts:
             n_steps = int(t_final / dt)  # exact: dt divides t_final
             scenario = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=dt, n_steps=n_steps, record_stride=10**9)
-            final, _ = propagate(init_gaussian(GRID, 1.0), scenario)
-            errors.append(l2_distance(final.amplitudes, exact, GRID.dy))
+            final, _ = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
+            errors.append(l2_distance(final, exact, GRID.dy))
         errors = np.array(errors)
         ratios = errors[:-1] / errors[1:]
         assert np.all(np.abs(ratios - 4.0) < 0.2)
@@ -686,7 +711,7 @@ class TestOracleEquivalence:
     def test_phase_gradient_law_in_scaled_units(self):
         mass, g_tilde = 2.0449, 0.4
         scenario = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=1 / 64, n_steps=128, record_stride=16)
-        _, trace = propagate(init_gaussian(GRID, 1.0), scenario)
+        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
         for i, t in enumerate(trace.t[1:], start=1):
             assert abs(trace.phase_gradient[i]) == pytest.approx(mass * g_tilde * t, rel=1e-4)
 
@@ -695,7 +720,7 @@ class TestOracleEquivalence:
         traces = {}
         for label, g_tilde in (("vacuum", 1.0), ("dielectric", 1.0 / ns_squared)):
             scenario = PropagationScenario(mass=1.0, g_tilde=g_tilde, dt=1 / 64, n_steps=96, record_stride=16)
-            _, traces[label] = propagate(init_gaussian(GRID, 1.0), scenario)
+            _, traces[label] = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
         ratio = traces["vacuum"].centroid[1:] / traces["dielectric"].centroid[1:]
         assert np.max(np.abs(ratio - ns_squared) / ns_squared) < 1e-8
 
@@ -703,5 +728,5 @@ class TestOracleEquivalence:
 class TestConservation:
     def test_norm_is_conserved_to_roundoff(self):
         scenario = PropagationScenario(mass=1.0, g_tilde=0.5, dt=1 / 128, n_steps=768, record_stride=64)
-        _, trace = propagate(init_gaussian(GRID, 1.0), scenario)
+        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
         assert np.max(np.abs(trace.norm - trace.norm[0])) < 1e-12
