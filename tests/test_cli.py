@@ -272,7 +272,8 @@ class TestMainEntryPoint:
             ]
         )
         assert code == 0
-        assert "dispersion.csv" in capsys.readouterr().out
+        # one progress line per file, in the order written, the manifest last
+        assert capsys.readouterr().out == f"wrote {tmp_path / 'dispersion.csv'}\nwrote {tmp_path / 'run_manifest.json'}\n"
 
     def test_validation_error_exit_two(self, scenario_dir, tmp_path, capsys):
         code = main(
