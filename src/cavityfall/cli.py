@@ -19,6 +19,8 @@ shortest round-trip decimals to keep regression diffs clean.
 Exit codes: 0 success, 2 validation error, 3 numerical-domain error, 4 I/O;
 an error prints its key (an option or scenario key path) and message.
 
+run() takes a scenario and its command's own options; main() writes --width-model
+into the scenario's experiment, and prints each file's path unless --quiet.
 main() builds the argument parser once per process, on its first call;
 importing this module builds none.  The same first call pins glibc's malloc
 thresholds, so that numpy's FFT scratch stays in the process (_pin_malloc).
@@ -48,7 +50,7 @@ from .errors import CavityFallError, DomainError, ValidationError
 from .gravity import freefall_trajectory, phase_gradient
 from .interferometry import q_threshold, snr_peak, snr_trace
 from .propagator import MAX_GRID_POINTS, MAX_ROWS, PropagationScenario, init_gaussian, propagate, recording_schedule
-from .scenario import ScenarioFile, load_scenario, read_width_model, scenario_to_dict
+from .scenario import WIDTH_MODEL_ALIASES, ScenarioFile, load_scenario, scenario_to_dict
 from .units import c, hbar
 
 DEFAULT_Q_SWEEP = (3e10, 5e10, 7e10)
@@ -282,15 +284,12 @@ _COMMANDS = {
 }
 
 
-def run(
-    command: str, scenario: ScenarioFile, out_dir, *, width_model: str | None = None, quiet: bool = True, **options
-) -> dict:
+def run(command: str, scenario: ScenarioFile, out_dir, **options) -> dict:
     """Execute one command against a validated scenario; returns the manifest.
 
     options are the command's own, the keyword-only parameters of its
-    runner; another command's option is a TypeError.  width_model replaces
-    the experiment's width model, and so is an option of the commands that
-    read the experiment, fig2b and qthreshold, alone.  A command that
+    runner; another command's option is a TypeError.  The scenario carries
+    everything else, the experiment's width model included.  A command that
     requires propagation runs with the default output.stride written into
     the scenario, so the manifest's resolved scenario carries it.  The runner
     returns its artifacts and writes nothing: out_dir is made, each artifact
@@ -300,18 +299,12 @@ def run(
     if command not in _COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
     runner, sections, library_keys = _COMMANDS[command]
-    if width_model is not None and "experiment" not in sections:
-        # the width model is the experiment's: only a command that reads it takes one
-        raise TypeError(f"{runner.__name__}() got an unexpected keyword argument 'width_model'")
     for name in sections:
         if getattr(scenario, name) is None:
             raise ValidationError(f"the {command} command requires this section", key=name)
     if "propagation" in sections and scenario.output.stride is None:
         stride = max(1, scenario.propagation.n_steps // _DEFAULT_RECORDS)
         scenario = replace(scenario, output=replace(scenario.output, stride=stride))
-    if width_model is not None:
-        model = read_width_model("--width-model", width_model)
-        scenario = replace(scenario, experiment=replace(scenario.experiment, width_model=model))
 
     try:
         blocks = runner(scenario, **options)
@@ -338,13 +331,7 @@ def run(
         "duration_s": time.perf_counter() - started,
         "environment": {**_environment(), "malloc_thresholds": _pinned_malloc_thresholds()},
     }
-    manifest_path = out_path / "run_manifest.json"
-    _write(manifest_path, _json(manifest))
-
-    if not quiet:
-        for entry in outputs:
-            print(f"wrote {out_path / entry['file']}")
-        print(f"wrote {manifest_path}")
+    _write(out_path / "run_manifest.json", _json(manifest))
     return manifest
 
 
@@ -428,9 +415,18 @@ def main(argv=None) -> int:
     _pin_malloc()
     options = vars(_build_parser().parse_args(argv))
     command, scenario_path, out = options.pop("command"), options.pop("scenario"), options.pop("out", None)
+    quiet, width_model = options.pop("quiet"), options.pop("width_model", None)
     try:
         scenario = load_scenario(scenario_path)
-        run(command, scenario, out if out is not None else scenario.output.directory, **options)
+        # without an experiment, run() names the missing section
+        if width_model is not None and scenario.experiment is not None:
+            experiment = replace(scenario.experiment, width_model=WIDTH_MODEL_ALIASES[width_model])
+            scenario = replace(scenario, experiment=experiment)
+        out_path = Path(out if out is not None else scenario.output.directory)
+        manifest = run(command, scenario, out_path, **options)
+        if not quiet:
+            for name in [*(entry["file"] for entry in manifest["outputs"]), "run_manifest.json"]:
+                print(f"wrote {out_path / name}")
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -173,9 +173,9 @@ def init_gaussian(grid: Grid1D, sigma0: float) -> np.ndarray:
     """Unit-norm Gaussian envelope exp(-y^2/(4 sigma0^2)) at rest on the grid,
     as complex samples.
 
-    Requires the packet to be resolved (sigma0 > 4 dy) and to fit the domain
-    (4 sigma0 < extent); the measured width of |u|^2 then equals sigma0 to
-    better than 1e-6.
+    Requires the packet to be resolved (sigma0 > 4 dy), to fit the domain
+    (4 sigma0 < extent) and the domain to hold its launch point y = 0; the
+    measured width of |u|^2 then equals sigma0 to better than 1e-6.
     """
     if not (sigma0 > 0.0 and math.isfinite(sigma0)):
         raise ValidationError(f"must be > 0, got {sigma0!r}", key="sigma0")
@@ -188,6 +188,9 @@ def init_gaussian(grid: Grid1D, sigma0: float) -> np.ndarray:
             f"oversized Gaussian: 4*sigma0 = {4.0 * sigma0:g} must stay below the "
             f"domain extent {grid.extent:g}"
         )
+    # off the grid, every sample would underflow to 0 and leave no norm
+    if not grid.y_min <= 0.0 <= grid.y_max:
+        raise DomainError(f"the launch point y = 0 is off the grid [{grid.y_min:g}, {grid.y_max:g}]")
     y = grid.y_values()
     u = np.exp(-(y**2) / (4.0 * sigma0**2) + 0j)
     u /= math.sqrt(float(np.sum(np.abs(u) ** 2)) * grid.dy)
@@ -252,17 +255,18 @@ def _spectral_moments(spectrum: np.ndarray, k: np.ndarray) -> tuple[float, float
     return float(power @ k) / total, float(power @ (k * k)) / total
 
 
+def _record_count(n_steps: int, stride: int) -> int:
+    """Length of recording_schedule(n_steps, stride), without building it."""
+    return -(-n_steps // stride) + 1
+
+
 def recording_schedule(n_steps: int, stride: int) -> list[int]:
     """Recorded step indices: 0, every stride-th step, and always n_steps;
     at most MAX_ROWS of them, checked before the list is built."""
-    if n_steps // stride + 2 > MAX_ROWS:
-        raise ValidationError(
-            f"recording {n_steps} steps at stride {stride} is over the budget of {MAX_ROWS} rows", key="stride"
-        )
-    steps = list(range(0, n_steps + 1, stride))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return steps
+    if (rows := _record_count(n_steps, stride)) > MAX_ROWS:
+        work = f"recording {n_steps} steps at stride {stride} is {rows} rows"
+        raise ValidationError(f"{work}, over the budget of {MAX_ROWS} rows", key="stride")
+    return [*range(0, n_steps, stride), n_steps]
 
 
 def _kinetic_phasor(
@@ -309,8 +313,7 @@ def propagate(grid: Grid1D, u0: np.ndarray, scenario: PropagationScenario) -> tu
     global phase included.
     """
     stride = scenario.record_stride
-    n_records = -(-scenario.n_steps // stride) + 1
-    if n_records * grid.n_points > MAX_RECORD_SAMPLES:
+    if (n_records := _record_count(scenario.n_steps, stride)) * grid.n_points > MAX_RECORD_SAMPLES:
         work = f"{n_records} records of n_points = {grid.n_points} samples"
         raise ValidationError(f"{work} are over the work budget of {MAX_RECORD_SAMPLES} samples", key="stride")
     if np.shape(u0) != (grid.n_points,):

@@ -116,7 +116,7 @@ def _string(path: str, value) -> str:
     return value
 
 
-def read_width_model(path: str, value) -> str:
+def _width_model(path: str, value) -> str:
     model = WIDTH_MODEL_ALIASES.get(value) if isinstance(value, str) else None
     if model is None:
         raise ValidationError(f"expected one of {sorted(WIDTH_MODEL_ALIASES)}, got {value!r}", key=path)
@@ -163,7 +163,7 @@ _SECTIONS = (Grid1D, CavitySpec, GravityProfile, PropagationSettings, Experiment
 _READERS = {cls: {name: _reader(kind) for name, kind in typing.get_type_hints(cls).items()} for cls in _SECTIONS}
 # a width model may also be named by its alias, and a cavity by its rest
 # wavelength in place of (L, j)
-_READERS[ExperimentConfig]["width_model"] = read_width_model
+_READERS[ExperimentConfig]["width_model"] = _width_model
 _CAVITY_READERS = {**_READERS[CavitySpec], "lambda0": _number}
 _REQUIRED = {cls: [field.name for field in fields(cls) if field.default is MISSING] for cls in _SECTIONS}
 # named once, not by fields() per call: each fresh tuple it frees stays on CPython's free list

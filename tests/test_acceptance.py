@@ -252,8 +252,8 @@ def test_criterion_8_conservation_suite():
 
 def test_criterion_9_width_model_discrepancy(scenario_dir, tmp_path):
     scenario = load_scenario(scenario_dir / "caf2_wgmc.json")
-    run("fig2b", scenario, tmp_path / "paper", width_model="paper")
-    run("fig2b", scenario, tmp_path / "corrected", width_model="corrected")
+    for variant, model in (("paper", "paper_verbatim"), ("corrected", "corrected")):
+        run("fig2b", replace(scenario, experiment=replace(scenario.experiment, width_model=model)), tmp_path / variant)
 
     ratios = {}
     for variant in ("paper", "corrected"):

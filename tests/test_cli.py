@@ -71,6 +71,12 @@ def reference_scenario(scenario_dir):
     return load_scenario(scenario_dir / "caf2_wgmc.json")
 
 
+@pytest.fixture()
+def paper_scenario(reference_scenario):
+    # the reference experiment under the paper's width model, as --width-model paper sets it
+    return replace(reference_scenario, experiment=replace(reference_scenario.experiment, width_model="paper_verbatim"))
+
+
 class TestDispersionCommand:
     def test_csv_layout_and_values(self, small_scenario, tmp_path):
         manifest = run("dispersion", small_scenario, tmp_path, k_points=64)
@@ -152,8 +158,8 @@ class TestFreefallCommands:
 
 
 class TestFig2bCommand:
-    def test_reference_run_produces_three_traces(self, reference_scenario, tmp_path):
-        manifest = run("fig2b", reference_scenario, tmp_path, width_model="paper")
+    def test_reference_run_produces_three_traces(self, paper_scenario, tmp_path):
+        manifest = run("fig2b", paper_scenario, tmp_path)
         names = [entry["file"] for entry in manifest["outputs"]]
         assert names == [
             "fig2b_Q3e+10.csv",
@@ -185,10 +191,8 @@ _NARROW_Q_BRACKET = (178792915344.23828 * (1 - 2e-5), 178792915344.23828 * (1 + 
 
 
 class TestQThresholdCommand:
-    def test_outputs_and_log(self, reference_scenario, tmp_path):
-        manifest = run(
-            "qthreshold", reference_scenario, tmp_path, width_model="paper", q_lo=1e9, q_hi=1e12
-        )
+    def test_outputs_and_log(self, paper_scenario, tmp_path):
+        manifest = run("qthreshold", paper_scenario, tmp_path, q_lo=1e9, q_hi=1e12)
         result = json.loads((tmp_path / "qthreshold_result.json").read_text())
         assert 1e10 < result["q_min"] < 1e11
         header, data = read_csv(tmp_path / "qthreshold_iterations.csv")
@@ -218,14 +222,11 @@ class TestDeterminismAndReplay:
             tmp_path / "b" / "freefall_numeric.csv"
         )
 
-    def test_manifest_replay_reproduces_outputs(self, reference_scenario, small_scenario, tmp_path):
+    def test_manifest_replay_reproduces_outputs(self, paper_scenario, small_scenario, tmp_path):
         # the manifest's resolved scenario plus command args must regenerate
         # byte-identical CSVs
-        for command, scenario, kwargs in (
-            ("fig2b", reference_scenario, {"width_model": "paper"}),
-            ("freefall-numeric", small_scenario, {}),
-        ):
-            first = run(command, scenario, tmp_path / command / "first", **kwargs)
+        for command, scenario in (("fig2b", paper_scenario), ("freefall-numeric", small_scenario)):
+            first = run(command, scenario, tmp_path / command / "first")
             replay_scenario = parse_scenario(json.dumps(first["resolved_scenario"]))
             second = run(command, replay_scenario, tmp_path / command / "second", **first["command_args"])
             for entry_a, entry_b in zip(first["outputs"], second["outputs"]):
@@ -281,6 +282,13 @@ class TestMainEntryPoint:
         )
         assert code == 2
         assert "experiment" in capsys.readouterr().err
+
+    def test_width_model_without_an_experiment_exit_two(self, scenario_dir, tmp_path, capsys):
+        # --width-model leaves a scenario without an experiment as it is, and run() names the missing section
+        argv = ["fig2b", "--scenario", str(scenario_dir / "freefall_caf2.json"), "--out", str(tmp_path / "out")]
+        assert main([*argv, "--width-model", "paper"]) == 2
+        assert capsys.readouterr().err == "validation error: experiment: the fig2b command requires this section\n"
+        assert not (tmp_path / "out").exists()
 
     def test_domain_error_exit_three(self, tmp_path, capsys):
         # analytic free fall beyond the non-relativistic domain
@@ -408,6 +416,17 @@ class TestMainEntryPoint:
         err = capsys.readouterr().err
         assert "t = 0.14" in err
         assert "+/- 86.9157" in err
+
+    def test_launch_point_off_the_grid_exit_three(self, scenario_dir, tmp_path, capsys):
+        # the shipped grid moved clear of y = 0: named before any sample is computed
+        doc = json.loads((scenario_dir / "freefall_caf2.json").read_text())
+        doc["propagation"]["grid"].update(y_min=100.0, y_max=228.0)
+        scenario_path = tmp_path / "off_grid.json"
+        scenario_path.write_text(json.dumps(doc))
+        argv = ["freefall-numeric", "--scenario", str(scenario_path), "--out", str(tmp_path / "out"), "--quiet"]
+        assert main(argv) == 3
+        expected = "numerical-domain error: propagation: the launch point y = 0 is off the grid [100, 228]\n"
+        assert capsys.readouterr().err == expected
 
     def test_freefall_numeric_over_the_work_budget_exits_two(self, scenario_dir, tmp_path, capsys):
         # 1126 records of 2**20 points: over the 2**30 samples of the work budget
@@ -991,7 +1010,7 @@ class TestErrorKeysOfDerivedValues:
         [
             (
                 "fig2b",
-                {"lambda0": 1e-200, "n_s": 1e80},
+                {"experiment": {"lambda0": 1e-200, "n_s": 1e80}},
                 [],
                 2,
                 "validation error: experiment: rest energy and effective mass of lambda0 = 1e-200, n_s = 1e+80 "
@@ -1011,12 +1030,18 @@ class TestErrorKeysOfDerivedValues:
             ("qthreshold", {}, ["--q-lo", "5e-324"], 2, "validation error: --q-lo: the trace window"),
             # the scenario's own Q, where the model overflows, is not one that
             # fig2b evaluates, also under another width model
-            ("fig2b", {"Q": 1e307}, [], 0, ""),
-            ("fig2b", {"width_model": "paper", "Q": 1e200}, ["--q", "7e10", "--width-model", "corrected"], 0, ""),
+            ("fig2b", {"experiment": {"Q": 1e307}}, [], 0, ""),
+            (
+                "fig2b",
+                {"experiment": {"width_model": "paper", "Q": 1e200}},
+                ["--q", "7e10", "--width-model", "corrected"],
+                0,
+                "",
+            ),
             # an overflow already at t = 0 does not depend on Q
             (
                 "fig2b",
-                {"y_out": 1e150, "sigma0": 1e-150},
+                {"experiment": {"y_out": 1e150, "sigma0": 1e-150}},
                 [],
                 3,
                 "numerical-domain error: experiment: the signal model overflows",
@@ -1029,11 +1054,20 @@ class TestErrorKeysOfDerivedValues:
                 3,
                 "numerical-domain error: --q: at Q = 1e-300 the width models' peak SNR ratio 0.0/0.0",
             ),
+            # a cavity given by its rest wavelength keeps the key of its Q
+            (
+                "fig2b",
+                {"cavity": {"lambda0": 1.064e-6, "n_s": 1.43, "Q": -1}},
+                [],
+                2,
+                "validation error: cavity.Q: must be > 0 when given, got -1.0",
+            ),
         ],
     )
     def test_main_names_the_key(self, scenario_dir, tmp_path, capsys, command, changes, options, code, line):
         doc = json.loads((scenario_dir / "caf2_wgmc.json").read_text())
-        doc["experiment"].update(changes)
+        for section, values in changes.items():
+            doc.setdefault(section, {}).update(values)
         scenario_path = tmp_path / "scenario.json"
         scenario_path.write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -1063,10 +1097,12 @@ class TestCommandTable:
             ("freefall-analytic", "small", {"k_points": 8}),
             ("fig2b", "reference", {"q_lo": 1e9}),
             ("qthreshold", "reference", {"k_max": 1.0}),
-            # the width model is an option of the commands that read the experiment
+            # the width model is the scenario's experiment's: no command takes it as an option
             ("dispersion", "both", {"width_model": "paper"}),
             ("freefall-analytic", "both", {"width_model": "paper"}),
             ("freefall-numeric", "both", {"width_model": "corrected"}),
+            ("fig2b", "reference", {"width_model": "paper"}),
+            ("qthreshold", "reference", {"width_model": "paper"}),
         ],
     )
     def test_another_commands_option_is_rejected(

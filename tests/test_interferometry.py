@@ -253,6 +253,17 @@ class TestSnrTrace:
         assert trace.t_cross is None
         assert trace.sn_peak < 1.0
 
+    def test_crossing_inside_the_refined_peak(self):
+        # just above the threshold Q every sample stays below 1 (the largest
+        # 0.99999859 at 512 samples, 0.99999982 at 2001), and only the refined
+        # peak, 1 + 4.9e-11, reaches it: the crossing lies before that peak
+        cfg = replace(PAPER, Q=3.6955286106e10)
+        for n_samples in (512, 2001):
+            trace = snr_trace(cfg, n_samples=n_samples)
+            assert np.max(trace.sn) < 1.0 <= trace.sn_peak
+            assert trace.t_cross < trace.t_peak
+            assert float(snr(cfg, trace.t_cross)) == pytest.approx(1.0, abs=1e-6)
+
     def test_trace_invariants(self):
         trace = snr_trace(PAPER, n_samples=512)
         assert np.all(trace.i_signal >= 0.0)

@@ -194,8 +194,11 @@ class TestRecordingSchedule:
         with pytest.raises(ValidationError, match="over the budget") as err:
             recording_schedule(10**12, 1)
         assert err.value.key == "stride"
-        with pytest.raises(ValidationError, match=f"budget of {MAX_ROWS}"):
-            recording_schedule(MAX_ROWS - 1, 1)
+        # one row past the budget, on and off the stride; the count in the
+        # message is the number of rows the schedule would write
+        for n_steps, stride in ((MAX_ROWS, 1), (2 * MAX_ROWS - 1, 2)):
+            with pytest.raises(ValidationError, match=f"is {MAX_ROWS + 1} rows, over the budget of {MAX_ROWS} rows"):
+                recording_schedule(n_steps, stride)
 
 
 class TestScenarioValidation:
@@ -240,6 +243,11 @@ class TestInitGaussian:
     def test_oversized_gaussian_rejected(self):
         with pytest.raises(DomainError, match="oversized"):
             init_gaussian(GRID, sigma0=17.0)
+
+    def test_launch_point_off_the_grid_rejected(self):
+        # every sample of a packet at y = 0 would underflow to 0 on this grid
+        with pytest.raises(DomainError, match=re.escape("the launch point y = 0 is off the grid [100, 228]")):
+            init_gaussian(Grid1D(100.0, 228.0, 1024), sigma0=1.0)
 
 
 class TestObservables:
