@@ -31,15 +31,12 @@ on the stride s, at steps i_r = r s, lie tau = s dt apart, and
 
 so the spectrum advances by a phasor exp(-i (theta(i_{r+1}) - theta(i_r)))
 that itself turns by exp(i k F tau^2 / m) from one record to the next: one
-IFFT into a buffer held for the run and two complex multiplies per record,
-no exp; a record allocates no complex N-point array, only the two real
-temporaries of its moments.  Every K = 16th record, and an off-stride final
-one, takes the spectrum and the phasor from the closed form again, bit for
-bit exp(-i theta(k)) * FFT u(0), with FFT u(0) and the phase's temporaries
-built in the same buffer.  In between, the phase drifts from the closed
-form by roundoff, at most about K eps (|phasor phase| + K |turn phase| + K)
-with eps the double epsilon, the order of the closed form's own rounding
-eps |theta|.
+IFFT and two complex multiplies per record, no exp.  Every K = 16th record,
+and an off-stride final one, takes the spectrum and the phasor from the
+closed form again, bit for bit exp(-i theta(k)) * FFT u(0).  In between,
+the phase drifts from the closed form by roundoff, at most about
+K eps (|phasor phase| + K |turn phase| + K) with eps the double epsilon,
+the order of the closed form's own rounding eps |theta|.
 
 |v| = |u| gives norm, centroid and width; the spectrum of v has the
 time-invariant modulus |FFT u(0)|, so <k> = <k>_0 - F t and
@@ -92,6 +89,9 @@ class Grid1D:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.y_min) and math.isfinite(self.y_max) and self.y_max > self.y_min):
             raise ValidationError(f"needs y_max > y_min, got [{self.y_min!r}, {self.y_max!r}]")
+        # bounds y^2 and (y - centroid)^2 on the grid, and the 4 sigma0^2 that fits it
+        if not math.isfinite(self.extent * self.extent):
+            raise ValidationError(f"extent y_max - y_min = {self.extent:g} must have a square in double range")
         n = self.n_points
         if not (type(n) is int and n >= 64 and (n & (n - 1)) == 0):
             raise ValidationError(f"must be a power of two >= 64, got {n!r}", key="n_points")
@@ -109,17 +109,8 @@ class Grid1D:
     def y_values(self) -> np.ndarray:
         return self.y_min + self.dy * np.arange(self.n_points)
 
-    def k_values(self, out: np.ndarray | None = None) -> np.ndarray:
-        """2 pi fftfreq(n_points, dy), bit for bit, into out if given: the
-        integers, times 1/(n dy), times 2 pi, in place; the only temporaries
-        are two half-length integer ranges."""
-        n = self.n_points
-        k = np.empty(n) if out is None else out
-        k[: n // 2] = np.arange(n // 2)
-        k[n // 2 :] = np.arange(-(n // 2), 0)
-        k *= 1.0 / (n * self.dy)
-        k *= 2.0 * np.pi
-        return k
+    def k_values(self) -> np.ndarray:
+        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dy)
 
 
 @dataclass(frozen=True)
@@ -269,17 +260,13 @@ def recording_schedule(n_steps: int, stride: int) -> list[int]:
     return [*range(0, n_steps, stride), n_steps]
 
 
-def _kinetic_phasor(
-    grid: Grid1D, mass: float, a: float, b: float, out: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
+def _kinetic_phasor(grid: Grid1D, mass: float, a: float, b: float, out: np.ndarray) -> np.ndarray:
     """exp(-i (k^2 a - k b) / (2m)) on the grid's wavenumbers, into out; with
     a = t and b = F t^2 it is exp(-i theta(k)) less theta's k-independent
-    term.  Rounded as exp(-1j * (k*k/(2m)*a - k/(2m)*b)); the two real
-    N-point temporaries are the halves of scratch, an N-point complex128
-    array whose contents are overwritten."""
-    k, phase = scratch.view(float).reshape(2, -1)
-    grid.k_values(out=k)
-    np.multiply(k, k, out=phase)
+    term.  Rounded as exp(-1j * (k*k/(2m)*a - k/(2m)*b)), with two real
+    N-point temporaries."""
+    k = grid.k_values()
+    phase = k * k
     phase /= 2.0 * mass
     phase *= a
     k /= 2.0 * mass
@@ -300,17 +287,15 @@ def propagate(grid: Grid1D, u0: np.ndarray, scenario: PropagationScenario) -> tu
     in the falling frame (see the module docstring): the spectrum advances
     from record to record by a phasor, and every _ANCHOR_INTERVAL-th record
     and an off-stride final one take spectrum and phasor from the closed
-    form.  The cost is one IFFT, into a buffer held for the run, and two
-    complex multiplies per record, whatever the step count; a record
-    allocates no complex N-point array.  Records always include the initial
-    state and the final step; records x n_points is bounded by
-    MAX_RECORD_SAMPLES, checked before anything is allocated (a
-    ValidationError keyed stride).  The packet must keep 4 sigma of clearance
-    from the domain edges (checked at every recorded sample); violations
-    raise a DomainError suggesting a larger grid.  Norm growth beyond
-    roundoff or non-finite amplitudes abort the run naming the step.  The
-    returned array is the lab-frame envelope at t = n_steps dt, carrier and
-    global phase included.
+    form.  The cost is one IFFT and two complex multiplies per record,
+    whatever the step count.  Records always include the initial state and
+    the final step; records x n_points is bounded by MAX_RECORD_SAMPLES,
+    checked before anything is allocated (a ValidationError keyed stride).
+    The packet must keep 4 sigma of clearance from the domain edges (checked
+    at every recorded sample); violations raise a DomainError suggesting a
+    larger grid.  Norm growth beyond roundoff or non-finite amplitudes abort
+    the run naming the step.  The returned array is the lab-frame envelope
+    at t = n_steps dt, carrier and global phase included.
     """
     stride = scenario.record_stride
     if (n_records := _record_count(scenario.n_steps, stride)) * grid.n_points > MAX_RECORD_SAMPLES:
@@ -324,27 +309,25 @@ def propagate(grid: Grid1D, u0: np.ndarray, scenario: PropagationScenario) -> tu
     force = mass * scenario.g_tilde
     # record spacing on the stride; a stride past n_steps has no such record
     tau = min(stride, scenario.n_steps) * dt
-    # complex128 throughout: the buffer's halves are the phasors' float scratch
+    # complex128 throughout, so that every transform is a double one
     u0 = np.asarray(u0, dtype=complex)
     # record 0's moments, which also reject a zero or non-finite state
     moments = _envelope_moments(u0, y, dy)
     initial_norm = moments[0]
     spectrum = np.fft.fft(u0)
     mean_k0, mean_k20 = _spectral_moments(spectrum, grid.k_values())
-    # the one N-point buffer every transform writes into, and the scratch of
-    # every phasor: after a record's moments, its envelope is not read again
-    buf = np.empty_like(spectrum)
     # step_r = exp(-i (theta(i_{r+1}) - theta(i_r))) advances the spectrum
     # to the next record on the stride, and turn = exp(i k F tau^2 / m)
     # advances step_r to step_{r+1}
     with np.errstate(over="ignore", invalid="ignore"):
-        step = _kinetic_phasor(grid, mass, tau, force * tau * tau, np.empty_like(spectrum), buf)
-        turn = _kinetic_phasor(grid, mass, 0.0, 2.0 * force * tau * tau, np.empty_like(spectrum), buf)
+        step = _kinetic_phasor(grid, mass, tau, force * tau * tau, np.empty_like(spectrum))
+        turn = _kinetic_phasor(grid, mass, 0.0, 2.0 * force * tau * tau, np.empty_like(spectrum))
     # one row of Trace fields per record: 56 bytes, where a Trace of floats takes ~280
     records = np.empty((len(schedule), len(Trace._fields)))
     v, ft, offset, t = u0, 0.0, 0.0, 0.0
     for r, i in enumerate(schedule):
         if i:
+            del v  # the previous record's envelope, freed before this record's arrays
             t = i * dt
             ft = force * t
             # products, not float powers: t**3 would raise OverflowError where
@@ -355,13 +338,13 @@ def propagate(grid: Grid1D, u0: np.ndarray, scenario: PropagationScenario) -> tu
                     spectrum *= step
                     step *= turn
                 else:
-                    _kinetic_phasor(grid, mass, t, ft * t, spectrum, buf)
-                    # FFT u(0) again, into the buffer: a copy held through the
-                    # run would be one more N-point complex array
-                    spectrum *= np.fft.fft(u0, out=buf)
+                    _kinetic_phasor(grid, mass, t, ft * t, spectrum)
+                    # FFT u(0) again: a copy held through the run would be a
+                    # fourth N-point complex array next to spectrum, step, turn
+                    spectrum *= np.fft.fft(u0)
                     if i == r * stride:
-                        _kinetic_phasor(grid, mass, tau, force * tau * tau * (2 * r + 1), step, buf)
-                v = np.fft.ifft(spectrum, out=buf)
+                        _kinetic_phasor(grid, mass, tau, force * tau * tau * (2 * r + 1), step)
+                v = np.fft.ifft(spectrum)
             if not (math.isfinite(ft) and math.isfinite(offset)):
                 raise DomainError(f"non-finite amplitudes after step {i}")
             moments = _envelope_moments(v, y, dy, i)
@@ -424,11 +407,18 @@ def exact_accelerating_gaussian(
     with psi_free the analytic free Gaussian.  Includes the global phase, so
     the L2 distance to a numerically propagated state exposes the pure-phase
     O(dt^2) Strang error; used as the convergence-study oracle, independent
-    of the stepping code.  Normalized to unit discrete norm.
+    of the stepping code.  Normalized to unit discrete norm; the packet's
+    centre -g_tilde t^2/2 must lie on the grid.
     """
+    centre = -0.5 * g_tilde * t**2
+    # off the grid, every sample would underflow to 0 and leave no norm
+    if not grid.y_min <= centre <= grid.y_max:
+        raise DomainError(
+            f"the dropped centre -g_tilde t^2/2 = {centre:g} is off the grid [{grid.y_min:g}, {grid.y_max:g}]"
+        )
     y = grid.y_values()
     force = mass * g_tilde
-    shifted = y + 0.5 * g_tilde * t**2
+    shifted = y - centre
     spread = 1.0 + 1j * t / (2.0 * mass * sigma0**2)
     psi_free = np.exp(-(shifted**2) / (4.0 * sigma0**2 * spread)) / np.sqrt(spread)
     phase = force * t * y + force**2 * t**3 / (6.0 * mass)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
@@ -25,6 +26,7 @@ from cavityfall import (
     Grid1D,
     OutputSettings,
     PropagationSettings,
+    ValidationError,
     cli,
     load_scenario,
     parse_scenario,
@@ -179,9 +181,13 @@ class TestFig2bCommand:
         assert manifest["command_args"]["q_values"] == [1e10]
         assert (tmp_path / "fig2b_Q1e+10.csv").exists()
 
-    def test_requires_experiment(self, small_scenario, tmp_path):
-        from cavityfall import ValidationError
+    def test_empty_q_list_rejected_before_the_directory(self, reference_scenario, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match="^--q: needs at least one value$"):
+            run("fig2b", reference_scenario, out, q_values=())
+        assert not out.exists()
 
+    def test_requires_experiment(self, small_scenario, tmp_path):
         with pytest.raises(ValidationError, match="experiment"):
             run("fig2b", small_scenario, tmp_path)
 
@@ -428,6 +434,23 @@ class TestMainEntryPoint:
         expected = "numerical-domain error: propagation: the launch point y = 0 is off the grid [100, 228]\n"
         assert capsys.readouterr().err == expected
 
+    @pytest.mark.parametrize("extent, sigma0", [(1e200, 1e199), (1e156, 1e153)])
+    def test_grid_whose_extent_squared_overflows_exit_two(self, scenario_dir, tmp_path, capsys, extent, sigma0):
+        # y^2 and sigma0^2 would leave double range: rejected before any sample, with no numpy warning
+        doc = json.loads((scenario_dir / "freefall_caf2.json").read_text())
+        doc["propagation"]["grid"].update(y_min=-0.5 * extent, y_max=0.5 * extent)
+        doc["propagation"]["sigma0"] = sigma0
+        scenario_path = tmp_path / "huge_grid.json"
+        scenario_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["freefall-numeric", "--scenario", str(scenario_path), "--out", str(out), "--quiet"]) == 2
+        assert [str(w.message) for w in caught] == []
+        expected = f"extent y_max - y_min = {extent:g} must have a square in double range"
+        assert capsys.readouterr().err == f"validation error: propagation.grid: {expected}\n"
+        assert not out.exists()
+
     def test_freefall_numeric_over_the_work_budget_exits_two(self, scenario_dir, tmp_path, capsys):
         # 1126 records of 2**20 points: over the 2**30 samples of the work budget
         doc = json.loads((scenario_dir / "freefall_caf2.json").read_text())
@@ -561,6 +584,31 @@ def _run_main(argv, capsys):
             else:
                 files[path.name] = path.read_bytes()
     return code, captured.out, captured.err, files
+
+
+class TestModuleEntryPoint:
+    """python -m cavityfall.cli, which runs the same main() as the installed
+    cavityfall script: its exit code reaches the shell through sys.exit."""
+
+    def test_exit_codes_survive_sys_exit(self, scenario_dir, tmp_path):
+        src = str(Path(cavityfall.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def shell(*argv):
+            command = [sys.executable, "-m", "cavityfall.cli", *argv]
+            return subprocess.run(command, env=env, capture_output=True, text=True)
+
+        out = tmp_path / "dispersion"
+        done = shell("dispersion", "--scenario", str(scenario_dir / "freefall_caf2.json"), "--out", str(out))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines() == [f"wrote {out / 'dispersion.csv'}", f"wrote {out / 'run_manifest.json'}"]
+        out = tmp_path / "qthreshold"
+        bracket = ["--q-lo", "1e12", "--q-hi", "1e13"]
+        done = shell("qthreshold", "--scenario", str(scenario_dir / "caf2_wgmc.json"), "--out", str(out), *bracket)
+        assert (done.returncode, done.stdout) == (3, "")
+        [line] = done.stderr.splitlines()
+        assert line.startswith("numerical-domain error: --q-lo: bracket does not straddle Sn_peak = 1: ")
+        assert not out.exists()
 
 
 class TestOneParserPerProcess:

@@ -156,6 +156,16 @@ class TestPhaseGradient:
         omega0 = CAF2.omega0
         assert phase_gradient(omega0, EARTH_VAC, 3.0) == phase_gradient(omega0, EARTH_CAF2, 3.0)
 
+    def test_rest_frequency_must_be_positive(self):
+        with pytest.raises(ValidationError, match="must be > 0, got 0.0") as err:
+            phase_gradient(0.0, EARTH_CAF2, 1.0)
+        assert err.value.key == "omega0"
+
+    def test_negative_time_in_a_column_named(self):
+        with pytest.raises(ValidationError, match=r"must be >= 0, got -1\.0") as err:
+            phase_gradient(CAF2.omega0, EARTH_CAF2, [0.0, -1.0])
+        assert err.value.key == "t"
+
     def test_overflow_is_a_domain_error(self):
         # omega0*g overflows before t and c^2 would bring the product back
         with pytest.raises(DomainError, match="overflows"):

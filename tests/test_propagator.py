@@ -87,11 +87,12 @@ def closed_form_reference(grid, u0, scenario):
 
 
 def allocating_propagate(grid, u0, scenario):
-    """propagate's loop as it was before the held buffer: every record
-    allocates its IFFT output, every anchor its FFT u(0) and its phasor
-    temporaries, and each record's envelope is scanned for non-finite
-    samples before its moments.  Reference only; the moments and the
-    spectral sums are propagate's own."""
+    """propagate's loop with every temporary written out: the wavenumbers
+    held for the run, each phasor one expression, each record's envelope
+    scanned for non-finite samples before its moments (propagate scans
+    only a record whose norm sum is not finite), and the records a list of
+    Trace rows.  Reference only; the moments and the spectral sums are
+    propagate's own."""
     stride = scenario.record_stride
     schedule = recording_schedule(scenario.n_steps, stride)
     y, dy = grid.y_values(), grid.dy
@@ -174,14 +175,20 @@ class TestGrid1D:
         with pytest.raises(ValidationError):
             Grid1D(1.0, -1.0, 128)
 
+    @pytest.mark.parametrize("half", [5e199, 5e155, 1e154, 1e308])
+    def test_rejects_an_extent_whose_square_overflows(self, half):
+        # y^2 of a packet launched at y = 0 could overflow on such a grid
+        with pytest.raises(ValidationError, match="must have a square in double range"):
+            Grid1D(-half, half, 8192)
+
+    def test_accepts_an_extent_whose_square_is_finite(self):
+        assert Grid1D(-5e153, 5e153, 8192).extent ** 2 == pytest.approx(1e308)
+
     @pytest.mark.parametrize("n, extent", [(64, 1.0), (1024, 64.0), (4096, 0.3), (2**20, 7e5)])
     def test_wavenumbers_are_fftfreq_bit_for_bit(self, n, extent):
         grid = Grid1D(-0.25 * extent, 0.75 * extent, n)
         expected = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dy)
         assert grid.k_values().tobytes() == expected.tobytes()
-        out = np.full(n, np.nan)
-        assert grid.k_values(out=out) is out
-        assert out.tobytes() == expected.tobytes()
 
 
 class TestRecordingSchedule:
@@ -235,6 +242,12 @@ class TestInitGaussian:
         assert rec["norm"] == pytest.approx(1.0, rel=1e-14)
         assert rec["centroid"] == pytest.approx(0.0, abs=1e-12)
         assert rec["width"] == pytest.approx(4.0, rel=1e-6)
+
+    @pytest.mark.parametrize("sigma0", [-1.0, math.nan])
+    def test_width_must_be_positive_and_finite(self, sigma0):
+        with pytest.raises(ValidationError, match=f"must be > 0, got {sigma0!r}") as err:
+            init_gaussian(GRID, sigma0)
+        assert err.value.key == "sigma0"
 
     def test_unresolved_gaussian_rejected(self):
         with pytest.raises(DomainError, match="unresolved"):
@@ -434,11 +447,12 @@ class TestPhasorRecurrence:
 
 
 def extreme_input(rng):
-    """One draw of the held-buffer comparison: mass, g_tilde and dt from
-    1e-300 to 1e300, strides 1-40, 64-256 points, amplitudes scaled by up to
-    1e+-160.  A third of the draws are anywhere in that range; a third fall
-    to the grid's edge near t_final; a third are heavy packets whose
-    composed phase F^2 t^3/3 leaves double range near t_final."""
+    """One draw of the comparison with allocating_propagate: mass, g_tilde
+    and dt from 1e-300 to 1e300, strides 1-40, 64-256 points, amplitudes
+    scaled by up to 1e+-160.  A third of the draws are anywhere in that
+    range; a third fall to the grid's edge near t_final; a third are heavy
+    packets whose composed phase F^2 t^3/3 leaves double range near
+    t_final."""
     n = 64 * 2 ** int(rng.integers(0, 3))
     n_steps, stride = int(rng.integers(1, 401)), int(rng.integers(1, 41))
     kind = int(rng.integers(0, 3))
@@ -478,7 +492,8 @@ def outcome(run, grid, u0, scenario):
 
 
 class TestHeldBuffer:
-    """propagate writes every transform into one buffer held for the run."""
+    """propagate rounds as its loop written out in full, and holds no more
+    N-point arrays than a record needs."""
 
     def test_matches_the_allocating_loop_bit_for_bit(self):
         rng = np.random.default_rng(20261018)
@@ -499,12 +514,12 @@ class TestHeldBuffer:
         assert finished >= 20
 
     def test_no_n_point_array_beyond_the_allocating_loop(self):
-        # 65 records, five of them anchors.  The allocating loop peaks at
-        # 379-381 kB here (Python 3.11, numpy 2.4): 5.5 N-point complex
+        # 65 records, five of them anchors.  propagate peaks at 367.5 kB
+        # here (Python 3.11, numpy 2.4, glibc x86-64): 5.5 N-point complex
         # arrays of 65536 bytes (grid, spectrum, two phasors, the record's
-        # envelope and its two real moment buffers) and ~20 kB of records.
-        # The bound, 6 such arrays, is within 4 % of that peak; one more
-        # held N-point real array (32768 bytes) would exceed it.
+        # envelope and its two real moment buffers) and ~7 kB of records and
+        # small objects.  The bound, 6 such arrays, is within 7 % of that
+        # peak; one more held N-point real array (32768 bytes) would exceed it.
         grid = Grid1D(-256.0, 256.0, 4096)
         u0 = init_gaussian(grid, 2.0)
         scenario = PropagationScenario(mass=1.0, g_tilde=0.05, dt=0.05, n_steps=64)
@@ -715,6 +730,13 @@ class TestOracleEquivalence:
         assert slope == pytest.approx(2.0, abs=0.05)
         predicted = mass * g_tilde**2 * t_final * np.array(dts) ** 2 / 24.0
         assert np.max(np.abs(errors / predicted - 1.0)) < 0.05
+
+    def test_dropped_centre_off_the_grid_rejected(self):
+        # the packet falls to y = -400, where every sample would underflow to 0
+        grid = Grid1D(-64.0, 64.0, 1024)
+        expected = "the dropped centre -g_tilde t^2/2 = -400 is off the grid [-64, 64]"
+        with pytest.raises(DomainError, match=f"^{re.escape(expected)}$"):
+            exact_accelerating_gaussian(grid, 0.5, 100.0, 2.0, 20.0)
 
     def test_phase_gradient_law_in_scaled_units(self):
         mass, g_tilde = 2.0449, 0.4

@@ -132,6 +132,14 @@ class TestValidationMessages:
         with pytest.raises(ValidationError, match="single medium"):
             parse(doc)
 
+    @pytest.mark.parametrize(
+        "document, line",
+        [({"cavity": 5}, "cavity: expected an object, got int"), ([1], "scenario: expected an object, got list")],
+    )
+    def test_section_that_is_not_an_object_named(self, document, line):
+        with pytest.raises(ValidationError, match=f"^{line}$"):
+            parse(document)
+
     def test_invariant_violation_carries_section_prefix(self):
         doc = json.loads(json.dumps(MINIMAL_EXPERIMENT))
         doc["experiment"]["eta_det"] = 2.0
@@ -152,6 +160,14 @@ class TestPropagationSection:
         with pytest.raises(ValidationError, match="must be <= ") as err:
             parse(doc)
         assert err.value.key == "propagation.grid.n_points"
+
+    @pytest.mark.parametrize("extent", [1e200, 1e156])
+    def test_grid_extent_whose_square_overflows_rejected(self, extent):
+        doc = json.loads(json.dumps(FULL_FREEFALL))
+        doc["propagation"]["grid"].update(y_min=-0.5 * extent, y_max=0.5 * extent)
+        with pytest.raises(ValidationError, match="must have a square in double range") as err:
+            parse(doc)
+        assert err.value.key == "propagation.grid"
 
     def test_grid_is_one_si_grid1d(self):
         grid = parse(FULL_FREEFALL).propagation.grid
