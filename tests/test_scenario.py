@@ -161,14 +161,6 @@ class TestPropagationSection:
             parse(doc)
         assert err.value.key == "propagation.grid.n_points"
 
-    @pytest.mark.parametrize("extent", [1e200, 1e156])
-    def test_grid_extent_whose_square_overflows_rejected(self, extent):
-        doc = json.loads(json.dumps(FULL_FREEFALL))
-        doc["propagation"]["grid"].update(y_min=-0.5 * extent, y_max=0.5 * extent)
-        with pytest.raises(ValidationError, match="must have a square in double range") as err:
-            parse(doc)
-        assert err.value.key == "propagation.grid"
-
     def test_grid_is_one_si_grid1d(self):
         grid = parse(FULL_FREEFALL).propagation.grid
         assert (grid.y_min, grid.y_max, grid.n_points) == (-64.0, 64.0, 8192)
