@@ -38,7 +38,6 @@ from .interferometry import (
 from .propagator import (
     GaussianMoments,
     Grid1D,
-    PropagationScenario,
     Trace,
     analytic_gaussian_oracle,
     exact_accelerating_gaussian,
@@ -70,7 +69,6 @@ __all__ = [
     "freefall_trajectory",
     "phase_gradient",
     "Grid1D",
-    "PropagationScenario",
     "Trace",
     "GaussianMoments",
     "init_gaussian",

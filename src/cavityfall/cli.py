@@ -49,7 +49,7 @@ from .dispersion import CavitySpec, effective_mass, group_velocity, photon_energ
 from .errors import CavityFallError, DomainError, ValidationError
 from .gravity import freefall_trajectory, phase_gradient
 from .interferometry import q_threshold, snr_peak, snr_trace
-from .propagator import MAX_GRID_POINTS, MAX_ROWS, PropagationScenario, init_gaussian, propagate, recording_schedule
+from .propagator import MAX_GRID_POINTS, MAX_ROWS, init_gaussian, propagate, recording_schedule
 from .scenario import WIDTH_MODEL_ALIASES, ScenarioFile, load_scenario, scenario_to_dict
 from .units import c, hbar
 
@@ -177,14 +177,15 @@ def _run_freefall_analytic(scenario: ScenarioFile) -> dict:
 def _run_freefall_numeric(scenario: ScenarioFile) -> dict:
     cav, profile, prop, stride = scenario.cavity, scenario.gravity, scenario.propagation, scenario.output.stride
     # SI throughout: hbar enters only through the propagator mass m/hbar [s/m^2]
-    run = PropagationScenario(
+    _, trace = propagate(
+        prop.grid,
+        init_gaussian(prop.grid, prop.sigma0),
         mass=effective_mass(cav) / hbar,
         g_tilde=profile.g_tilde,
         dt=prop.dt,
         n_steps=prop.n_steps,
-        record_stride=stride,
+        stride=stride,
     )
-    _, trace = propagate(prop.grid, init_gaussian(prop.grid, prop.sigma0), run)
     header = ("t_si", "y_si", "sigma_si", "k_si", "norm", "energy_si", "phase_grad_si")
     columns = [
         trace.t, trace.centroid, trace.width, trace.mean_k, trace.norm, trace.energy * hbar, trace.phase_gradient

@@ -47,12 +47,13 @@ the momentum may pass the Nyquist wavenumber pi/dy.  The norm is conserved
 to roundoff independently of the step count.
 
 The equation depends on the physical mass and hbar only through their
-ratio, so hbar = 1 is absorbed into m: the mass a run takes is m/hbar, in
-whatever units the grid, dt and g_tilde use.  The CLI passes the SI grid,
-step and acceleration unchanged, with m/hbar in s/m^2; Grid1D itself carries
-no unit.  The linear potential is discontinuous across the periodic wrap,
-so the formula holds only while the packet stays clear of the edges: runs
-must keep it at least 4 sigma away (enforced at every record).
+ratio, so hbar = 1 is absorbed into m: the mass that propagate and both
+closed-form oracles take is m/hbar, in whatever units the grid, dt and
+g_tilde use.  The CLI passes the SI grid, step and acceleration unchanged,
+with m/hbar in s/m^2; Grid1D itself carries no unit.  The linear potential
+is discontinuous across the periodic wrap, so the formula holds only while
+the packet stays clear of the edges: runs must keep it at least 4 sigma
+away (enforced at every record).
 """
 
 from __future__ import annotations
@@ -113,31 +114,6 @@ class Grid1D:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dy)
 
 
-@dataclass(frozen=True)
-class PropagationScenario:
-    """Parameters of one propagation run: n_steps Strang steps of size dt,
-    recording every record_stride-th step.  mass is m/hbar in whatever
-    units the grid, dt and g_tilde use."""
-
-    mass: float
-    g_tilde: float
-    dt: float
-    n_steps: int
-    record_stride: int = 1
-
-    def __post_init__(self) -> None:
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise ValidationError(f"m/hbar must be finite and > 0, got {self.mass!r}", key="mass")
-        if not (self.g_tilde >= 0.0 and math.isfinite(self.g_tilde)):
-            raise ValidationError(f"must be >= 0, got {self.g_tilde!r}", key="g_tilde")
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValidationError(f"must be > 0, got {self.dt!r}", key="dt")
-        if not (type(self.n_steps) is int and self.n_steps >= 1):
-            raise ValidationError(f"must be an integer >= 1, got {self.n_steps!r}", key="n_steps")
-        if not (type(self.record_stride) is int and self.record_stride >= 1):
-            raise ValidationError(f"must be an integer >= 1, got {self.record_stride!r}", key="record_stride")
-
-
 class Trace(NamedTuple):
     """Observables of a run: one numpy column per field, one row per
     recorded sample."""
@@ -160,6 +136,12 @@ class GaussianMoments(NamedTuple):
     phase_gradient: float
 
 
+def _require_resolved(grid: Grid1D, sigma0: float) -> None:
+    """Reject a Gaussian of width sigma0 that the grid does not resolve."""
+    if sigma0 <= 4.0 * grid.dy:
+        raise DomainError(f"unresolved Gaussian: sigma0 = {sigma0:g} must exceed 4*dy = {4.0 * grid.dy:g}")
+
+
 def init_gaussian(grid: Grid1D, sigma0: float) -> np.ndarray:
     """Unit-norm Gaussian envelope exp(-y^2/(4 sigma0^2)) at rest on the grid,
     as complex samples.
@@ -170,10 +152,7 @@ def init_gaussian(grid: Grid1D, sigma0: float) -> np.ndarray:
     """
     if not (sigma0 > 0.0 and math.isfinite(sigma0)):
         raise ValidationError(f"must be > 0, got {sigma0!r}", key="sigma0")
-    if sigma0 <= 4.0 * grid.dy:
-        raise DomainError(
-            f"unresolved Gaussian: sigma0 = {sigma0:g} must exceed 4*dy = {4.0 * grid.dy:g}"
-        )
+    _require_resolved(grid, sigma0)
     if 4.0 * sigma0 >= grid.extent:
         raise DomainError(
             f"oversized Gaussian: 4*sigma0 = {4.0 * sigma0:g} must stay below the "
@@ -279,9 +258,13 @@ def _kinetic_phasor(grid: Grid1D, mass: float, a: float, b: float, out: np.ndarr
     return np.exp(out, out=out)
 
 
-def propagate(grid: Grid1D, u0: np.ndarray, scenario: PropagationScenario) -> tuple[np.ndarray, Trace]:
-    """Evolve the samples u0 on grid n_steps steps from t = 0, recording
-    observables every record_stride steps.
+def propagate(
+    grid: Grid1D, u0: np.ndarray, *, mass: float, g_tilde: float, dt: float, n_steps: int, stride: int = 1
+) -> tuple[np.ndarray, Trace]:
+    """Evolve the samples u0 on grid n_steps Strang steps of size dt from
+    t = 0 under the acceleration g_tilde, recording observables every
+    stride steps.  mass is m/hbar in whatever units the grid, dt and g_tilde
+    use.
 
     Each record is the composed Strang state at its step index, evaluated
     in the falling frame (see the module docstring): the spectrum advances
@@ -290,25 +273,34 @@ def propagate(grid: Grid1D, u0: np.ndarray, scenario: PropagationScenario) -> tu
     form.  The cost is one IFFT and two complex multiplies per record,
     whatever the step count.  Records always include the initial state and
     the final step; records x n_points is bounded by MAX_RECORD_SAMPLES,
-    checked before anything is allocated (a ValidationError keyed stride).
-    The packet must keep 4 sigma of clearance from the domain edges (checked
-    at every recorded sample); violations raise a DomainError suggesting a
-    larger grid.  Norm growth beyond roundoff or non-finite amplitudes abort
-    the run naming the step.  The returned array is the lab-frame envelope
-    at t = n_steps dt, carrier and global phase included.
+    checked after the parameters and before anything is allocated (a
+    ValidationError keyed stride).  The packet must keep 4 sigma of
+    clearance from the domain edges (checked at every recorded sample);
+    violations raise a DomainError suggesting a larger grid.  Norm growth
+    beyond roundoff or non-finite amplitudes abort the run naming the step.
+    The returned array is the lab-frame envelope at t = n_steps dt, carrier
+    and global phase included.
     """
-    stride = scenario.record_stride
-    if (n_records := _record_count(scenario.n_steps, stride)) * grid.n_points > MAX_RECORD_SAMPLES:
+    if not (mass > 0.0 and math.isfinite(mass)):
+        raise ValidationError(f"m/hbar must be finite and > 0, got {mass!r}", key="mass")
+    if not (g_tilde >= 0.0 and math.isfinite(g_tilde)):
+        raise ValidationError(f"must be >= 0, got {g_tilde!r}", key="g_tilde")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValidationError(f"must be > 0, got {dt!r}", key="dt")
+    if not (type(n_steps) is int and n_steps >= 1):
+        raise ValidationError(f"must be an integer >= 1, got {n_steps!r}", key="n_steps")
+    if not (type(stride) is int and stride >= 1):
+        raise ValidationError(f"must be an integer >= 1, got {stride!r}", key="stride")
+    if (n_records := _record_count(n_steps, stride)) * grid.n_points > MAX_RECORD_SAMPLES:
         work = f"{n_records} records of n_points = {grid.n_points} samples"
         raise ValidationError(f"{work} are over the work budget of {MAX_RECORD_SAMPLES} samples", key="stride")
     if np.shape(u0) != (grid.n_points,):
         raise ValidationError(f"must hold the grid's {grid.n_points} samples, got shape {np.shape(u0)}", key="u0")
-    schedule = recording_schedule(scenario.n_steps, stride)
+    schedule = recording_schedule(n_steps, stride)
     y, dy = grid.y_values(), grid.dy
-    mass, dt = scenario.mass, scenario.dt
-    force = mass * scenario.g_tilde
+    force = mass * g_tilde
     # record spacing on the stride; a stride past n_steps has no such record
-    tau = min(stride, scenario.n_steps) * dt
+    tau = min(stride, n_steps) * dt
     # complex128 throughout, so that every transform is a double one
     u0 = np.asarray(u0, dtype=complex)
     # record 0's moments, which also reject a zero or non-finite state
@@ -369,36 +361,34 @@ def propagate(grid: Grid1D, u0: np.ndarray, scenario: PropagationScenario) -> tu
     return u, Trace(*records.T)
 
 
-def analytic_gaussian_oracle(
-    sigma0: float, mass: float, g_tilde: float, t: float, hbar: float = 1.0
-) -> GaussianMoments:
+def analytic_gaussian_oracle(sigma0: float, mass: float, g_tilde: float, t: float) -> GaussianMoments:
     """Exact observables of a Gaussian released at rest in a linear potential.
 
-    centroid = -g_tilde*t^2/2; width follows the free spreading law
-    sigma0*sqrt(1 + (hbar*t/(2*m*sigma0^2))^2) (a linear potential does not
-    alter spreading); mean_k = -m*g_tilde*t/hbar.  phase_gradient is the
-    magnitude of the envelope phase gradient at the centroid, m*g_tilde*t/hbar,
-    which equals the lab-frame law omega0*g*t/c^2 once m and g_tilde are the
-    dielectric mass and renormalized acceleration.
-
-    Pass hbar explicitly to evaluate with the physical mass in SI; the
-    default 1.0 matches the propagator, whose mass is m/hbar.
+    mass is m/hbar, as in propagate and exact_accelerating_gaussian; in SI
+    it is in s/m^2.  centroid = -g_tilde*t^2/2; width follows the free
+    spreading law sigma0*sqrt(1 + (t/(2*mass*sigma0^2))^2) (a linear
+    potential does not alter spreading); mean_k = -mass*g_tilde*t.
+    phase_gradient is the magnitude of the envelope phase gradient at the
+    centroid, mass*g_tilde*t, which equals the lab-frame law omega0*g*t/c^2
+    once mass and g_tilde are the dielectric m/hbar and renormalized
+    acceleration.
     """
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValidationError(f"must be >= 0, got {t!r}", key="t")
-    tau = hbar * t / (2.0 * mass * sigma0**2)
+    tau = t / (2.0 * mass * sigma0**2)
     return GaussianMoments(
         centroid=-0.5 * g_tilde * t**2,
         width=sigma0 * math.sqrt(1.0 + tau**2),
-        mean_k=-mass * g_tilde * t / hbar,
-        phase_gradient=mass * g_tilde * t / hbar,
+        mean_k=-mass * g_tilde * t,
+        phase_gradient=mass * g_tilde * t,
     )
 
 
 def exact_accelerating_gaussian(
     grid: Grid1D, sigma0: float, mass: float, g_tilde: float, t: float
 ) -> np.ndarray:
-    """Closed-form wavefunction of the released Gaussian at time t (hbar = 1).
+    """Closed-form wavefunction of the released Gaussian at time t; mass is
+    m/hbar.
 
     Boost identity for H = p^2/(2m) + F*y with F = m*g_tilde:
 
@@ -407,15 +397,18 @@ def exact_accelerating_gaussian(
     with psi_free the analytic free Gaussian.  Includes the global phase, so
     the L2 distance to a numerically propagated state exposes the pure-phase
     O(dt^2) Strang error; used as the convergence-study oracle, independent
-    of the stepping code.  Normalized to unit discrete norm; the packet's
-    centre -g_tilde t^2/2 must lie on the grid.
+    of the stepping code.  Normalized to unit discrete norm; the packet must
+    be resolved (sigma0 > 4 dy) and its centre -g_tilde t^2/2 must lie on
+    the grid.
     """
     centre = -0.5 * g_tilde * t**2
-    # off the grid, every sample would underflow to 0 and leave no norm
+    # off the grid, or too narrow for it, every sample could underflow to 0
+    # and leave no norm
     if not grid.y_min <= centre <= grid.y_max:
         raise DomainError(
             f"the dropped centre -g_tilde t^2/2 = {centre:g} is off the grid [{grid.y_min:g}, {grid.y_max:g}]"
         )
+    _require_resolved(grid, sigma0)
     y = grid.y_values()
     force = mass * g_tilde
     shifted = y - centre

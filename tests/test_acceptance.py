@@ -18,7 +18,6 @@ import pytest
 from cavityfall import (
     CavitySpec,
     Grid1D,
-    PropagationScenario,
     analytic_gaussian_oracle,
     effective_mass,
     exact_accelerating_gaussian,
@@ -76,8 +75,9 @@ def test_criterion_1_parabolic_free_fall(shipped_numeric_run):
     exact = exact_accelerating_gaussian(GRID, 1.0, 1.0, 1.0, 2.0)
     errors = []
     for dt in dts:
-        scn = PropagationScenario(mass=1.0, g_tilde=1.0, dt=dt, n_steps=int(2.0 / dt), record_stride=10**9)
-        final, _ = propagate(GRID, init_gaussian(GRID, 1.0), scn)
+        final, _ = propagate(
+            GRID, init_gaussian(GRID, 1.0), mass=1.0, g_tilde=1.0, dt=dt, n_steps=int(2.0 / dt), stride=10**9
+        )
         errors.append(math.sqrt(float(np.sum(np.abs(final - exact) ** 2)) * GRID.dy))
     slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.05)
@@ -96,8 +96,9 @@ def test_criterion_2_equivalence_principle():
     g_tilde, t_final = 0.25, 1.0
     traces = []
     for mass in (0.1, 1.0, 10.0, 100.0):
-        scn = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=1 / 64, n_steps=64, record_stride=8)
-        _, trace = propagate(grid, init_gaussian(grid, 1.0), scn)
+        _, trace = propagate(
+            grid, init_gaussian(grid, 1.0), mass=mass, g_tilde=g_tilde, dt=1 / 64, n_steps=64, stride=8
+        )
         traces.append(trace.centroid)
     final_drop = 0.5 * g_tilde * t_final**2
     worst = max(np.max(np.abs(tr - traces[0])) for tr in traces[1:]) / final_drop
@@ -109,8 +110,7 @@ def test_criterion_3_dielectric_drag():
     ns_squared = NS_CAF2**2
     centroids = {}
     for label, g_tilde in (("vacuum", 1.0), ("dielectric", 1.0 / ns_squared)):
-        scn = PropagationScenario(mass=1.0, g_tilde=g_tilde, dt=1 / 64, n_steps=96, record_stride=8)
-        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scn)
+        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), mass=1.0, g_tilde=g_tilde, dt=1 / 64, n_steps=96, stride=8)
         centroids[label] = trace.centroid
     ratio = centroids["vacuum"][1:] / centroids["dielectric"][1:]
     worst = np.max(np.abs(ratio - ns_squared) / ns_squared)
@@ -134,8 +134,9 @@ def test_criterion_4_phase_gradient(shipped_numeric_run):
         "vacuum": (1.0, 0.5),
         "dielectric": (ns_squared, 0.5 / ns_squared),
     }.items():
-        scn = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=1 / 64, n_steps=128, record_stride=16)
-        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scn)
+        _, trace = propagate(
+            GRID, init_gaussian(GRID, 1.0), mass=mass, g_tilde=g_tilde, dt=1 / 64, n_steps=128, stride=16
+        )
         gradients[label] = trace.phase_gradient[1:]
     worst_pair = np.max(np.abs(gradients["vacuum"] - gradients["dielectric"]) / np.abs(gradients["vacuum"]))
     assert worst_pair < 1e-12
@@ -224,8 +225,7 @@ def test_criterion_7_q_threshold():
 
 def test_criterion_8_conservation_suite():
     mass, g_tilde = 4.0, 0.125
-    scn = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=1e-3, n_steps=10000, record_stride=500)
-    _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scn)
+    _, trace = propagate(GRID, init_gaussian(GRID, 1.0), mass=mass, g_tilde=g_tilde, dt=1e-3, n_steps=10000, stride=500)
     assert len(trace.t) - 1 == 20  # 1e4 steps, recorded every 500
 
     norm_drift = np.max(np.abs(trace.norm - trace.norm[0]))

@@ -1132,6 +1132,18 @@ class TestErrorKeysOfDerivedValues:
         expected = "rest energy and effective mass of L = 2.9e-194, j = 2, n_s = 2.7e+230 must be in double range"
         assert capsys.readouterr().err == f"validation error: cavity: {expected}\n"
 
+    def test_propagator_mass_that_overflows_names_the_cavity(self, scenario_dir, tmp_path, capsys):
+        # m = 1.9e279 kg is in double range, m/hbar = omega0 n_s^2/c^2 is not
+        doc = json.loads((scenario_dir / "freefall_caf2.json").read_text())
+        doc["cavity"].update({"lambda0": 1e-200, "n_s": 3e60})
+        doc["gravity"]["n_s"] = 3e60
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["freefall-numeric", "--scenario", str(scenario_path), "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == "validation error: cavity: m/hbar must be finite and > 0, got inf\n"
+        assert not out.exists()
+
 
 class TestCommandTable:
     """run() passes a command's options to its runner alone, and only a

@@ -1,4 +1,5 @@
-"""Error messages name no key path of their own.
+"""Lints of the package's sources: error messages name no key path of
+their own, and the package exports exactly what it imports.
 
 A check raises with the name of its field or parameter as the error's key,
 and only the scenario reader (scenario.py) knows the section names: it puts
@@ -11,6 +12,8 @@ sources; a message must be a literal or an f-string for it to be read.
 import ast
 import re
 from pathlib import Path
+
+import cavityfall
 
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "cavityfall"
 ERRORS = {"ValidationError", "DomainError"}
@@ -49,3 +52,19 @@ def test_messages_outside_the_scenario_reader_name_no_key_path():
     # the lint reads the raise sites it is meant to: a parse that found
     # none would pass on anything
     assert checked >= 40
+
+
+def test_all_lists_exactly_the_public_names_the_package_imports():
+    # a name left in __all__ after its definition is gone breaks
+    # "from cavityfall import *"; one imported but not listed is not exported
+    tree = ast.parse((SOURCES / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    public = {name for name in imported if not name.startswith("_")}
+    assert len(public) >= 30
+    assert sorted(cavityfall.__all__) == sorted(public | {"__version__"})
+    assert [name for name in cavityfall.__all__ if not hasattr(cavityfall, name)] == []

@@ -13,7 +13,6 @@ from cavityfall import (
     CavityFallError,
     DomainError,
     ExperimentConfig,
-    PropagationScenario,
     Grid1D,
     ValidationError,
     analytic_gaussian_oracle,
@@ -125,7 +124,7 @@ class TestModeWidth:
         cfg = CORRECTED
         mass = cfg.n_s**2 * hbar * cfg.omega0 / c**2
         for t in (1e-5, 1e-4, 1e-3, 1e-2):
-            oracle = analytic_gaussian_oracle(cfg.sigma0, mass, 0.0, t, hbar=hbar)
+            oracle = analytic_gaussian_oracle(cfg.sigma0, mass / hbar, 0.0, t)
             assert float(mode_width(cfg, t)) == pytest.approx(oracle.width, rel=1e-12)
 
     def test_corrected_matches_propagated_envelope(self):
@@ -134,8 +133,9 @@ class TestModeWidth:
         cfg = CORRECTED
         mass_over_hbar = cfg.n_s**2 * cfg.omega0 / c**2
         grid = Grid1D(-3.2, 3.2, 1024)
-        scenario = PropagationScenario(mass=mass_over_hbar, g_tilde=0.0, dt=2e-5, n_steps=80, record_stride=20)
-        _, trace = propagate(grid, init_gaussian(grid, cfg.sigma0), scenario)
+        _, trace = propagate(
+            grid, init_gaussian(grid, cfg.sigma0), mass=mass_over_hbar, g_tilde=0.0, dt=2e-5, n_steps=80, stride=20
+        )
         for t, width in zip(trace.t[1:], trace.width[1:]):
             assert width == pytest.approx(float(mode_width(cfg, float(t))), rel=1e-6)
 

@@ -13,7 +13,6 @@ from cavityfall import (
     DomainError,
     GravityProfile,
     Grid1D,
-    PropagationScenario,
     Trace,
     ValidationError,
     analytic_gaussian_oracle,
@@ -64,42 +63,39 @@ def strang_reference(u, grid, mass, g_tilde, dt, n_steps):
     return u
 
 
-def closed_form_reference(grid, u0, scenario):
+def closed_form_reference(grid, u0, *, mass, g_tilde, dt, n_steps, stride=1):
     """Trace of the per-record closed form: each record's lab-frame state
     exp(-i F t y) IFFT[exp(-i theta(k)) FFT u(0)], theta less its
     k-independent term, measured with measure().  Reference only; it stops
     where the composed phase leaves double range, as propagate must."""
     y, k = grid.y_values(), grid.k_values()
-    mass, dt = scenario.mass, scenario.dt
-    force = mass * scenario.g_tilde
+    force = mass * g_tilde
     spread_rate, drift_rate = k * k / (2.0 * mass), k / (2.0 * mass)
     spectrum0 = np.fft.fft(u0)
     rows = []
-    for i in recording_schedule(scenario.n_steps, scenario.record_stride):
+    for i in recording_schedule(n_steps, stride):
         t = i * dt
         ft = force * t
         offset = force * ft * (t * t / 3.0 - dt * dt / 12.0)
         v = np.fft.ifft(np.exp(-1j * (spread_rate * t - drift_rate * (ft * t))) * spectrum0)
         if not (math.isfinite(ft) and math.isfinite(offset) and np.all(np.isfinite(v))):
             raise DomainError(f"non-finite amplitudes after step {i}")
-        rows.append(list(measure(np.exp(-1j * ft * y) * v, grid, mass, scenario.g_tilde, t).values()))
+        rows.append(list(measure(np.exp(-1j * ft * y) * v, grid, mass, g_tilde, t).values()))
     return Trace(*np.array(rows, dtype=float).T)
 
 
-def allocating_propagate(grid, u0, scenario):
+def allocating_propagate(grid, u0, *, mass, g_tilde, dt, n_steps, stride=1):
     """propagate's loop with every temporary written out: the wavenumbers
     held for the run, each phasor one expression, each record's envelope
     scanned for non-finite samples before its moments (propagate scans
     only a record whose norm sum is not finite), and the records a list of
     Trace rows.  Reference only; the moments and the spectral sums are
     propagate's own."""
-    stride = scenario.record_stride
-    schedule = recording_schedule(scenario.n_steps, stride)
+    schedule = recording_schedule(n_steps, stride)
     y, dy = grid.y_values(), grid.dy
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=dy)
-    mass, dt = scenario.mass, scenario.dt
-    force = mass * scenario.g_tilde
-    tau = min(stride, scenario.n_steps) * dt
+    force = mass * g_tilde
+    tau = min(stride, n_steps) * dt
 
     def phasor(a, b):
         phase = k * k / (2.0 * mass) * a - k / (2.0 * mass) * b
@@ -152,7 +148,7 @@ def allocating_propagate(grid, u0, scenario):
 
 
 def propagate_steps(u0, dt, mass=1.0, g_tilde=0.0, n_steps=1):
-    final, _ = propagate(GRID, u0, PropagationScenario(mass=mass, g_tilde=g_tilde, dt=dt, n_steps=n_steps))
+    final, _ = propagate(GRID, u0, mass=mass, g_tilde=g_tilde, dt=dt, n_steps=n_steps)
     return final
 
 
@@ -208,24 +204,27 @@ class TestRecordingSchedule:
                 recording_schedule(n_steps, stride)
 
 
-class TestScenarioValidation:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValidationError):
-            PropagationScenario(mass=0.0, g_tilde=1.0, dt=0.1, n_steps=10)
-        with pytest.raises(ValidationError):
-            PropagationScenario(mass=1.0, g_tilde=-1.0, dt=0.1, n_steps=10)
-        with pytest.raises(ValidationError):
-            PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.0, n_steps=10)
-        with pytest.raises(ValidationError, match="n_steps"):
-            PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.5, n_steps=0)
-        with pytest.raises(ValidationError, match="n_steps"):
-            PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.5, n_steps=2.5)
-        with pytest.raises(ValidationError):
-            PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.1, n_steps=10, record_stride=0)
-        for field in ("n_steps", "record_stride"):
-            counts = {"n_steps": 10, "record_stride": 1, field: True}
-            with pytest.raises(ValidationError, match=f"^{field}: must be an integer >= 1, got True$"):
-                PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.5, **counts)
+class TestParameterValidation:
+    @pytest.mark.parametrize(
+        "bad, line",
+        [
+            ({"mass": 0.0}, "mass: m/hbar must be finite and > 0, got 0.0"),
+            ({"g_tilde": -1.0}, "g_tilde: must be >= 0, got -1.0"),
+            ({"dt": 0.0}, "dt: must be > 0, got 0.0"),
+            ({"n_steps": 0}, "n_steps: must be an integer >= 1, got 0"),
+            ({"n_steps": 2.5}, "n_steps: must be an integer >= 1, got 2.5"),
+            ({"n_steps": True}, "n_steps: must be an integer >= 1, got True"),
+            ({"stride": 0}, "stride: must be an integer >= 1, got 0"),
+            ({"stride": True}, "stride: must be an integer >= 1, got True"),
+        ],
+    )
+    def test_rejects_bad_parameters(self, bad, line):
+        # checked before the work budget and the samples' shape: u0 is empty
+        run = {"mass": 1.0, "g_tilde": 1.0, "dt": 0.1, "n_steps": 10, "stride": 1, **bad}
+        with pytest.raises(ValidationError) as err:
+            propagate(GRID, np.empty(0, dtype=complex), **run)
+        assert err.value.key == next(iter(bad))
+        assert str(err.value) == line
 
 
 class TestInitGaussian:
@@ -276,8 +275,7 @@ class TestObservables:
             measure(np.zeros(1024, dtype=complex))
 
     def test_energy_is_conserved_along_a_run(self):
-        scenario = PropagationScenario(mass=1.0, g_tilde=0.5, dt=1 / 64, n_steps=128, record_stride=16)
-        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
+        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), mass=1.0, g_tilde=0.5, dt=1 / 64, n_steps=128, stride=16)
         drift = np.max(np.abs(trace.energy - trace.energy[0]) / abs(trace.energy[0]))
         assert drift < 1e-10
 
@@ -408,23 +406,23 @@ class TestPhasorRecurrence:
     every column against the per-record closed form."""
 
     @pytest.mark.parametrize(
-        "scenario, k0",
+        "run, k0",
         [
             # stride 1 over 20 anchor intervals
-            (PropagationScenario(mass=1.0, g_tilde=0.5, dt=1 / 80, n_steps=20 * _ANCHOR_INTERVAL + 5), 0.0),
+            ({"mass": 1.0, "g_tilde": 0.5, "dt": 1 / 80, "n_steps": 20 * _ANCHOR_INTERVAL + 5}, 0.0),
             # stride 4, the final record off the stride
-            (PropagationScenario(mass=1.0, g_tilde=0.5, dt=1 / 50, n_steps=203, record_stride=4), 0.0),
+            ({"mass": 1.0, "g_tilde": 0.5, "dt": 1 / 50, "n_steps": 203, "stride": 4}, 0.0),
             # no gravity: a packet launched at a lattice wavenumber
-            (PropagationScenario(mass=1.0, g_tilde=0.0, dt=1 / 64, n_steps=200, record_stride=3), math.pi / 4),
+            ({"mass": 1.0, "g_tilde": 0.0, "dt": 1 / 64, "n_steps": 200, "stride": 3}, math.pi / 4),
         ],
         ids=["stride-1", "off-stride-final", "no-gravity"],
     )
-    def test_every_column_matches_the_closed_form(self, scenario, k0):
+    def test_every_column_matches_the_closed_form(self, run, k0):
         # the momentum stays below 3 and the packet >= 8 sigma from the edges,
         # so the lab-frame reference measures every column unaliased
         u0 = init_gaussian(GRID, 1.0) * np.exp(1j * k0 * GRID.y_values())
-        _, trace = propagate(GRID, u0, scenario)
-        reference = closed_form_reference(GRID, u0, scenario)
+        _, trace = propagate(GRID, u0, **run)
+        reference = closed_form_reference(GRID, u0, **run)
         assert len(trace.t) == len(reference.t)
         for name, column, expected in zip(Trace._fields, trace, reference):
             assert np.max(np.abs(column - expected)) <= 1e-12 * np.max(np.abs(expected)), name
@@ -432,18 +430,18 @@ class TestPhasorRecurrence:
     def test_phase_overflow_between_anchors_stops_where_the_closed_form_does(self):
         # F = m*g_tilde = 6e153: the composed phase's F^2 t^3/3 leaves double
         # range at t ~ 2.5 of 4, on a record between two anchors
-        scenario = PropagationScenario(mass=1.2e154, g_tilde=0.5, dt=1 / 64, n_steps=256, record_stride=16)
+        run = {"mass": 1.2e154, "g_tilde": 0.5, "dt": 1 / 64, "n_steps": 256, "stride": 16}
         u0 = init_gaussian(GRID, 1.0)
         with pytest.raises(DomainError) as closed_form:
-            closed_form_reference(GRID, u0, scenario)
+            closed_form_reference(GRID, u0, **run)
         message = str(closed_form.value)
-        record = int(message.rsplit(" ", 1)[1]) // scenario.record_stride
-        assert 1 < record < len(recording_schedule(scenario.n_steps, scenario.record_stride)) - 1
+        record = int(message.rsplit(" ", 1)[1]) // run["stride"]
+        assert 1 < record < len(recording_schedule(run["n_steps"], run["stride"])) - 1
         assert record % _ANCHOR_INTERVAL
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-                propagate(GRID, u0, scenario)
+                propagate(GRID, u0, **run)
 
 
 def extreme_input(rng):
@@ -470,22 +468,22 @@ def extreme_input(rng):
     log_dt = min(max(log_t - math.log10(n_steps), -300.0), 300.0)
     grid = Grid1D(-n / 16, n / 16, n)
     u0 = init_gaussian(grid, 1.0) * 10.0 ** rng.uniform(-160.0, 160.0)
-    scenario = PropagationScenario(
-        mass=float(10.0**log_mass),
-        g_tilde=float(10.0**log_g),
-        dt=float(10.0**log_dt),
-        n_steps=n_steps,
-        record_stride=stride,
-    )
-    return grid, u0, scenario
+    run = {
+        "mass": float(10.0**log_mass),
+        "g_tilde": float(10.0**log_g),
+        "dt": float(10.0**log_dt),
+        "n_steps": n_steps,
+        "stride": stride,
+    }
+    return grid, u0, run
 
 
-def outcome(run, grid, u0, scenario):
+def outcome(propagator_fn, grid, u0, run):
     """(result or (exception type, message), messages of the warnings raised)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = run(grid, u0, scenario)
+            result = propagator_fn(grid, u0, **run)
         except (DomainError, ValidationError) as exc:
             result = (type(exc), str(exc))
     return result, {str(w.message) for w in caught}
@@ -499,18 +497,18 @@ class TestHeldBuffer:
         rng = np.random.default_rng(20261018)
         finished = 0
         for _ in range(200):
-            grid, u0, scenario = extreme_input(rng)
-            expected, expected_warnings = outcome(allocating_propagate, grid, u0, scenario)
-            result, result_warnings = outcome(propagate, grid, u0, scenario)
-            assert result_warnings <= expected_warnings, scenario
+            grid, u0, run = extreme_input(rng)
+            expected, expected_warnings = outcome(allocating_propagate, grid, u0, run)
+            result, result_warnings = outcome(propagate, grid, u0, run)
+            assert result_warnings <= expected_warnings, run
             if isinstance(expected[0], type):
-                assert result == expected, scenario
+                assert result == expected, run
                 continue
             finished += 1
             (final, trace), (expected_final, expected_trace) = result, expected
-            assert final.tobytes() == expected_final.tobytes(), scenario
+            assert final.tobytes() == expected_final.tobytes(), run
             for name, column, reference in zip(Trace._fields, trace, expected_trace):
-                assert column.tobytes() == reference.tobytes(), (name, scenario)
+                assert column.tobytes() == reference.tobytes(), (name, run)
         assert finished >= 20
 
     def test_no_n_point_array_beyond_the_allocating_loop(self):
@@ -522,11 +520,11 @@ class TestHeldBuffer:
         # peak; one more held N-point real array (32768 bytes) would exceed it.
         grid = Grid1D(-256.0, 256.0, 4096)
         u0 = init_gaussian(grid, 2.0)
-        scenario = PropagationScenario(mass=1.0, g_tilde=0.05, dt=0.05, n_steps=64)
-        propagate(grid, u0, scenario)
+        run = {"mass": 1.0, "g_tilde": 0.05, "dt": 0.05, "n_steps": 64}
+        propagate(grid, u0, **run)
         tracemalloc.start()
         try:
-            propagate(grid, u0, scenario)
+            propagate(grid, u0, **run)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -560,13 +558,21 @@ class TestUnitInvariance:
         _, si = propagate(
             si_grid,
             init_gaussian(si_grid, sigma0),
-            PropagationScenario(mass=mass, g_tilde=g_tilde, dt=dt, n_steps=n_steps, record_stride=stride),
+            mass=mass,
+            g_tilde=g_tilde,
+            dt=dt,
+            n_steps=n_steps,
+            stride=stride,
         )
         scaled_grid = Grid1D(si_grid.y_min / length, si_grid.y_max / length, 1024)
         _, scaled = propagate(
             scaled_grid,
             init_gaussian(scaled_grid, 1.0),
-            PropagationScenario(mass=1.0, g_tilde=g_scaled, dt=dt / time, n_steps=n_steps, record_stride=stride),
+            mass=1.0,
+            g_tilde=g_scaled,
+            dt=dt / time,
+            n_steps=n_steps,
+            stride=stride,
         )
         # each column's scale: its largest magnitude, at least its unit
         for si_column, reference, unit in (
@@ -581,29 +587,27 @@ class TestUnitInvariance:
 
 class TestPropagate:
     def test_free_packet_spreads_on_schedule(self):
-        scenario = PropagationScenario(mass=1.0, g_tilde=0.0, dt=1 / 64, n_steps=256, record_stride=32)
-        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
+        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), mass=1.0, g_tilde=0.0, dt=1 / 64, n_steps=256, stride=32)
         assert np.max(np.abs(trace.centroid)) < 1e-12
         expected = np.sqrt(1.0 + (trace.t / 2.0) ** 2)
         assert np.max(np.abs(trace.width - expected) / expected) < 1e-6
 
     def test_centroid_falls_on_the_parabola(self):
-        scenario = PropagationScenario(mass=1.0, g_tilde=1.0, dt=1 / 64, n_steps=256, record_stride=16)
-        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
+        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), mass=1.0, g_tilde=1.0, dt=1 / 64, n_steps=256, stride=16)
         final_drop = 0.5 * 1.0 * 4.0**2
         assert np.max(np.abs(trace.centroid + 0.5 * trace.t**2)) < 1e-8 * final_drop
 
     def test_centroid_trace_is_mass_independent(self):
         traces = []
         for mass in (1.0, 10.0):
-            scenario = PropagationScenario(mass=mass, g_tilde=1.0, dt=1 / 64, n_steps=128, record_stride=16)
-            _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
+            _, trace = propagate(
+                GRID, init_gaussian(GRID, 1.0), mass=mass, g_tilde=1.0, dt=1 / 64, n_steps=128, stride=16
+            )
             traces.append(trace.centroid)
         assert np.max(np.abs(traces[0] - traces[1])) < 1e-10 * 2.0
 
     def test_records_include_final_partial_stride(self):
-        scenario = PropagationScenario(mass=1.0, g_tilde=0.0, dt=0.1, n_steps=10, record_stride=3)
-        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
+        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), mass=1.0, g_tilde=0.0, dt=0.1, n_steps=10, stride=3)
         assert trace.t[0] == 0.0
         assert trace.t[-1] == pytest.approx(1.0, rel=1e-15)
         assert np.all(np.diff(trace.t) > 0)
@@ -619,8 +623,7 @@ class TestPropagate:
             return _envelope_moments(*args)
 
         monkeypatch.setattr(propagator, "_envelope_moments", counted)
-        scenario = PropagationScenario(mass=1.0, g_tilde=0.5, dt=1 / 64, n_steps=100, record_stride=7)
-        _, trace = propagate(GRID, u0, scenario)
+        _, trace = propagate(GRID, u0, mass=1.0, g_tilde=0.5, dt=1 / 64, n_steps=100, stride=7)
         assert len(calls) == len(trace.t) == len(recording_schedule(100, 7))
         assert (trace.norm[0], trace.centroid[0], trace.width[0], trace.phase_gradient[0]) == (
             initial["norm"],
@@ -635,11 +638,10 @@ class TestPropagate:
         # schedule counts its records, the final off-stride one included
         grid = Grid1D(-2048.0, 2048.0, 2**20)
         u0 = init_gaussian(grid, 1.0)
-        scenario = PropagationScenario(mass=1.0, g_tilde=0.0, dt=1e-3, n_steps=n_steps, record_stride=stride)
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError) as err:
-                propagate(grid, u0, scenario)
+                propagate(grid, u0, mass=1.0, g_tilde=0.0, dt=1e-3, n_steps=n_steps, stride=stride)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -651,22 +653,20 @@ class TestPropagate:
 
     @pytest.mark.parametrize("shape", [(512,), (1024, 1), ()])
     def test_samples_must_match_the_grid(self, shape):
-        scenario = PropagationScenario(mass=1.0, g_tilde=0.0, dt=0.1, n_steps=5)
         expected = f"u0: must hold the grid's 1024 samples, got shape {shape}"
         with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
-            propagate(GRID, np.ones(shape, dtype=complex), scenario)
+            propagate(GRID, np.ones(shape, dtype=complex), mass=1.0, g_tilde=0.0, dt=0.1, n_steps=5)
 
     def test_domain_escape_suggests_larger_grid(self):
         small = Grid1D(-8.0, 8.0, 128)
-        scenario = PropagationScenario(mass=1.0, g_tilde=2.0, dt=1 / 32, n_steps=128, record_stride=4)
         with pytest.raises(DomainError, match="enlarge the grid"):
-            propagate(small, init_gaussian(small, 1.0), scenario)
+            propagate(small, init_gaussian(small, 1.0), mass=1.0, g_tilde=2.0, dt=1 / 32, n_steps=128, stride=4)
 
     def test_non_finite_initial_state_rejected(self):
         u0 = init_gaussian(GRID, 1.0)
         u0[0] = np.inf
         with pytest.raises(DomainError):
-            propagate(GRID, u0, PropagationScenario(mass=1.0, g_tilde=1.0, dt=0.1, n_steps=5))
+            propagate(GRID, u0, mass=1.0, g_tilde=1.0, dt=0.1, n_steps=5)
 
 
 class TestAnalyticOracle:
@@ -687,7 +687,7 @@ class TestAnalyticOracle:
         cav = CavitySpec.from_rest_wavelength(1.064e-6, n_s=1.43)
         profile = GravityProfile(g=9.81, n_s=1.43)
         t = 0.37
-        m = analytic_gaussian_oracle(0.1, effective_mass(cav), profile.g_tilde, t, hbar=hbar_si)
+        m = analytic_gaussian_oracle(0.1, effective_mass(cav) / hbar_si, profile.g_tilde, t)
         assert m.phase_gradient == pytest.approx(phase_gradient(cav.omega0, profile, t), rel=1e-12)
         assert m.mean_k == pytest.approx(-m.phase_gradient, rel=1e-15)
 
@@ -699,8 +699,9 @@ class TestAnalyticOracle:
 class TestOracleEquivalence:
     def test_observables_match_closed_form(self):
         mass, g_tilde = 1.0, 1.0
-        scenario = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=1 / 64, n_steps=192, record_stride=16)
-        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
+        _, trace = propagate(
+            GRID, init_gaussian(GRID, 1.0), mass=mass, g_tilde=g_tilde, dt=1 / 64, n_steps=192, stride=16
+        )
         final_drop = 0.5 * g_tilde * 3.0**2
         for i, t in enumerate(trace.t):
             m = analytic_gaussian_oracle(1.0, mass, g_tilde, float(t))
@@ -720,8 +721,9 @@ class TestOracleEquivalence:
         exact = exact_accelerating_gaussian(GRID, 1.0, mass, g_tilde, t_final)
         for dt in dts:
             n_steps = int(t_final / dt)  # exact: dt divides t_final
-            scenario = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=dt, n_steps=n_steps, record_stride=10**9)
-            final, _ = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
+            final, _ = propagate(
+                GRID, init_gaussian(GRID, 1.0), mass=mass, g_tilde=g_tilde, dt=dt, n_steps=n_steps, stride=10**9
+            )
             errors.append(l2_distance(final, exact, GRID.dy))
         errors = np.array(errors)
         ratios = errors[:-1] / errors[1:]
@@ -738,10 +740,19 @@ class TestOracleEquivalence:
         with pytest.raises(DomainError, match=f"^{re.escape(expected)}$"):
             exact_accelerating_gaussian(grid, 0.5, 100.0, 2.0, 20.0)
 
+    def test_unresolved_packet_rejected(self):
+        # sigma0 = 1e-3 centred at -dy/2, between two samples: every sample
+        # would underflow to 0 and the normalisation divide 0 by 0
+        grid = Grid1D(-64.0, 64.0, 1024)
+        expected = "unresolved Gaussian: sigma0 = 0.001 must exceed 4*dy = 0.5"
+        with pytest.raises(DomainError, match=f"^{re.escape(expected)}$"):
+            exact_accelerating_gaussian(grid, 1e-3, 1e6, 1.0, math.sqrt(0.125))
+
     def test_phase_gradient_law_in_scaled_units(self):
         mass, g_tilde = 2.0449, 0.4
-        scenario = PropagationScenario(mass=mass, g_tilde=g_tilde, dt=1 / 64, n_steps=128, record_stride=16)
-        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
+        _, trace = propagate(
+            GRID, init_gaussian(GRID, 1.0), mass=mass, g_tilde=g_tilde, dt=1 / 64, n_steps=128, stride=16
+        )
         for i, t in enumerate(trace.t[1:], start=1):
             assert abs(trace.phase_gradient[i]) == pytest.approx(mass * g_tilde * t, rel=1e-4)
 
@@ -749,14 +760,14 @@ class TestOracleEquivalence:
         ns_squared = 1.43**2
         traces = {}
         for label, g_tilde in (("vacuum", 1.0), ("dielectric", 1.0 / ns_squared)):
-            scenario = PropagationScenario(mass=1.0, g_tilde=g_tilde, dt=1 / 64, n_steps=96, record_stride=16)
-            _, traces[label] = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
+            _, traces[label] = propagate(
+                GRID, init_gaussian(GRID, 1.0), mass=1.0, g_tilde=g_tilde, dt=1 / 64, n_steps=96, stride=16
+            )
         ratio = traces["vacuum"].centroid[1:] / traces["dielectric"].centroid[1:]
         assert np.max(np.abs(ratio - ns_squared) / ns_squared) < 1e-8
 
 
 class TestConservation:
     def test_norm_is_conserved_to_roundoff(self):
-        scenario = PropagationScenario(mass=1.0, g_tilde=0.5, dt=1 / 128, n_steps=768, record_stride=64)
-        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), scenario)
+        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), mass=1.0, g_tilde=0.5, dt=1 / 128, n_steps=768, stride=64)
         assert np.max(np.abs(trace.norm - trace.norm[0])) < 1e-12
