@@ -204,27 +204,28 @@ class TestRecordingSchedule:
                 recording_schedule(n_steps, stride)
 
 
-class TestParameterValidation:
-    @pytest.mark.parametrize(
-        "bad, line",
-        [
-            ({"mass": 0.0}, "mass: m/hbar must be finite and > 0, got 0.0"),
-            ({"g_tilde": -1.0}, "g_tilde: must be >= 0, got -1.0"),
-            ({"dt": 0.0}, "dt: must be > 0, got 0.0"),
-            ({"n_steps": 0}, "n_steps: must be an integer >= 1, got 0"),
-            ({"n_steps": 2.5}, "n_steps: must be an integer >= 1, got 2.5"),
-            ({"n_steps": True}, "n_steps: must be an integer >= 1, got True"),
-            ({"stride": 0}, "stride: must be an integer >= 1, got 0"),
-            ({"stride": True}, "stride: must be an integer >= 1, got True"),
-        ],
-    )
-    def test_rejects_bad_parameters(self, bad, line):
-        # checked before the work budget and the samples' shape: u0 is empty
-        run = {"mass": 1.0, "g_tilde": 1.0, "dt": 0.1, "n_steps": 10, "stride": 1, **bad}
-        with pytest.raises(ValidationError) as err:
-            propagate(GRID, np.empty(0, dtype=complex), **run)
-        assert err.value.key == next(iter(bad))
-        assert str(err.value) == line
+class TestScenarioValidation:
+    # a run's scenario is propagate's keyword parameters; each bad value
+    # names its parameter and is checked before the work budget and the
+    # samples' shape, so u0 is empty
+    CASES = [
+        ({"mass": 0.0}, "mass: m/hbar must be finite and > 0, got 0.0"),
+        ({"g_tilde": -1.0}, "g_tilde: must be >= 0, got -1.0"),
+        ({"dt": 0.0}, "dt: must be > 0, got 0.0"),
+        ({"n_steps": 0}, "n_steps: must be an integer >= 1, got 0"),
+        ({"n_steps": 2.5}, "n_steps: must be an integer >= 1, got 2.5"),
+        ({"n_steps": True}, "n_steps: must be an integer >= 1, got True"),
+        ({"stride": 0}, "stride: must be an integer >= 1, got 0"),
+        ({"stride": True}, "stride: must be an integer >= 1, got True"),
+    ]
+
+    def test_rejects_bad_parameters(self):
+        for bad, line in self.CASES:
+            run = {"mass": 1.0, "g_tilde": 1.0, "dt": 0.1, "n_steps": 10, "stride": 1, **bad}
+            with pytest.raises(ValidationError) as err:
+                propagate(GRID, np.empty(0, dtype=complex), **run)
+            assert err.value.key == next(iter(bad)), bad
+            assert str(err.value) == line
 
 
 class TestInitGaussian:
