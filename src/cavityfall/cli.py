@@ -423,7 +423,11 @@ def main(argv=None) -> int:
         if width_model is not None and scenario.experiment is not None:
             experiment = replace(scenario.experiment, width_model=WIDTH_MODEL_ALIASES[width_model])
             scenario = replace(scenario, experiment=experiment)
-        out_path = Path(out if out is not None else scenario.output.directory)
+        out_key, directory = ("--out", out) if out is not None else ("output.directory", scenario.output.directory)
+        # Path("") is the current directory; a NUL would fail mkdir after the run
+        if not directory or "\0" in directory:
+            raise ValidationError(f"must be a non-empty path with no NUL character, got {directory!r}", key=out_key)
+        out_path = Path(directory)
         manifest = run(command, scenario, out_path, **options)
         if not quiet:
             for name in [*(entry["file"] for entry in manifest["outputs"]), "run_manifest.json"]:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import CavitySpec, effective_mass
+from .dispersion import CavitySpec, _require_index, effective_mass
 from .errors import DomainError, ValidationError
 from .units import c, g_earth, hbar
 
@@ -56,9 +56,7 @@ class GravityProfile:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.g) and self.g >= 0.0):
             raise ValidationError(f"must be >= 0, got {self.g!r}", key="g")
-        # g_tilde squares n_s as a Python float, which raises on overflow
-        if not (self.n_s >= 1.0 and self.n_s * self.n_s < math.inf):
-            raise ValidationError(f"must be >= 1 with n_s**2 in double range, got {self.n_s!r}", key="n_s")
+        _require_index(self.n_s)
 
     @property
     def g_tilde(self) -> float:

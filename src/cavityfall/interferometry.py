@@ -90,9 +90,6 @@ class ExperimentConfig:
                 raise ValidationError(f"must be > 0, got {value!r}", key=name)
         if self.eta_det > 1.0:
             raise ValidationError(f"must be in (0, 1], got {self.eta_det!r}", key="eta_det")
-        # the model squares these as Python floats, which raise on overflow
-        if not (self.n_s >= 1.0 and self.n_s * self.n_s < math.inf):
-            raise ValidationError(f"must be >= 1 with n_s**2 in double range, got {self.n_s!r}", key="n_s")
         for name, value in (("sigma0", self.sigma0), ("y_out", self.y_out)):
             if not 0.0 < value * value < math.inf:
                 raise ValidationError(f"its square is out of double range, got {value!r}", key=name)
@@ -103,7 +100,8 @@ class ExperimentConfig:
                 f"the photon energy 2*pi*hbar*c/lambda0 is out of double range, got {self.lambda0!r}", key="lambda0"
             )
         # the manifest reports the mass of this photon, as the half-wave
-        # cavity of its rest wavelength
+        # cavity of its rest wavelength; its first check is that of n_s, by
+        # the medium's one rule in dispersion._require_index
         CavitySpec.from_rest_wavelength(self.lambda0, self.n_s)
         # I(t) <= 2, so a finite 2*photons keeps every I*photons finite
         if not 2.0 * self.photons < math.inf:
@@ -246,17 +244,17 @@ def _refine_peak(f, a: float, b: float) -> tuple[float, float]:
     return t_peak, f(t_peak)
 
 
-def _refine_crossing(f, a: float, b: float, level: float = 1.0) -> float:
-    # bisection for the first upward crossing f(t) = level inside [a, b]
-    fa = f(a) - level
+def _refine_crossing(f, a: float, b: float) -> float:
+    # bisection for the first upward crossing f(t) = 1 inside [a, b]
+    fa = f(a) - 1.0
     mid = 0.5 * (a + b)
     # a crossing closer to 0 than the smallest float leaves no mid between a and b
     while (b - a) > _CROSS_REL_TOL * b and a < mid < b:
-        if fa * (f(mid) - level) <= 0.0:
+        if fa * (f(mid) - 1.0) <= 0.0:
             b = mid
         else:
             a = mid
-            fa = f(a) - level
+            fa = f(a) - 1.0
         mid = 0.5 * (a + b)
     return mid
 

@@ -855,8 +855,7 @@ class TestExitCodes:
     # g_tilde = g/n_s**2 overflows in n_s**2
     @_case("dispersion", 2, n_s=1.4e154)
     @_case("freefall-analytic", 2, n_s=1.4e154)
-    # c_medium**2 underflows to 0, the mass overflows, the rest energy
-    # underflows to 0
+    # n_s**2 overflows, the mass overflows, the rest energy underflows to 0
     @_case("dispersion", 2, geometry=(2.9e-194, 2), n_s=2.7e230)
     @_case("freefall-analytic", 2, geometry=(2.9e-194, 2), n_s=2.7e230)
     @_case("freefall-analytic", 2, geometry=(1.39e-268, 7), n_s=1.13e142)
@@ -1127,9 +1126,10 @@ class TestErrorKeysOfDerivedValues:
 
     def test_cavity_given_as_length_and_order_keeps_its_keys(self, tmp_path, capsys):
         scenario_path = tmp_path / "scenario.json"
-        scenario_path.write_text(json.dumps({"cavity": {"L": 2.9e-194, "j": 2, "n_s": 2.7e230}}))
+        # the mass overflows while n_s**2 stays in double range
+        scenario_path.write_text(json.dumps({"cavity": {"L": 1.39e-268, "j": 7, "n_s": 1.13e142}}))
         assert main(["dispersion", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
-        expected = "rest energy and effective mass of L = 2.9e-194, j = 2, n_s = 2.7e+230 must be in double range"
+        expected = "rest energy and effective mass of L = 1.39e-268, j = 7, n_s = 1.13e+142 must be in double range"
         assert capsys.readouterr().err == f"validation error: cavity: {expected}\n"
 
     def test_propagator_mass_that_overflows_names_the_cavity(self, scenario_dir, tmp_path, capsys):
@@ -1143,6 +1143,69 @@ class TestErrorKeysOfDerivedValues:
         assert main(["freefall-numeric", "--scenario", str(scenario_path), "--out", str(out), "--quiet"]) == 2
         assert capsys.readouterr().err == "validation error: cavity: m/hbar must be finite and > 0, got inf\n"
         assert not out.exists()
+
+
+class TestMediumIndexRule:
+    """n_s >= 1 with n_s**2 a finite double, the one rule for the medium
+    index, is checked by the cavity, the gravity and the experiment alike;
+    a gravity without n_s takes the cavity's, which is checked as the
+    cavity's."""
+
+    @staticmethod
+    def _line(value: str) -> str:
+        return f"validation error: cavity.n_s: must be >= 1 with n_s**2 in double range, got {value}\n"
+
+    def test_defaulted_gravity_index_is_blamed_on_the_cavity(self, scenario_dir, tmp_path, capsys):
+        doc = json.loads((scenario_dir / "freefall_caf2.json").read_text())
+        doc["cavity"]["n_s"] = 1e160
+        del doc["gravity"]["n_s"]
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["freefall-analytic", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == self._line("1e+160")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cavity, value",
+        [
+            ({"lambda0": 1.064e-6, "n_s": 1e160}, "1e+160"),
+            ({"L": 2.9e-194, "j": 2, "n_s": 2.7e230}, "2.7e+230"),
+            ({"lambda0": 1.064e-6, "n_s": 0.9}, "0.9"),
+        ],
+    )
+    def test_cavity_alone_is_held_to_the_rule(self, tmp_path, capsys, cavity, value):
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps({"cavity": cavity}))
+        out = tmp_path / "out"
+        assert main(["dispersion", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == self._line(value)
+        assert not out.exists()
+
+
+class TestOutputDirectory:
+    """main() refuses an output directory it could not write to, empty or
+    holding a NUL, keyed by where it came from, before the command runs."""
+
+    def test_empty_out_option_writes_nothing(self, scenario_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["dispersion", "--scenario", str(scenario_dir / "freefall_caf2.json"), "--out", ""]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: --out: must be a non-empty path with no NUL character, got ''\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nul_in_the_scenario_directory_writes_nothing(self, scenario_dir, tmp_path, monkeypatch, capsys):
+        doc = json.loads((scenario_dir / "freefall_caf2.json").read_text())
+        doc["output"]["directory"] = "out\u0000x"
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        assert main(["dispersion", "--scenario", str(scenario_path)]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: output.directory: must be a non-empty path with no NUL character, got 'out\\x00x'\n"
+        )
+        assert list(tmp_path.iterdir()) == [scenario_path]
 
 
 class TestCommandTable:

@@ -38,7 +38,7 @@ class TestCavitySpec:
     @pytest.mark.parametrize(
         "geometry",
         [
-            dict(L=2.9e-194, j=2, n_s=2.7e230),  # c_medium**2 underflows to 0
+            dict(L=2.9e-194, j=2, n_s=2.7e230),  # n_s**2 overflows
             dict(L=1.39e-268, j=7, n_s=1.13e142),  # the mass overflows
             dict(L=5.8e299 / 2.86, j=1, n_s=1.43),  # the rest energy underflows to 0
         ],

@@ -1,5 +1,6 @@
 """Lints of the package's sources: error messages name no key path of
-their own, and the package exports exactly what it imports.
+their own, the package exports exactly what it imports, and no private
+function keeps a default that none of its callers overrides.
 
 A check raises with the name of its field or parameter as the error's key,
 and only the scenario reader (scenario.py) knows the section names: it puts
@@ -68,3 +69,62 @@ def test_all_lists_exactly_the_public_names_the_package_imports():
     assert len(public) >= 30
     assert sorted(cavityfall.__all__) == sorted(public | {"__version__"})
     assert [name for name in cavityfall.__all__ if not hasattr(cavityfall, name)] == []
+
+
+def _passes(call: ast.Call, index: int | None, name: str) -> bool:
+    """Whether call passes the parameter name, at position index (None for
+    a keyword-only one); a *args or **kwargs may pass anything."""
+    if any(keyword.arg in (name, None) for keyword in call.keywords):
+        return True
+    if index is None:
+        return False
+    return index < len(call.args) or any(isinstance(arg, ast.Starred) for arg in call.args)
+
+
+def _defaults(sources: Path) -> tuple[int, list[str]]:
+    """(defaults checked, function.parameter of each that no call in sources
+    passes), over the functions named with one leading underscore that some
+    call in sources names directly."""
+    nodes = [node for path in sorted(sources.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))]
+    calls: dict[str, list[ast.Call]] = {}
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            calls.setdefault(callee, []).append(node)
+    checked, unpassed = 0, []
+    for node in nodes:
+        if not (isinstance(node, ast.FunctionDef) and re.match(r"_[^_]", node.name) and node.name in calls):
+            continue
+        positional = [*node.args.posonlyargs, *node.args.args]
+        first_default = len(positional) - len(node.args.defaults)
+        defaulted = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first_default]
+        defaulted += [
+            (None, arg.arg) for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults) if default is not None
+        ]
+        checked += len(defaulted)
+        for index, name in defaulted:
+            if not any(_passes(call, index, name) for call in calls[node.name]):
+                unpassed.append(f"{node.name}.{name}")
+    return checked, unpassed
+
+
+def test_private_functions_have_no_default_that_no_call_passes():
+    # a default every caller leaves alone is a knob nothing sets: its value
+    # belongs in the body.  Runners, called through cli._COMMANDS and never
+    # by name, are out of scope: their defaults are the command options'.
+    checked, unpassed = _defaults(SOURCES)
+    assert unpassed == []
+    # the lint reads the defaults it is meant to
+    assert checked >= 1
+
+
+def test_unpassed_default_lint_flags_a_knob_nothing_sets(tmp_path):
+    (tmp_path / "module.py").write_text(
+        "def _bisect(f, a, b, level=1.0, *, tol=1e-9, steps=64):\n"
+        "    return a\n"
+        "def _scan(n, width=2):\n"
+        "    return n\n"
+        "def public(n=3):\n"
+        "    return _bisect(abs, 0, n, tol=1e-3) + _scan(n, 4) + _scan(**{})\n"
+    )
+    assert _defaults(tmp_path) == (4, ["_bisect.level", "_bisect.steps"])
