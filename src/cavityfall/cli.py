@@ -412,22 +412,27 @@ def _pinned_malloc_thresholds() -> dict | None:
     return dict(pinned) if pinned else None
 
 
+def _usable_path(path: str, key: str) -> str:
+    # Path("") is the current directory, and open() and mkdir raise
+    # ValueError on a NUL, which would end main() in a traceback
+    if not path or "\0" in path:
+        raise ValidationError(f"must be a non-empty path with no NUL character, got {path!r}", key=key)
+    return path
+
+
 def main(argv=None) -> int:
     _pin_malloc()
     options = vars(_build_parser().parse_args(argv))
     command, scenario_path, out = options.pop("command"), options.pop("scenario"), options.pop("out", None)
     quiet, width_model = options.pop("quiet"), options.pop("width_model", None)
     try:
-        scenario = load_scenario(scenario_path)
+        scenario = load_scenario(_usable_path(scenario_path, "--scenario"))
         # without an experiment, run() names the missing section
         if width_model is not None and scenario.experiment is not None:
             experiment = replace(scenario.experiment, width_model=WIDTH_MODEL_ALIASES[width_model])
             scenario = replace(scenario, experiment=experiment)
         out_key, directory = ("--out", out) if out is not None else ("output.directory", scenario.output.directory)
-        # Path("") is the current directory; a NUL would fail mkdir after the run
-        if not directory or "\0" in directory:
-            raise ValidationError(f"must be a non-empty path with no NUL character, got {directory!r}", key=out_key)
-        out_path = Path(directory)
+        out_path = Path(_usable_path(directory, out_key))
         manifest = run(command, scenario, out_path, **options)
         if not quiet:
             for name in [*(entry["file"] for entry in manifest["outputs"]), "run_manifest.json"]:

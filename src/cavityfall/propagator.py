@@ -76,6 +76,10 @@ MAX_RECORD_SAMPLES = 2**30
 #: Records from one closed-form anchor of propagate's phasor recurrence to
 #: the next; the phase drift between anchors grows as its square.
 _ANCHOR_INTERVAL = 16
+#: Complex samples (512 KiB) of the block in which propagate transforms and
+#: measures an anchor interval of records at once, on grids of up to 2048
+#: points; a block on larger grids cost more memory and time than it saved.
+_BLOCK_SAMPLES = 2**15
 
 
 @dataclass(frozen=True)
@@ -218,6 +222,38 @@ def _envelope_moments(
     return total * dy, centroid, width, _phase_gradient_at_centroid(u, y, centroid)
 
 
+def _block_moments(u: np.ndarray, y: np.ndarray, dy: float) -> list[tuple[float, float, float, float]]:
+    """_envelope_moments of each row of the samples u in one vectorised pass,
+    up to the first row whose norm is zero or non-finite.  Each row rounds as
+    _envelope_moments rounds it: row sums and np.vecdot (a ddot per row)
+    round as the 1-D sum and dot, where a matrix product (gemv) would not."""
+    # silent overflow: a square's gives the non-finite norm that ends the
+    # pass, and no row past one that fails propagate's checks may warn
+    with np.errstate(over="ignore"):
+        weights = u.real * u.real
+        work = u.imag * u.imag
+        weights += work
+        total = weights.sum(axis=1)
+        sums = total.tolist()
+        kept = next((j for j, s in enumerate(sums) if not (s > 0.0 and math.isfinite(s))), len(sums))
+        weights, work, u = weights[:kept], work[:kept], u[:kept]
+        weights /= total[:kept, np.newaxis]
+        centroid = np.vecdot(weights, y)
+        np.subtract(y, centroid[:, np.newaxis], out=work)
+        work *= work
+        width = np.sqrt(np.vecdot(weights, work))
+        # _phase_gradient_at_centroid's fit on each row's 5-sample window
+        s_c = (centroid - y[0]) / (y[1] - y[0])
+        idx = np.clip(np.rint(s_c), 2, len(y) - 3).astype(np.intp)
+        window = u[np.arange(kept)[:, np.newaxis], idx[:, np.newaxis] + np.arange(-2, 3)]
+        increments = np.angle(window[:, 1:] * window[:, :-1].conj())
+        a1 = np.vecdot(increments, _LINEAR_WEIGHTS)
+        a2 = np.vecdot(increments, _QUADRATIC_WEIGHTS)
+        phase_gradient = (a1 + 2.0 * a2 * (s_c - idx)) / (y[1] - y[0])
+    norm = [s * dy for s in sums[:kept]]
+    return list(zip(norm, centroid.tolist(), width.tolist(), phase_gradient.tolist()))
+
+
 def _spectral_moments(spectrum: np.ndarray, k: np.ndarray) -> tuple[float, float]:
     """(<k>, <k^2>) of the FFT samples spectrum."""
     power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
@@ -271,7 +307,11 @@ def propagate(
     from record to record by a phasor, and every _ANCHOR_INTERVAL-th record
     and an off-stride final one take spectrum and phasor from the closed
     form.  The cost is one IFFT and two complex multiplies per record,
-    whatever the step count.  Records always include the initial state and
+    whatever the step count.  Where an anchor interval of records fits in
+    _BLOCK_SAMPLES (grids of up to 2048 points), each interval is
+    transformed by one IFFT call and measured in one vectorised pass, bit
+    for bit as one record at a time; larger grids measure each record
+    alone.  Records always include the initial state and
     the final step; records x n_points is bounded by MAX_RECORD_SAMPLES,
     checked after the parameters and before anything is allocated (a
     ValidationError keyed stride).  The packet must keep 4 sigma of
@@ -306,56 +346,78 @@ def propagate(
     # record 0's moments, which also reject a zero or non-finite state
     moments = _envelope_moments(u0, y, dy)
     initial_norm = moments[0]
-    spectrum = np.fft.fft(u0)
-    mean_k0, mean_k20 = _spectral_moments(spectrum, grid.k_values())
+    # records are transformed and measured an anchor interval at a time where
+    # that block fits in _BLOCK_SAMPLES, and one at a time on larger grids
+    rows = _ANCHOR_INTERVAL if _ANCHOR_INTERVAL * grid.n_points <= _BLOCK_SAMPLES else 1
+    spectra = np.empty((rows, grid.n_points), dtype=complex)
+    # the last row holds the spectrum that the next record advances from
+    np.fft.fft(u0, out=spectra[-1])
+    mean_k0, mean_k20 = _spectral_moments(spectra[-1], grid.k_values())
     # step_r = exp(-i (theta(i_{r+1}) - theta(i_r))) advances the spectrum
     # to the next record on the stride, and turn = exp(i k F tau^2 / m)
     # advances step_r to step_{r+1}
     with np.errstate(over="ignore", invalid="ignore"):
-        step = _kinetic_phasor(grid, mass, tau, force * tau * tau, np.empty_like(spectrum))
-        turn = _kinetic_phasor(grid, mass, 0.0, 2.0 * force * tau * tau, np.empty_like(spectrum))
+        step = _kinetic_phasor(grid, mass, tau, force * tau * tau, np.empty_like(u0))
+        turn = _kinetic_phasor(grid, mass, 0.0, 2.0 * force * tau * tau, np.empty_like(u0))
     # one row of Trace fields per record: 56 bytes, where a Trace of floats takes ~280
     records = np.empty((len(schedule), len(Trace._fields)))
-    v, ft, offset, t = u0, 0.0, 0.0, 0.0
-    for r, i in enumerate(schedule):
-        if i:
-            del v  # the previous record's envelope, freed before this record's arrays
-            t = i * dt
-            ft = force * t
-            # products, not float powers: t**3 would raise OverflowError where
-            # t*t*t gives inf, which the non-finite check below reports
-            offset = force * ft * (t * t / 3.0 - dt * dt / 12.0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                if i == r * stride and r % _ANCHOR_INTERVAL:
-                    spectrum *= step
-                    step *= turn
-                else:
-                    _kinetic_phasor(grid, mass, t, ft * t, spectrum)
-                    # FFT u(0) again: a copy held through the run would be a
-                    # fourth N-point complex array next to spectrum, step, turn
-                    spectrum *= np.fft.fft(u0)
-                    if i == r * stride:
-                        _kinetic_phasor(grid, mass, tau, force * tau * tau * (2 * r + 1), step)
-                v = np.fft.ifft(spectrum)
+    # the block of records from record first: (step, t, F t, offset) of each,
+    # their envelopes (the rows of v) and the moments of its vectorised pass
+    first, block, v, measured = 0, [(0, 0.0, 0.0, 0.0)], u0[np.newaxis], [moments]
+    while True:
+        # each record checked in turn, as if it were measured alone
+        for j, (i, t, ft, offset) in enumerate(block):
             if not (math.isfinite(ft) and math.isfinite(offset)):
                 raise DomainError(f"non-finite amplitudes after step {i}")
-            moments = _envelope_moments(v, y, dy, i)
-        norm, centroid, width, phase_grad = moments
-        if norm > initial_norm * (1.0 + 1e-12):
-            raise DomainError(f"norm grew beyond roundoff at step {i}: {norm!r}")
-        clearance = 4.0 * width
-        if centroid - clearance < grid.y_min or centroid + clearance > grid.y_max:
-            needed = abs(centroid) + clearance
-            raise DomainError(
-                f"packet within 4 sigma of the domain edge at step {i} "
-                f"(t = {t:g}); enlarge the grid to at least +/- {1.25 * needed:g}"
-            )
-        kinetic = (mean_k20 - 2.0 * ft * mean_k0 + ft * ft) / (2.0 * mass)
-        records[r] = (t, centroid, width, mean_k0 - ft, norm, kinetic + force * centroid, phase_grad - ft)
+            # a lone record, or the one whose norm stopped the block's pass, is
+            # measured here; the latter raises
+            moments = measured[j] if j < len(measured) else _envelope_moments(v[j], y, dy, i)
+            norm, centroid, width, phase_grad = moments
+            if norm > initial_norm * (1.0 + 1e-12):
+                raise DomainError(f"norm grew beyond roundoff at step {i}: {norm!r}")
+            clearance = 4.0 * width
+            if centroid - clearance < grid.y_min or centroid + clearance > grid.y_max:
+                needed = abs(centroid) + clearance
+                raise DomainError(
+                    f"packet within 4 sigma of the domain edge at step {i} "
+                    f"(t = {t:g}); enlarge the grid to at least +/- {1.25 * needed:g}"
+                )
+            kinetic = (mean_k20 - 2.0 * ft * mean_k0 + ft * ft) / (2.0 * mass)
+            records[first + j] = (t, centroid, width, mean_k0 - ft, norm, kinetic + force * centroid, phase_grad - ft)
+        first += len(block)
+        if first == len(schedule):
+            break
+        del v, measured  # the previous block's envelopes, freed before this block's arrays
+        block = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            # blocks end before multiples of rows: on the block path each one
+            # after the first then starts at an anchor, which reads no spectrum
+            for j, i in enumerate(schedule[first : first // rows * rows + rows]):
+                r = first + j
+                t = i * dt
+                ft = force * t
+                # products, not float powers: t**3 would raise OverflowError where
+                # t*t*t gives inf, which the non-finite check above reports
+                offset = force * ft * (t * t / 3.0 - dt * dt / 12.0)
+                if i == r * stride and r % _ANCHOR_INTERVAL:
+                    np.multiply(spectra[j - 1], step, out=spectra[j])
+                    step *= turn
+                else:
+                    _kinetic_phasor(grid, mass, t, ft * t, spectra[j])
+                    # FFT u(0) again: a copy held through the run would be a
+                    # fourth N-point complex array next to spectra, step, turn
+                    spectra[j] *= np.fft.fft(u0)
+                    if i == r * stride:
+                        _kinetic_phasor(grid, mass, tau, force * tau * tau * (2 * r + 1), step)
+                block.append((i, t, ft, offset))
+            # so a block is transformed in place, where a lone record's spectrum
+            # is the next record's start
+            v = np.fft.ifft(spectra[: len(block)], axis=-1, out=spectra[: len(block)] if rows > 1 else None)
+        measured = _block_moments(v, y, dy) if len(block) > 1 else []
 
-    del spectrum, step, turn  # before the final state's temporaries
+    del spectra, step, turn  # before the final state's temporaries
     with np.errstate(over="ignore", invalid="ignore"):
-        u = np.exp(-1j * (ft * y + offset / (2.0 * mass))) * v
+        u = np.exp(-1j * (ft * y + offset / (2.0 * mass))) * v[-1]
     if not np.all(np.isfinite(u.view(float))):
         raise DomainError(f"non-finite amplitudes after step {schedule[-1]}")
     return u, Trace(*records.T)

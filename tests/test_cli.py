@@ -1184,8 +1184,19 @@ class TestMediumIndexRule:
 
 
 class TestOutputDirectory:
-    """main() refuses an output directory it could not write to, empty or
-    holding a NUL, keyed by where it came from, before the command runs."""
+    """main() refuses an output directory it could not write to, or a
+    scenario path it could not open, empty or holding a NUL, keyed by where
+    it came from, before the command runs."""
+
+    @pytest.mark.parametrize("suffix", ["\u0000x", None], ids=["nul", "empty"])
+    def test_unusable_scenario_path_writes_nothing(self, scenario_dir, tmp_path, monkeypatch, capsys, suffix):
+        monkeypatch.chdir(tmp_path)
+        path = "" if suffix is None else str(scenario_dir / "freefall_caf2.json") + suffix
+        assert main(["dispersion", "--scenario", path, "--out", "out"]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: --scenario: must be a non-empty path with no NUL character, got {path!r}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_out_option_writes_nothing(self, scenario_dir, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -26,6 +26,7 @@ from cavityfall import propagator
 from cavityfall.propagator import (
     _ANCHOR_INTERVAL,
     MAX_ROWS,
+    _block_moments,
     _envelope_moments,
     _phase_gradient_at_centroid,
     _spectral_moments,
@@ -445,15 +446,19 @@ class TestPhasorRecurrence:
                 propagate(GRID, u0, **run)
 
 
-def extreme_input(rng):
+def extreme_input(rng, n=None):
     """One draw of the comparison with allocating_propagate: mass, g_tilde
-    and dt from 1e-300 to 1e300, strides 1-40, 64-256 points, amplitudes
-    scaled by up to 1e+-160.  A third of the draws are anywhere in that
-    range; a third fall to the grid's edge near t_final; a third are heavy
-    packets whose composed phase F^2 t^3/3 leaves double range near
-    t_final."""
-    n = 64 * 2 ** int(rng.integers(0, 3))
-    n_steps, stride = int(rng.integers(1, 401)), int(rng.integers(1, 41))
+    and dt from 1e-300 to 1e300, strides 1-40, 64-256 points (or n points
+    and at most 21 records), amplitudes scaled by up to 1e+-160.  A third of
+    the draws are anywhere in that range; a third fall to the grid's edge
+    near t_final; a third are heavy packets whose composed phase F^2 t^3/3
+    leaves double range near t_final."""
+    if n is None:
+        n = 64 * 2 ** int(rng.integers(0, 3))
+        n_steps, stride = int(rng.integers(1, 401)), int(rng.integers(1, 41))
+    else:
+        n_steps = int(rng.integers(1, 401))
+        stride = int(rng.integers(max(1, n_steps // 20), 41))
     kind = int(rng.integers(0, 3))
     if kind == 0:
         log_mass, log_g, log_t = rng.uniform(-300.0, 300.0, 3)
@@ -495,22 +500,23 @@ class TestHeldBuffer:
     N-point arrays than a record needs."""
 
     def test_matches_the_allocating_loop_bit_for_bit(self):
+        # 64-256 points take the block path, 4096 points the per-record one
         rng = np.random.default_rng(20261018)
-        finished = 0
-        for _ in range(200):
-            grid, u0, run = extreme_input(rng)
+        finished = {64: 0, 4096: 0}
+        for n in [None] * 200 + [4096] * 40:
+            grid, u0, run = extreme_input(rng, n)
             expected, expected_warnings = outcome(allocating_propagate, grid, u0, run)
             result, result_warnings = outcome(propagate, grid, u0, run)
             assert result_warnings <= expected_warnings, run
             if isinstance(expected[0], type):
                 assert result == expected, run
                 continue
-            finished += 1
+            finished[n or 64] += 1
             (final, trace), (expected_final, expected_trace) = result, expected
             assert final.tobytes() == expected_final.tobytes(), run
             for name, column, reference in zip(Trace._fields, trace, expected_trace):
                 assert column.tobytes() == reference.tobytes(), (name, run)
-        assert finished >= 20
+        assert finished[64] >= 20 and finished[4096] >= 4
 
     def test_no_n_point_array_beyond_the_allocating_loop(self):
         # 65 records, five of them anchors.  propagate peaks at 367.5 kB
@@ -530,6 +536,29 @@ class TestHeldBuffer:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 16 * grid.n_points
+
+    def test_block_holds_one_anchor_interval_of_records(self):
+        # 2048 points, the largest grid whose records are measured a block
+        # at a time: 65 records in blocks of up to 16.  propagate peaks at
+        # 1.272 MB here (Python 3.11, numpy 2.4, glibc x86-64): 38.5 N-point
+        # complex arrays of 32768 bytes (grid, two phasors, the 16 rows of
+        # spectra transformed in place, the block pass's two 16-row real
+        # buffers, and numpy's 16384-double iterator buffers of its
+        # broadcasting subtract) and ~10 kB of records and small objects.
+        # The bound, 41 such arrays, is within 7 % of that peak; a block of
+        # envelopes beside the spectra (16 arrays), or one more 16-row real
+        # buffer (8), would exceed it.
+        grid = Grid1D(-128.0, 128.0, 2048)
+        u0 = init_gaussian(grid, 2.0)
+        run = {"mass": 1.0, "g_tilde": 0.05, "dt": 0.05, "n_steps": 64}
+        propagate(grid, u0, **run)
+        tracemalloc.start()
+        try:
+            propagate(grid, u0, **run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 41 * 16 * grid.n_points
 
 
 class TestUnitInvariance:
@@ -614,24 +643,33 @@ class TestPropagate:
         assert np.all(np.diff(trace.t) > 0)
 
     def test_moments_taken_once_per_record(self, monkeypatch):
-        # record 0 reuses the moments that check the initial state
-        u0 = init_gaussian(GRID, 1.0)
-        initial = measure(u0)
-        calls = []
+        # record 0 reuses the moments that check the initial state; the other
+        # 15 records are one block pass on 1024 points, one call each on 4096
+        for grid, passes in ((GRID, [1, 15]), (Grid1D(-128.0, 128.0, 4096), [1] * 16)):
+            u0 = init_gaussian(grid, 1.0)
+            initial = measure(u0, grid)
+            rows = []
 
-        def counted(*args):
-            calls.append(args)
-            return _envelope_moments(*args)
+            def counted(*args):
+                rows.append(1)
+                return _envelope_moments(*args)
 
-        monkeypatch.setattr(propagator, "_envelope_moments", counted)
-        _, trace = propagate(GRID, u0, mass=1.0, g_tilde=0.5, dt=1 / 64, n_steps=100, stride=7)
-        assert len(calls) == len(trace.t) == len(recording_schedule(100, 7))
-        assert (trace.norm[0], trace.centroid[0], trace.width[0], trace.phase_gradient[0]) == (
-            initial["norm"],
-            initial["centroid"],
-            initial["width"],
-            initial["phase_gradient"],
-        )
+            def counted_block(*args):
+                measured = _block_moments(*args)
+                rows.append(len(measured))
+                return measured
+
+            monkeypatch.setattr(propagator, "_envelope_moments", counted)
+            monkeypatch.setattr(propagator, "_block_moments", counted_block)
+            _, trace = propagate(grid, u0, mass=1.0, g_tilde=0.5, dt=1 / 64, n_steps=100, stride=7)
+            assert rows == passes
+            assert sum(rows) == len(trace.t) == len(recording_schedule(100, 7))
+            assert (trace.norm[0], trace.centroid[0], trace.width[0], trace.phase_gradient[0]) == (
+                initial["norm"],
+                initial["centroid"],
+                initial["width"],
+                initial["phase_gradient"],
+            )
 
     @pytest.mark.parametrize("n_steps, stride", [(1024, 1), (2048, 2), (2047, 2)])
     def test_work_budget_checked_before_any_allocation(self, n_steps, stride):
