@@ -2,9 +2,8 @@
 
 Exact in-plane dispersion and effective mass of light standing in a planar
 cavity, weak-field gravitational optics and the Newtonian free fall of the
-standing wavepacket, split-step spectral propagation of the envelope with
-closed-form oracles, and the shot-noise SNR model of the free-fall
-interferometry experiment.
+standing wavepacket, split-step spectral propagation of the envelope, and
+the shot-noise SNR model of the free-fall interferometry experiment.
 """
 
 __version__ = "0.1.0"
@@ -13,7 +12,6 @@ from .dispersion import (
     CavitySpec,
     effective_mass,
     group_velocity,
-    kg_residual,
     photon_energy,
 )
 from .errors import CavityFallError, DomainError, ValidationError
@@ -36,11 +34,8 @@ from .interferometry import (
     snr_trace,
 )
 from .propagator import (
-    GaussianMoments,
     Grid1D,
     Trace,
-    analytic_gaussian_oracle,
-    exact_accelerating_gaussian,
     init_gaussian,
     propagate,
 )
@@ -62,7 +57,6 @@ __all__ = [
     "effective_mass",
     "photon_energy",
     "group_velocity",
-    "kg_residual",
     "GravityProfile",
     "FreefallState",
     "index_correction",
@@ -70,11 +64,8 @@ __all__ = [
     "phase_gradient",
     "Grid1D",
     "Trace",
-    "GaussianMoments",
     "init_gaussian",
     "propagate",
-    "analytic_gaussian_oracle",
-    "exact_accelerating_gaussian",
     "ExperimentConfig",
     "SnrTrace",
     "QThresholdResult",

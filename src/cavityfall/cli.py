@@ -414,9 +414,14 @@ def _pinned_malloc_thresholds() -> dict | None:
 
 def _usable_path(path: str, key: str) -> str:
     # Path("") is the current directory, and open() and mkdir raise
-    # ValueError on a NUL, which would end main() in a traceback
+    # ValueError on a NUL, or on a lone surrogate that the file system
+    # encoding cannot encode, which would end main() in a traceback
     if not path or "\0" in path:
         raise ValidationError(f"must be a non-empty path with no NUL character, got {path!r}", key=key)
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:
+        raise ValidationError(f"must be encodable as a file name, got {path!r}", key=key) from None
     return path
 
 
@@ -436,7 +441,9 @@ def main(argv=None) -> int:
         manifest = run(command, scenario, out_path, **options)
         if not quiet:
             for name in [*(entry["file"] for entry in manifest["outputs"]), "run_manifest.json"]:
-                print(f"wrote {out_path / name}")
+                # a path from undecodable bytes holds surrogates, which a
+                # strict stdout cannot encode: escaped, as stderr escapes them
+                print(f"wrote {out_path / name}".encode(errors="backslashreplace").decode())
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

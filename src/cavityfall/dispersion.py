@@ -12,7 +12,8 @@ energy E0 = hbar*pi*j*c/(L*n_s) through m = E0/cm**2.  For vacuum this is
 m = hbar*pi*j/(c*L); filling the spacer at fixed rest energy multiplies the
 mass by n_s**2.  No effective-mass approximation is involved: the identity
 is exact for all k_par, and the plane-wave residual of the associated 2D
-wave equation vanishes exactly on shell (see kg_residual).
+wave equation vanishes exactly on shell (the tests' oracle kg_residual, in
+tests/oracles.py, checks it).
 """
 
 from __future__ import annotations
@@ -131,19 +132,3 @@ def group_velocity(cavity: CavitySpec, k_par):
     """
     k = np.asarray(k_par, dtype=float)
     return cavity.c_medium**2 * hbar * k / photon_energy(cavity, k)
-
-
-def kg_residual(cavity: CavitySpec, k_par, omega):
-    """Plane-wave residual of the 2D massive wave equation [1/m^2].
-
-    For u = exp(i k.r) the operator reduces to
-        -k**2 + (omega**2 - omega0**2) / cm**2,
-    which vanishes exactly when (k, omega) lies on the dispersion branch.
-    The difference-of-squares form keeps the evaluation well conditioned at
-    small k, where omega**2 and omega0**2 cancel to ~16 digits.
-    """
-    k = np.asarray(k_par, dtype=float)
-    w = np.asarray(omega, dtype=float)
-    w0 = cavity.omega0
-    return -k * k + (w - w0) * (w + w0) / cavity.c_medium**2
-

@@ -47,13 +47,13 @@ the momentum may pass the Nyquist wavenumber pi/dy.  The norm is conserved
 to roundoff independently of the step count.
 
 The equation depends on the physical mass and hbar only through their
-ratio, so hbar = 1 is absorbed into m: the mass that propagate and both
-closed-form oracles take is m/hbar, in whatever units the grid, dt and
-g_tilde use.  The CLI passes the SI grid, step and acceleration unchanged,
-with m/hbar in s/m^2; Grid1D itself carries no unit.  The linear potential
-is discontinuous across the periodic wrap, so the formula holds only while
-the packet stays clear of the edges: runs must keep it at least 4 sigma
-away (enforced at every record).
+ratio, so hbar = 1 is absorbed into m: the mass that propagate takes is
+m/hbar, in whatever units the grid, dt and g_tilde use.  The CLI passes
+the SI grid, step and acceleration unchanged, with m/hbar in s/m^2; Grid1D
+itself carries no unit.  The linear potential is discontinuous across the
+periodic wrap, so the formula holds only while the packet stays clear of
+the edges: runs must keep it at least 4 sigma away (enforced at every
+record).
 """
 
 from __future__ import annotations
@@ -131,21 +131,6 @@ class Trace(NamedTuple):
     phase_gradient: np.ndarray
 
 
-class GaussianMoments(NamedTuple):
-    """Closed-form observables of the accelerating Gaussian."""
-
-    centroid: float
-    width: float
-    mean_k: float
-    phase_gradient: float
-
-
-def _require_resolved(grid: Grid1D, sigma0: float) -> None:
-    """Reject a Gaussian of width sigma0 that the grid does not resolve."""
-    if sigma0 <= 4.0 * grid.dy:
-        raise DomainError(f"unresolved Gaussian: sigma0 = {sigma0:g} must exceed 4*dy = {4.0 * grid.dy:g}")
-
-
 def init_gaussian(grid: Grid1D, sigma0: float) -> np.ndarray:
     """Unit-norm Gaussian envelope exp(-y^2/(4 sigma0^2)) at rest on the grid,
     as complex samples.
@@ -156,7 +141,8 @@ def init_gaussian(grid: Grid1D, sigma0: float) -> np.ndarray:
     """
     if not (sigma0 > 0.0 and math.isfinite(sigma0)):
         raise ValidationError(f"must be > 0, got {sigma0!r}", key="sigma0")
-    _require_resolved(grid, sigma0)
+    if sigma0 <= 4.0 * grid.dy:
+        raise DomainError(f"unresolved Gaussian: sigma0 = {sigma0:g} must exceed 4*dy = {4.0 * grid.dy:g}")
     if 4.0 * sigma0 >= grid.extent:
         raise DomainError(
             f"oversized Gaussian: 4*sigma0 = {4.0 * sigma0:g} must stay below the "
@@ -421,62 +407,3 @@ def propagate(
     if not np.all(np.isfinite(u.view(float))):
         raise DomainError(f"non-finite amplitudes after step {schedule[-1]}")
     return u, Trace(*records.T)
-
-
-def analytic_gaussian_oracle(sigma0: float, mass: float, g_tilde: float, t: float) -> GaussianMoments:
-    """Exact observables of a Gaussian released at rest in a linear potential.
-
-    mass is m/hbar, as in propagate and exact_accelerating_gaussian; in SI
-    it is in s/m^2.  centroid = -g_tilde*t^2/2; width follows the free
-    spreading law sigma0*sqrt(1 + (t/(2*mass*sigma0^2))^2) (a linear
-    potential does not alter spreading); mean_k = -mass*g_tilde*t.
-    phase_gradient is the magnitude of the envelope phase gradient at the
-    centroid, mass*g_tilde*t, which equals the lab-frame law omega0*g*t/c^2
-    once mass and g_tilde are the dielectric m/hbar and renormalized
-    acceleration.
-    """
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise ValidationError(f"must be >= 0, got {t!r}", key="t")
-    tau = t / (2.0 * mass * sigma0**2)
-    return GaussianMoments(
-        centroid=-0.5 * g_tilde * t**2,
-        width=sigma0 * math.sqrt(1.0 + tau**2),
-        mean_k=-mass * g_tilde * t,
-        phase_gradient=mass * g_tilde * t,
-    )
-
-
-def exact_accelerating_gaussian(
-    grid: Grid1D, sigma0: float, mass: float, g_tilde: float, t: float
-) -> np.ndarray:
-    """Closed-form wavefunction of the released Gaussian at time t; mass is
-    m/hbar.
-
-    Boost identity for H = p^2/(2m) + F*y with F = m*g_tilde:
-
-        psi(y, t) = exp(-i(F t y + F^2 t^3/(6m))) * psi_free(y + g_tilde t^2/2, t),
-
-    with psi_free the analytic free Gaussian.  Includes the global phase, so
-    the L2 distance to a numerically propagated state exposes the pure-phase
-    O(dt^2) Strang error; used as the convergence-study oracle, independent
-    of the stepping code.  Normalized to unit discrete norm; the packet must
-    be resolved (sigma0 > 4 dy) and its centre -g_tilde t^2/2 must lie on
-    the grid.
-    """
-    centre = -0.5 * g_tilde * t**2
-    # off the grid, or too narrow for it, every sample could underflow to 0
-    # and leave no norm
-    if not grid.y_min <= centre <= grid.y_max:
-        raise DomainError(
-            f"the dropped centre -g_tilde t^2/2 = {centre:g} is off the grid [{grid.y_min:g}, {grid.y_max:g}]"
-        )
-    _require_resolved(grid, sigma0)
-    y = grid.y_values()
-    force = mass * g_tilde
-    shifted = y - centre
-    spread = 1.0 + 1j * t / (2.0 * mass * sigma0**2)
-    psi_free = np.exp(-(shifted**2) / (4.0 * sigma0**2 * spread)) / np.sqrt(spread)
-    phase = force * t * y + force**2 * t**3 / (6.0 * mass)
-    psi = psi_free * np.exp(-1j * phase)
-    psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.dy)
-    return psi

@@ -18,12 +18,9 @@ import pytest
 from cavityfall import (
     CavitySpec,
     Grid1D,
-    analytic_gaussian_oracle,
     effective_mass,
-    exact_accelerating_gaussian,
     group_velocity,
     init_gaussian,
-    kg_residual,
     photon_energy,
     propagate,
     q_threshold,
@@ -33,6 +30,7 @@ from cavityfall import (
 from cavityfall.cli import run
 from cavityfall.scenario import load_scenario
 from cavityfall.units import c, hbar
+from oracles import analytic_gaussian_oracle, exact_accelerating_gaussian, kg_residual
 
 NS_CAF2 = 1.43
 

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -777,8 +778,10 @@ def _errors_raised():
 def _run_document(command, doc, options):
     """Exit code of one command on doc with the given command-line options;
     exit 0 must leave only finite numbers, each output listed once in the
-    manifest with its file's sha256, and exit 2 or 3 must come from an error
-    whose key names a scenario key or an option."""
+    manifest with its file's sha256, and a manifest that replays: run() on
+    its resolved scenario and command args writes the same bytes.  Exit 2
+    or 3 must come from an error whose key names a scenario key or an
+    option."""
     with tempfile.TemporaryDirectory() as work:
         scenario_path = Path(work) / "scenario.json"
         scenario_path.write_text(json.dumps(doc))
@@ -788,7 +791,8 @@ def _run_document(command, doc, options):
         if code in (2, 3):
             assert len(raised) == 1 and _names_keys(raised[0].key), [str(exc) for exc in raised]
         if code == 0:
-            outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            outputs = manifest["outputs"]
             names = [entry["file"] for entry in outputs]
             assert len(set(names)) == len(names), names
             for entry in outputs:
@@ -799,6 +803,12 @@ def _run_document(command, doc, options):
                     assert np.all(np.isfinite(read_csv(path)[1])), path.name
                 else:
                     json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(f"{path.name}: {name}"))
+            replay_scenario = parse_scenario(json.dumps(manifest["resolved_scenario"]))
+            run(command, replay_scenario, Path(work) / "replay", **manifest["command_args"])
+            replay = json.loads((Path(work) / "replay" / "run_manifest.json").read_text())
+            assert replay["outputs"] == outputs
+            del manifest["duration_s"], replay["duration_s"]
+            assert replay == manifest
     assert code in (0, 2, 3, 4)
     return code
 
@@ -833,6 +843,8 @@ class TestExitCodes:
         g=_log_uniform(-300, 300),
         expected=st.none(),
     )
+    # the small scenario itself: a propagation that exits 0, and replays
+    @_case("freefall-numeric", 0)
     # overflowing step counts: 1e8 steps whose composed phase overflows
     # (exit 3 from the non-finite check or the |v| limit), and a t_final/dt
     # that is not a finite number (exit 2)
@@ -1183,10 +1195,23 @@ class TestMediumIndexRule:
         assert not out.exists()
 
 
+_FILE_NAME = st.text(st.characters(categories=["L", "Nd"]), min_size=1, max_size=8)
+# a --scenario or --out path, relative to a working directory that holds a
+# valid scenario.json, a directory a_dir and latin1.json, a file that is not
+# UTF-8; neither "/" nor ".." is drawn, so no path leaves that directory
+_PATH = st.one_of(
+    st.sampled_from(["", ".", "scenario.json", "a_dir", "latin1.json", "scenario.json/x", "a_dir/missing.json"]),
+    _FILE_NAME,
+    _FILE_NAME.map(lambda name: f"{name}\0"),
+    st.tuples(_FILE_NAME, st.characters(categories=["Cs"])).map("".join),
+)
+
+
 class TestOutputDirectory:
     """main() refuses an output directory it could not write to, or a
-    scenario path it could not open, empty or holding a NUL, keyed by where
-    it came from, before the command runs."""
+    scenario path it could not open, empty, holding a NUL or a surrogate no
+    file name can encode, keyed by where it came from, before the command
+    runs."""
 
     @pytest.mark.parametrize("suffix", ["\u0000x", None], ids=["nul", "empty"])
     def test_unusable_scenario_path_writes_nothing(self, scenario_dir, tmp_path, monkeypatch, capsys, suffix):
@@ -1217,6 +1242,45 @@ class TestOutputDirectory:
             "validation error: output.directory: must be a non-empty path with no NUL character, got 'out\\x00x'\n"
         )
         assert list(tmp_path.iterdir()) == [scenario_path]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(scenario=_PATH, out=_PATH, expected=st.none())
+    @example(scenario="", out="out", expected=2)
+    @example(scenario="scenario.json\0", out="out", expected=2)
+    @example(scenario=".", out="out", expected=4)
+    @example(scenario="a_dir", out="out", expected=4)
+    @example(scenario="missing.json", out="out", expected=4)
+    @example(scenario="scenario.json/x", out="out", expected=4)
+    @example(scenario="latin1.json", out="out", expected=2)
+    # a surrogate that stands for an undecodable byte names a file that is
+    # not there; one that stands for none names no file at all
+    @example(scenario="s\udcff.json", out="out", expected=4)
+    @example(scenario="s\ud800.json", out="out", expected=2)
+    @example(scenario="scenario.json", out="", expected=2)
+    @example(scenario="scenario.json", out="out\0", expected=2)
+    @example(scenario="scenario.json", out=".", expected=0)
+    @example(scenario="scenario.json", out="a_dir", expected=0)
+    @example(scenario="scenario.json", out="scenario.json", expected=4)
+    @example(scenario="scenario.json", out="latin1.json", expected=4)
+    @example(scenario="scenario.json", out="scenario.json/x", expected=4)
+    @example(scenario="scenario.json", out="o\udcff", expected=0)
+    @example(scenario="scenario.json", out="o\ud800", expected=2)
+    def test_drawn_paths_exit_documented(self, scenario, out, expected):
+        # each example in a fresh working directory holding _PATH's files,
+        # with a stdout as strict as a UTF-8 terminal's
+        with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as patch:
+            patch.chdir(work)
+            Path("scenario.json").write_text(json.dumps(SMALL_FREEFALL))
+            Path("a_dir").mkdir()
+            Path("latin1.json").write_bytes(b'{"output": {"directory": "caf\xe9"}}')
+            before = sorted(map(str, Path().rglob("*")))
+            with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO(), encoding="utf-8")):
+                code = main(["dispersion", "--scenario", scenario, "--out", out])
+            assert code in (0, 2, 3, 4)
+            if code != 0:
+                assert sorted(map(str, Path().rglob("*"))) == before
+        if expected is not None:
+            assert code == expected
 
 
 class TestCommandTable:

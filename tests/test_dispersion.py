@@ -11,10 +11,10 @@ from cavityfall import (
     ValidationError,
     effective_mass,
     group_velocity,
-    kg_residual,
     photon_energy,
 )
 from cavityfall.units import c, h, hbar
+from oracles import kg_residual
 
 MICRON_CAVITY = CavitySpec(L=1e-6, j=1)
 CAF2 = CavitySpec.from_rest_wavelength(1.064e-6, n_s=1.43, Q=7e10)

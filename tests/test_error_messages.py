@@ -1,6 +1,8 @@
 """Lints of the package's sources: error messages name no key path of
-their own, the package exports exactly what it imports, and no private
-function keeps a default that none of its callers overrides.
+their own, the package exports exactly what it imports, the tests'
+closed-form oracles and the package import nothing of each other's but the
+error classes, and no private function keeps a default that none of its
+callers overrides.
 
 A check raises with the name of its field or parameter as the error's key,
 and only the scenario reader (scenario.py) knows the section names: it puts
@@ -17,6 +19,7 @@ from pathlib import Path
 import cavityfall
 
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "cavityfall"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 ERRORS = {"ValidationError", "DomainError"}
 SECTION = re.compile(r"(cavity|gravity|propagation|experiment|output)\b")
 OPTION = re.compile(r"--[a-z]")
@@ -69,6 +72,35 @@ def test_all_lists_exactly_the_public_names_the_package_imports():
     assert len(public) >= 30
     assert sorted(cavityfall.__all__) == sorted(public | {"__version__"})
     assert [name for name in cavityfall.__all__ if not hasattr(cavityfall, name)] == []
+
+
+def _imports(path: Path) -> list[tuple[str, str | None]]:
+    """(module, name) of each import in a source file; name None for a plain
+    "import module"."""
+    pairs = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            pairs += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            pairs += [("." * node.level + (node.module or ""), alias.name) for alias in node.names]
+    return pairs
+
+
+def test_oracles_and_the_package_share_no_code():
+    # a judge that called the code it judges would agree with any fault in
+    # it: the oracles take only the error classes from the package, and no
+    # module of the package reaches for an oracle
+    taken = [
+        (module, name) for module, name in _imports(ORACLES) if module.split(".")[0] in ("cavityfall", "")
+    ]
+    assert sorted(taken) == [("cavityfall", "DomainError"), ("cavityfall", "ValidationError")]
+    reaching = [
+        f"{path.name}: {module} {name}"
+        for path in sorted(SOURCES.glob("*.py"))
+        for module, name in _imports(path)
+        if "oracles" in (*module.split("."), name)
+    ]
+    assert reaching == []
 
 
 def _passes(call: ast.Call, index: int | None, name: str) -> bool:

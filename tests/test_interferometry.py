@@ -15,7 +15,6 @@ from cavityfall import (
     ExperimentConfig,
     Grid1D,
     ValidationError,
-    analytic_gaussian_oracle,
     init_gaussian,
     interference_signal,
     load_scenario,
@@ -28,6 +27,7 @@ from cavityfall import (
 )
 from cavityfall.interferometry import _N_SAMPLES, _Q_REL_TOL, WIDTH_MODELS, _sampled_peak
 from cavityfall.units import c, hbar
+from oracles import analytic_gaussian_oracle
 
 # Frozen from an independent 60-digit evaluation of the interference signal
 # and SNR (see acceptance suite for the full set).

@@ -15,9 +15,7 @@ from cavityfall import (
     Grid1D,
     Trace,
     ValidationError,
-    analytic_gaussian_oracle,
     effective_mass,
-    exact_accelerating_gaussian,
     init_gaussian,
     phase_gradient,
     propagate,
@@ -33,6 +31,7 @@ from cavityfall.propagator import (
     recording_schedule,
 )
 from cavityfall.units import hbar as hbar_si
+from oracles import analytic_gaussian_oracle, exact_accelerating_gaussian
 
 GRID = Grid1D(-32.0, 32.0, 1024)
 # magnitudes from 1e-15 to 1e15: the sigma0/mass units of such a run stay
