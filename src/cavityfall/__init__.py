@@ -19,7 +19,6 @@ from .gravity import (
     FreefallState,
     GravityProfile,
     freefall_trajectory,
-    index_correction,
     phase_gradient,
 )
 from .interferometry import (
@@ -59,7 +58,6 @@ __all__ = [
     "group_velocity",
     "GravityProfile",
     "FreefallState",
-    "index_correction",
     "freefall_trajectory",
     "phase_gradient",
     "Grid1D",

@@ -163,11 +163,18 @@ def _run_dispersion(
     return {"command_args": {"k_min": k_min, "k_max": k_max, "k_points": k_points}, "artifacts": artifacts}
 
 
-def _run_freefall_analytic(scenario: ScenarioFile) -> dict:
-    cav, profile, prop = scenario.cavity, scenario.gravity, scenario.propagation
+def _freefall(scenario: ScenarioFile):
+    """The recorded times and the closed-form fall at them; raises where the
+    fall leaves its validity domain, for both free-fall commands alike."""
+    prop = scenario.propagation
     # step indices can pass int64, so each time is a Python int times dt
     times = np.array([i * prop.dt for i in recording_schedule(prop.n_steps, scenario.output.stride)])
-    state = freefall_trajectory(cav, profile, times)
+    return times, freefall_trajectory(scenario.cavity, scenario.gravity, times)
+
+
+def _run_freefall_analytic(scenario: ScenarioFile) -> dict:
+    cav, profile = scenario.cavity, scenario.gravity
+    times, state = _freefall(scenario)
     grads = phase_gradient(cav.omega0, profile, times)
     header = ("t_si", "y_si", "v_si", "k_si", "phase_grad_si")
     columns = [times, state.y, state.v, state.k_y, grads]
@@ -176,6 +183,7 @@ def _run_freefall_analytic(scenario: ScenarioFile) -> dict:
 
 def _run_freefall_numeric(scenario: ScenarioFile) -> dict:
     cav, profile, prop, stride = scenario.cavity, scenario.gravity, scenario.propagation, scenario.output.stride
+    _freefall(scenario)
     # SI throughout: hbar enters only through the propagator mass m/hbar [s/m^2]
     _, trace = propagate(
         prop.grid,
@@ -190,12 +198,22 @@ def _run_freefall_numeric(scenario: ScenarioFile) -> dict:
     columns = [
         trace.t, trace.centroid, trace.width, trace.mean_k, trace.norm, trace.energy * hbar, trace.phase_gradient
     ]
+    # propagate checks the amplitudes, not the observables made from them:
+    # (F t)^2 in the energy can overflow before the phase does
+    finite = np.logical_and.reduce([np.isfinite(column) for column in columns])
+    if not finite.all():
+        row = int(np.argmin(finite))
+        name = next(name for name, column in zip(header, columns) if not math.isfinite(column[row]))
+        raise DomainError(f"{name} leaves double range at t = {trace.t[row]:.6g} s")
+    # not a number where E0 = 0, or where the ratio overflows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        energy_drift = float(np.max(np.abs(trace.energy - trace.energy[0]) / abs(trace.energy[0])))
     convergence = {
         "n_steps": prop.n_steps,
         "record_stride": stride,
         "splitting_order": 2,
         "norm_drift": float(np.max(np.abs(trace.norm - trace.norm[0]))),
-        "energy_drift": float(np.max(np.abs(trace.energy - trace.energy[0]) / abs(trace.energy[0]))),
+        "energy_drift": energy_drift if math.isfinite(energy_drift) else None,
     }
     return {"command_args": {}, "artifacts": {"freefall_numeric.csv": (header, columns)}, "convergence": convergence}
 
@@ -279,7 +297,11 @@ _FREEFALL = ("propagation", "cavity", "gravity")
 _COMMANDS = {
     "dispersion": (_run_dispersion, ("cavity",), {}),
     "freefall-analytic": (_run_freefall_analytic, _FREEFALL, {"stride": "output.stride"}),
-    "freefall-numeric": (_run_freefall_numeric, _FREEFALL, {"stride": "output.stride", "mass": "cavity"}),
+    "freefall-numeric": (
+        _run_freefall_numeric,
+        _FREEFALL,
+        {"stride": "output.stride", "mass": "cavity", "sigma0": "propagation.sigma0"},
+    ),
     "fig2b": (_run_fig2b, ("experiment",), {"Q": "--q"}),
     "qthreshold": (_run_qthreshold, ("experiment",), {"q_lo": "--q-lo", "q_hi": "--q-hi"}),
 }

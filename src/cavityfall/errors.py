@@ -23,5 +23,5 @@ class ValidationError(CavityFallError):
 
 class DomainError(CavityFallError):
     """Input outside a model's validity domain, or a numerical failure
-    (weak-field violation, relativistic envelope velocity, unresolved grid,
-    domain escape, blowup, bracket violation)."""
+    (relativistic envelope velocity, unresolved grid, domain escape, blowup,
+    bracket violation)."""

@@ -16,8 +16,10 @@ fall, and the mass m cancels from the trajectory (equivalence principle).
 The envelope phase gradient d(phi)/dy = m*g_tilde*t/hbar collapses to
 omega0*g*t/c**2, independent of n_s.
 
-All formulas here are the non-relativistic, linearized-potential limit;
-operations refuse inputs outside that domain instead of extrapolating.
+All formulas here are the non-relativistic, linearized-potential limit.
+freefall_trajectory refuses a fall past |v| = 1e-3*c/n_s instead of
+extrapolating, and that one rule bounds both: below it the weak-field term
+at the centroid, |g*y|/c**2 = n_s**2*v**2/(2*c**2), stays under 5e-7.
 
 freefall_trajectory and phase_gradient take one time or a whole column of
 times.  A column is evaluated with one array expression per quantity, which
@@ -37,8 +39,6 @@ from .dispersion import CavitySpec, _require_index, effective_mass
 from .errors import DomainError, ValidationError
 from .units import c, g_earth, hbar
 
-#: Linearized weak-field domain: |g*y|/c**2 must stay below this.
-WEAK_FIELD_LIMIT = 1e-4
 #: Non-relativistic domain: |v| must stay below this fraction of c/n_s.
 VELOCITY_LIMIT_FRACTION = 1e-3
 
@@ -73,21 +73,6 @@ class FreefallState:
     y: float | np.ndarray
     v: float | np.ndarray
     k_y: float | np.ndarray
-
-
-def index_correction(profile: GravityProfile, y: float) -> float:
-    """Fractional gravitational index shift -g*y/c**2 at height y.
-
-    The shift per meter (~1e-16) is below the resolution of 1.0 in double
-    precision, so it is returned on its own rather than as n(y) - n_s.
-    """
-    correction = -profile.g * y / c**2
-    if abs(correction) >= WEAK_FIELD_LIMIT:
-        raise DomainError(
-            f"|g*y|/c^2 = {abs(correction):.3e} exceeds the linearized "
-            f"weak-field domain {WEAK_FIELD_LIMIT:g}"
-        )
-    return correction
 
 
 def _first_failure(*failing: np.ndarray) -> tuple[int, int] | None:

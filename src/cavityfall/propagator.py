@@ -135,12 +135,15 @@ def init_gaussian(grid: Grid1D, sigma0: float) -> np.ndarray:
     """Unit-norm Gaussian envelope exp(-y^2/(4 sigma0^2)) at rest on the grid,
     as complex samples.
 
-    Requires the packet to be resolved (sigma0 > 4 dy), to fit the domain
-    (4 sigma0 < extent) and the domain to hold its launch point y = 0; the
-    measured width of |u|^2 then equals sigma0 to better than 1e-6.
+    Requires sigma0 > 0 with its square in double range, the packet to be
+    resolved (sigma0 > 4 dy), to fit the domain (4 sigma0 < extent) and the
+    domain to hold its launch point y = 0; the measured width of |u|^2 then
+    equals sigma0 to better than 1e-6.
     """
     if not (sigma0 > 0.0 and math.isfinite(sigma0)):
         raise ValidationError(f"must be > 0, got {sigma0!r}", key="sigma0")
+    if not 0.0 < sigma0 * sigma0 < math.inf:
+        raise ValidationError(f"its square is out of double range, got {sigma0!r}", key="sigma0")
     if sigma0 <= 4.0 * grid.dy:
         raise DomainError(f"unresolved Gaussian: sigma0 = {sigma0:g} must exceed 4*dy = {4.0 * grid.dy:g}")
     if 4.0 * sigma0 >= grid.extent:
@@ -241,10 +244,12 @@ def _block_moments(u: np.ndarray, y: np.ndarray, dy: float) -> list[tuple[float,
 
 
 def _spectral_moments(spectrum: np.ndarray, k: np.ndarray) -> tuple[float, float]:
-    """(<k>, <k^2>) of the FFT samples spectrum."""
-    power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
-    total = float(power.sum())
-    return float(power @ k) / total, float(power @ (k * k)) / total
+    """(<k>, <k^2>) of the FFT samples spectrum; inf or nan where a sum
+    leaves double range, which the energy and mean_k records then carry."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
+        total = float(power.sum())
+        return float(power @ k) / total, float(power @ (k * k)) / total
 
 
 def _record_count(n_steps: int, stride: int) -> int:

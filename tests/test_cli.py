@@ -310,6 +310,31 @@ class TestMainEntryPoint:
         assert code == 3
         assert "non-relativistic" in capsys.readouterr().err
 
+    def test_both_freefall_commands_refuse_a_fall_past_the_velocity_limit(self, tmp_path, capsys):
+        # 1e6 m/s^2 in CaF2 passes 1e-3 c/n_s at t = 0.43 s, before the last record
+        doc = {
+            "cavity": {"lambda0": 1.064e-06, "n_s": 1.43},
+            "gravity": {"g": 1e6, "n_s": 1.43},
+            "propagation": {
+                "grid": {"y_min": -1e5, "y_max": 1e5, "n_points": 8192},
+                "dt": 1e-3,
+                "t_final": 0.5,
+                "sigma0": 200.0,
+            },
+            "output": {"stride": 50},
+        }
+        scenario_path = tmp_path / "fast_fall.json"
+        scenario_path.write_text(json.dumps(doc))
+        expected = (
+            "numerical-domain error: propagation: |v| = 220060 m/s leaves the non-relativistic domain "
+            "(limit 209645 m/s, reached at t = 0.428703 s)\n"
+        )
+        for command in ("freefall-analytic", "freefall-numeric"):
+            out = tmp_path / command
+            assert main([command, "--scenario", str(scenario_path), "--out", str(out), "--quiet"]) == 3
+            assert capsys.readouterr().err == expected
+            assert not out.exists()
+
     def test_io_error_exit_four(self, scenario_dir, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -680,6 +705,9 @@ _SMALL_CASE = dict(
     g=9.81,
 )
 
+# two records of a photon heavy enough that (F t)^2 leaves double range
+_HEAVY_PHOTON = dict(dt=1.0, t_final=2.0, stride=1, lambda0=2.095845021951682e-208, n_s=1.0, quality=None)
+
 
 # scenarios/caf2_wgmc.json
 _REFERENCE_EXPERIMENT = dict(
@@ -877,6 +905,17 @@ class TestExitCodes:
     # a finite mass m whose m/hbar, the propagator's mass, overflows
     @_case("freefall-numeric", 2, lambda0=1e-200, n_s=3e60)
     @_case("freefall-analytic", 0, lambda0=1e-200, n_s=3e60)
+    # a packet width whose square underflows to 0
+    @_case("freefall-numeric", 2, dt=1e-3, t_final=2e-3, grid=(-1e-167, 1e-167, 64), stride=None, quality=None, sigma0=2e-168)
+    # a heavy photon whose energy (F t)^2/(2m) overflows at t = 2 while its amplitudes stay finite
+    @_case("freefall-numeric", 3, **_HEAVY_PHOTON, grid=(-32.0, 32.0, 1024), sigma0=1.0, g=7.905694150420948e-47)
+    # no fall and a wide packet: E0 underflows to 0, so energy_drift is null
+    @_case("freefall-numeric", 0, **_HEAVY_PHOTON, grid=(-1e102, 1e102, 1024), sigma0=1e100, g=0.0)
+    # a packet so narrow that <k^2> of its spectrum overflows: the energy is inf from t = 0
+    @_case(
+        "freefall-numeric", 3, dt=1.0, t_final=1.0, grid=(-1e-102, 1e-102, 64), lambda0=1e-215, n_s=1.0, quality=None,
+        sigma0=2.5e-103, g=0.0,
+    )
     def test_generated_documents_exit_documented(
         self, command, dt, t_final, grid, stride, lambda0, geometry, n_s, quality, sigma0, g, expected
     ):

@@ -14,7 +14,6 @@ from cavityfall import (
     effective_mass,
     freefall_trajectory,
     group_velocity,
-    index_correction,
     phase_gradient,
 )
 from cavityfall.gravity import VELOCITY_LIMIT_FRACTION
@@ -40,36 +39,6 @@ class TestGravityProfile:
         with pytest.raises(ValidationError, match="n_s\\*\\*2") as err:
             GravityProfile(n_s=1.4e154)
         assert err.value.key == "n_s"
-
-
-class TestGravitationalIndex:
-    def test_reference_point(self):
-        # the release height y = 0 is where the index equals n_s
-        assert index_correction(EARTH_VAC, 0.0) == 0.0
-        assert index_correction(EARTH_CAF2, 0.0) == 0.0
-
-    def test_correction_per_meter(self):
-        # g/c^2 ~ 1.091e-16 per meter; the shift itself stays resolvable even
-        # though 1 + shift rounds to 1.0 in double precision
-        corr = index_correction(EARTH_VAC, -1.0)
-        assert corr == pytest.approx(9.81 / c**2, rel=1e-15)
-        assert corr == pytest.approx(1.091e-16, rel=1e-3)
-
-    def test_medium_scales_linearly(self):
-        # the relative shift does not depend on n_s, so n(y) = n_s*(1 + shift)
-        # scales linearly with the medium index
-        for y in (-1.0, 0.5, 1e6):
-            assert index_correction(EARTH_CAF2, y) == index_correction(EARTH_VAC, y)
-
-    def test_strictly_decreasing_slope_by_finite_difference(self):
-        y0, h = -2e9, 1e9
-        for profile in (EARTH_VAC, EARTH_CAF2):
-            fd = (index_correction(profile, y0 + h) - index_correction(profile, y0 - h)) / (2.0 * h)
-            assert fd == pytest.approx(-profile.g / c**2, rel=1e-8)
-
-    def test_weak_field_domain_guard(self):
-        with pytest.raises(DomainError, match="weak-field"):
-            index_correction(EARTH_VAC, -1e13)
 
 
 class TestFreefallTrajectory:
