@@ -77,8 +77,9 @@ MAX_RECORD_SAMPLES = 2**30
 #: the next; the phase drift between anchors grows as its square.
 _ANCHOR_INTERVAL = 16
 #: Complex samples (512 KiB) of the block in which propagate transforms and
-#: measures an anchor interval of records at once, on grids of up to 2048
-#: points; a block on larger grids cost more memory and time than it saved.
+#: measures up to an anchor interval of records at once, on grids where it
+#: holds more than two (up to 8192 points); on larger grids a block of two
+#: cost more memory than it saved time.
 _BLOCK_SAMPLES = 2**15
 
 
@@ -298,9 +299,10 @@ def propagate(
     from record to record by a phasor, and every _ANCHOR_INTERVAL-th record
     and an off-stride final one take spectrum and phasor from the closed
     form.  The cost is one IFFT and two complex multiplies per record,
-    whatever the step count.  Where an anchor interval of records fits in
-    _BLOCK_SAMPLES (grids of up to 2048 points), each interval is
-    transformed by one IFFT call and measured in one vectorised pass, bit
+    whatever the step count.  Where _BLOCK_SAMPLES holds more than two
+    records (grids of up to 8192 points), records are transformed by one
+    IFFT call and measured in one vectorised pass per block of up to an
+    anchor interval (16 rows up to 2048 points, 8 at 4096, 4 at 8192), bit
     for bit as one record at a time; larger grids measure each record
     alone.  Records always include the initial state and
     the final step; records x n_points is bounded by MAX_RECORD_SAMPLES,
@@ -337,13 +339,22 @@ def propagate(
     # record 0's moments, which also reject a zero or non-finite state
     moments = _envelope_moments(u0, y, dy)
     initial_norm = moments[0]
-    # records are transformed and measured an anchor interval at a time where
-    # that block fits in _BLOCK_SAMPLES, and one at a time on larger grids
-    rows = _ANCHOR_INTERVAL if _ANCHOR_INTERVAL * grid.n_points <= _BLOCK_SAMPLES else 1
+    # records are transformed and measured a block of rows at a time where
+    # _BLOCK_SAMPLES holds more than two records, and one at a time on larger
+    # grids; rows divides _ANCHOR_INTERVAL, so every anchor starts a block
+    rows = min(_ANCHOR_INTERVAL, _BLOCK_SAMPLES // grid.n_points) if 2 * grid.n_points < _BLOCK_SAMPLES else 1
     spectra = np.empty((rows, grid.n_points), dtype=complex)
-    # the last row holds the spectrum that the next record advances from
-    np.fft.fft(u0, out=spectra[-1])
-    mean_k0, mean_k20 = _spectral_moments(spectra[-1], grid.k_values())
+    # carried is the spectrum that a block's first record advances from:
+    # record 0's, then the last of the block before.  A lone record's IFFT is
+    # out of place and leaves it in spectra, and blocks of an anchor interval
+    # start at anchors, which read none; shorter blocks can start off an
+    # anchor, so their last spectrum is copied before the in-place IFFT
+    # overwrites it (one N-point copy per block, where an out-of-place IFFT
+    # would double the block)
+    copied = 1 < rows < _ANCHOR_INTERVAL
+    carried = np.empty_like(spectra[-1]) if copied else spectra[-1]
+    np.fft.fft(u0, out=carried)
+    mean_k0, mean_k20 = _spectral_moments(carried, grid.k_values())
     # step_r = exp(-i (theta(i_{r+1}) - theta(i_r))) advances the spectrum
     # to the next record on the stride, and turn = exp(i k F tau^2 / m)
     # advances step_r to step_{r+1}
@@ -381,8 +392,8 @@ def propagate(
         del v, measured  # the previous block's envelopes, freed before this block's arrays
         block = []
         with np.errstate(over="ignore", invalid="ignore"):
-            # blocks end before multiples of rows: on the block path each one
-            # after the first then starts at an anchor, which reads no spectrum
+            # blocks end before multiples of rows; one that starts off an
+            # anchor advances from the carried spectrum
             for j, i in enumerate(schedule[first : first // rows * rows + rows]):
                 r = first + j
                 t = i * dt
@@ -391,7 +402,7 @@ def propagate(
                 # t*t*t gives inf, which the non-finite check above reports
                 offset = force * ft * (t * t / 3.0 - dt * dt / 12.0)
                 if i == r * stride and r % _ANCHOR_INTERVAL:
-                    np.multiply(spectra[j - 1], step, out=spectra[j])
+                    np.multiply(spectra[j - 1] if j else carried, step, out=spectra[j])
                     step *= turn
                 else:
                     _kinetic_phasor(grid, mass, t, ft * t, spectra[j])
@@ -401,12 +412,12 @@ def propagate(
                     if i == r * stride:
                         _kinetic_phasor(grid, mass, tau, force * tau * tau * (2 * r + 1), step)
                 block.append((i, t, ft, offset))
-            # so a block is transformed in place, where a lone record's spectrum
-            # is the next record's start
+            if copied:
+                np.copyto(carried, spectra[len(block) - 1])
             v = np.fft.ifft(spectra[: len(block)], axis=-1, out=spectra[: len(block)] if rows > 1 else None)
         measured = _block_moments(v, y, dy) if len(block) > 1 else []
 
-    del spectra, step, turn  # before the final state's temporaries
+    del spectra, carried, step, turn  # before the final state's temporaries
     with np.errstate(over="ignore", invalid="ignore"):
         u = np.exp(-1j * (ft * y + offset / (2.0 * mass))) * v[-1]
     if not np.all(np.isfinite(u.view(float))):

@@ -494,51 +494,66 @@ def outcome(propagator_fn, grid, u0, run):
     return result, {str(w.message) for w in caught}
 
 
+def propagate_peak(grid):
+    """tracemalloc peak of propagate on grid: 65 records of a packet of
+    sigma0 = 2 falling at g_tilde = 0.05, after one untraced run."""
+    u0 = init_gaussian(grid, 2.0)
+    run = {"mass": 1.0, "g_tilde": 0.05, "dt": 0.05, "n_steps": 64}
+    propagate(grid, u0, **run)
+    tracemalloc.start()
+    try:
+        propagate(grid, u0, **run)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestHeldBuffer:
     """propagate rounds as its loop written out in full, and holds no more
     N-point arrays than a record needs."""
 
     def test_matches_the_allocating_loop_bit_for_bit(self):
-        # 64-256 points take the block path, 4096 points the per-record one
+        # 64-256 points take 16-row blocks, 4096 points 8-row and 8192 points
+        # 4-row blocks, most of which advance from the carried spectrum of
+        # the block before; 16384 points take the per-record path
         rng = np.random.default_rng(20261018)
-        finished = {64: 0, 4096: 0}
-        for n in [None] * 200 + [4096] * 40:
+        finished = {64: 0, 4096: 0, 8192: 0, 16384: 0}
+        # runs that raise at a record of a block that starts off an anchor
+        raised_in_carried_block, block_rows = 0, {4096: 8, 8192: 4}
+        for n in [None] * 200 + [4096] * 40 + [8192] * 40 + [16384] * 20:
             grid, u0, run = extreme_input(rng, n)
             expected, expected_warnings = outcome(allocating_propagate, grid, u0, run)
             result, result_warnings = outcome(propagate, grid, u0, run)
             assert result_warnings <= expected_warnings, run
             if isinstance(expected[0], type):
                 assert result == expected, run
+                if n in block_rows and (step := re.search(r"step (\d+)", expected[1])):
+                    r = recording_schedule(run["n_steps"], run["stride"]).index(int(step[1]))
+                    raised_in_carried_block += r // block_rows[n] * block_rows[n] % _ANCHOR_INTERVAL != 0
                 continue
             finished[n or 64] += 1
             (final, trace), (expected_final, expected_trace) = result, expected
             assert final.tobytes() == expected_final.tobytes(), run
             for name, column, reference in zip(Trace._fields, trace, expected_trace):
                 assert column.tobytes() == reference.tobytes(), (name, run)
-        assert finished[64] >= 20 and finished[4096] >= 4
+        assert finished[64] >= 20 and min(finished[4096], finished[8192], finished[16384]) >= 4
+        assert raised_in_carried_block >= 3
 
     def test_no_n_point_array_beyond_the_allocating_loop(self):
-        # 65 records, five of them anchors.  propagate peaks at 367.5 kB
-        # here (Python 3.11, numpy 2.4, glibc x86-64): 5.5 N-point complex
-        # arrays of 65536 bytes (grid, spectrum, two phasors, the record's
-        # envelope and its two real moment buffers) and ~7 kB of records and
-        # small objects.  The bound, 6 such arrays, is within 7 % of that
-        # peak; one more held N-point real array (32768 bytes) would exceed it.
-        grid = Grid1D(-256.0, 256.0, 4096)
-        u0 = init_gaussian(grid, 2.0)
-        run = {"mass": 1.0, "g_tilde": 0.05, "dt": 0.05, "n_steps": 64}
-        propagate(grid, u0, **run)
-        tracemalloc.start()
-        try:
-            propagate(grid, u0, **run)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * 16 * grid.n_points
+        # 16384 points, the smallest grid whose records are measured one at
+        # a time: 65 records, five of them anchors.  propagate peaks at
+        # 1.449 MB here (Python 3.11, numpy 2.4, glibc x86-64): 5.5 N-point
+        # complex arrays of 262144 bytes (grid, spectrum, two phasors, the
+        # record's envelope and its two real moment buffers) and ~7 kB of
+        # records and small objects.  The bound, 6 such arrays, is within 9 %
+        # of that peak; one more held N-point real array (131072 bytes) would
+        # exceed it.
+        grid = Grid1D(-1024.0, 1024.0, 16384)
+        assert propagate_peak(grid) <= 6 * 16 * grid.n_points
 
     def test_block_holds_one_anchor_interval_of_records(self):
-        # 2048 points, the largest grid whose records are measured a block
-        # at a time: 65 records in blocks of up to 16.  propagate peaks at
+        # 2048 points, the largest grid whose records are measured 16 at a
+        # time: 65 records in blocks of up to 16.  propagate peaks at
         # 1.272 MB here (Python 3.11, numpy 2.4, glibc x86-64): 38.5 N-point
         # complex arrays of 32768 bytes (grid, two phasors, the 16 rows of
         # spectra transformed in place, the block pass's two 16-row real
@@ -548,16 +563,23 @@ class TestHeldBuffer:
         # envelopes beside the spectra (16 arrays), or one more 16-row real
         # buffer (8), would exceed it.
         grid = Grid1D(-128.0, 128.0, 2048)
-        u0 = init_gaussian(grid, 2.0)
-        run = {"mass": 1.0, "g_tilde": 0.05, "dt": 0.05, "n_steps": 64}
-        propagate(grid, u0, **run)
-        tracemalloc.start()
-        try:
-            propagate(grid, u0, **run)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 41 * 16 * grid.n_points
+        assert propagate_peak(grid) <= 41 * 16 * grid.n_points
+
+    # 65 records in blocks of up to 8 rows on 4096 points and 4 on 8192, most
+    # of which start off an anchor.  propagate peaks here (Python 3.11,
+    # numpy 2.4, glibc x86-64) at 1.352 MB on 4096 points, 20.6 N-point
+    # complex arrays of 65536 bytes, and at 1.519 MB on 8192 points, 11.6
+    # arrays of 131072 bytes: the grid, two phasors, the rows of spectra
+    # transformed in place, the carried spectrum and the block pass's two
+    # real buffers of as many rows (19.5 and 11.5 arrays), with numpy's
+    # 8192-double iterator buffer of the pass's broadcasting subtract on 4096
+    # points, and 8-12 kB of records and small objects.  Each bound is within
+    # 5 % of its peak; one more held N-point complex array, or a block of
+    # envelopes beside the spectra, would exceed it.
+    @pytest.mark.parametrize("n_points, arrays", [(4096, 21.5), (8192, 12)])
+    def test_shorter_block_carries_one_spectrum(self, n_points, arrays):
+        grid = Grid1D(-n_points / 32, n_points / 32, n_points)
+        assert propagate_peak(grid) <= arrays * 16 * n_points
 
 
 class TestUnitInvariance:
@@ -643,8 +665,14 @@ class TestPropagate:
 
     def test_moments_taken_once_per_record(self, monkeypatch):
         # record 0 reuses the moments that check the initial state; the other
-        # 15 records are one block pass on 1024 points, one call each on 4096
-        for grid, passes in ((GRID, [1, 15]), (Grid1D(-128.0, 128.0, 4096), [1] * 16)):
+        # 15 records are block passes of up to 16 rows on 1024 points, 8 on
+        # 4096 and 4 on 8192, and one call each on 16384
+        for grid, passes in (
+            (GRID, [1, 15]),
+            (Grid1D(-128.0, 128.0, 4096), [1, 7, 8]),
+            (Grid1D(-128.0, 128.0, 8192), [1, 3, 4, 4, 4]),
+            (Grid1D(-128.0, 128.0, 16384), [1] * 16),
+        ):
             u0 = init_gaussian(grid, 1.0)
             initial = measure(u0, grid)
             rows = []
