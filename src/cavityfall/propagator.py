@@ -31,7 +31,8 @@ on the stride s, at steps i_r = r s, lie tau = s dt apart, and
 
 so the spectrum advances by a phasor exp(-i (theta(i_{r+1}) - theta(i_r)))
 that itself turns by exp(i k F tau^2 / m) from one record to the next: one
-IFFT and two complex multiplies per record, no exp.  Every K = 16th record,
+IFFT and two complex multiplies per record, no exp, with the IFFTs and the
+moments taken a block of records at a time.  Every K = 16th record,
 and an off-stride final one, takes the spectrum and the phasor from the
 closed form again, bit for bit exp(-i theta(k)) * FFT u(0).  In between,
 the phase drifts from the closed form by roundoff, at most about
@@ -78,8 +79,8 @@ MAX_RECORD_SAMPLES = 2**30
 _ANCHOR_INTERVAL = 16
 #: Complex samples (512 KiB) of the block in which propagate transforms and
 #: measures up to an anchor interval of records at once, on grids where it
-#: holds more than two (up to 8192 points); on larger grids a block of two
-#: cost more memory than it saved time.
+#: holds more than two (up to 8192 points); larger grids take one-row
+#: blocks, since a block of two cost more memory than it saved time.
 _BLOCK_SAMPLES = 2**15
 
 
@@ -116,7 +117,14 @@ class Grid1D:
         return self.y_min + self.dy * np.arange(self.n_points)
 
     def k_values(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dy)
+        # 2 pi fftfreq(n, dy) bit for bit, without fftfreq's integer and
+        # product temporaries beside the result
+        n = self.n_points
+        k = np.arange(n, dtype=float)
+        k[n // 2 :] -= n
+        k *= 1.0 / (n * self.dy)
+        k *= 2.0 * np.pi
+        return k
 
 
 class Trace(NamedTuple):
@@ -167,56 +175,12 @@ _LINEAR_WEIGHTS = np.array([2.0, 3.0, 3.0, 2.0]) / 10.0
 _QUADRATIC_WEIGHTS = np.array([-2.0, -1.0, 1.0, 2.0]) / 14.0
 
 
-def _phase_gradient_at_centroid(u: np.ndarray, y: np.ndarray, centroid: float) -> float:
-    # Least-squares quadratic phi = a0 + a1 s + a2 s^2 through the phase of
-    # the 5 samples around the centroid, s = (y - y[idx])/dy in {-2..2},
-    # differentiated at the exact centroid position; the fit kills both the
-    # off-grid offset and the spreading chirp (whose phase is quadratic),
-    # leaving only roundoff.  Both sets of weights sum to zero, so summing by
-    # parts puts them on the wrapped phase increments angle(u[j+1] u[j]*),
-    # which unwraps the phase on the way (np.polyfit to roundoff).
-    dy = y[1] - y[0]
-    s_c = (centroid - y[0]) / dy
-    idx = min(max(int(round(s_c)), 2), len(y) - 3)
-    window = u[idx - 2 : idx + 3]
-    increments = np.angle(window[1:] * window[:-1].conj())
-    a1 = float(_LINEAR_WEIGHTS @ increments)
-    a2 = float(_QUADRATIC_WEIGHTS @ increments)
-    return (a1 + 2.0 * a2 * (s_c - idx)) / dy
-
-
-def _envelope_moments(
-    u: np.ndarray, y: np.ndarray, dy: float, step: int | None = None
-) -> tuple[float, float, float, float]:
-    """(norm, centroid, width, phase gradient at the centroid) of samples u.
-
-    A zero or non-finite norm raises a DomainError; with step given, one
-    caused by a non-finite sample names the step instead."""
-    # two N-point buffers, each expression rounded as written out in full:
-    # weights = (re*re + im*im)/total, width^2 = weights @ (y - centroid)**2
-    with np.errstate(over="ignore"):
-        weights = u.real * u.real
-        work = u.imag * u.imag
-        weights += work
-        total = float(weights.sum())
-    if not (total > 0.0 and math.isfinite(total)):
-        # a finite sum has only finite samples, so they are scanned only here
-        if step is not None and not np.all(np.isfinite(u)):
-            raise DomainError(f"non-finite amplitudes after step {step}")
-        raise DomainError("state has zero or non-finite norm")
-    weights /= total
-    centroid = float(weights @ y)
-    np.subtract(y, centroid, out=work)
-    work *= work
-    width = math.sqrt(float(weights @ work))
-    return total * dy, centroid, width, _phase_gradient_at_centroid(u, y, centroid)
-
-
 def _block_moments(u: np.ndarray, y: np.ndarray, dy: float) -> list[tuple[float, float, float, float]]:
-    """_envelope_moments of each row of the samples u in one vectorised pass,
-    up to the first row whose norm is zero or non-finite.  Each row rounds as
-    _envelope_moments rounds it: row sums and np.vecdot (a ddot per row)
-    round as the 1-D sum and dot, where a matrix product (gemv) would not."""
+    """(norm, centroid, width, phase gradient at the centroid) of each row of
+    the samples u in one vectorised pass, up to the first row whose norm is
+    zero or non-finite.  Each row rounds as if measured alone: row sums and
+    np.vecdot (a ddot per row) round as the 1-D sum and dot, where a matrix
+    product (gemv) would not."""
     # silent overflow: a square's gives the non-finite norm that ends the
     # pass, and no row past one that fails propagate's checks may warn
     with np.errstate(over="ignore"):
@@ -232,7 +196,11 @@ def _block_moments(u: np.ndarray, y: np.ndarray, dy: float) -> list[tuple[float,
         np.subtract(y, centroid[:, np.newaxis], out=work)
         work *= work
         width = np.sqrt(np.vecdot(weights, work))
-        # _phase_gradient_at_centroid's fit on each row's 5-sample window
+        # a least-squares quadratic through the phase of the 5 samples around
+        # each centroid, differentiated at the centroid: it removes the
+        # off-grid offset and the spreading chirp.  Both sets of weights sum
+        # to zero, so they act on the wrapped phase increments angle(u[j+1]
+        # u[j]*), which unwraps the phase on the way (np.polyfit to roundoff)
         s_c = (centroid - y[0]) / (y[1] - y[0])
         idx = np.clip(np.rint(s_c), 2, len(y) - 3).astype(np.intp)
         window = u[np.arange(kept)[:, np.newaxis], idx[:, np.newaxis] + np.arange(-2, 3)]
@@ -299,17 +267,16 @@ def propagate(
     from record to record by a phasor, and every _ANCHOR_INTERVAL-th record
     and an off-stride final one take spectrum and phasor from the closed
     form.  The cost is one IFFT and two complex multiplies per record,
-    whatever the step count.  Where _BLOCK_SAMPLES holds more than two
-    records (grids of up to 8192 points), records are transformed by one
-    IFFT call and measured in one vectorised pass per block of up to an
-    anchor interval (16 rows up to 2048 points, 8 at 4096, 4 at 8192), bit
-    for bit as one record at a time; larger grids measure each record
-    alone.  Records always include the initial state and
-    the final step; records x n_points is bounded by MAX_RECORD_SAMPLES,
-    checked after the parameters and before anything is allocated (a
-    ValidationError keyed stride).  The packet must keep 4 sigma of
-    clearance from the domain edges (checked at every recorded sample);
-    violations raise a DomainError suggesting a larger grid.  Norm growth
+    whatever the step count.  Records are transformed by one in-place IFFT
+    call and measured in one vectorised pass per block, bit for bit as one
+    record at a time: up to an anchor interval of rows where _BLOCK_SAMPLES
+    holds more than two records (16 up to 2048 points, 8 at 4096, 4 at
+    8192), one row on larger grids.  Records always include the initial
+    state and the final step; records x n_points is bounded by
+    MAX_RECORD_SAMPLES, checked after the parameters and before anything is
+    allocated (a ValidationError keyed stride).  The packet must keep 4
+    sigma of clearance from the domain edges (checked at every recorded
+    sample); violations raise a DomainError suggesting a larger grid.  Norm growth
     beyond roundoff or non-finite amplitudes abort the run naming the step.
     The returned array is the lab-frame envelope at t = n_steps dt, carrier
     and global phase included.
@@ -337,23 +304,19 @@ def propagate(
     # complex128 throughout, so that every transform is a double one
     u0 = np.asarray(u0, dtype=complex)
     # record 0's moments, which also reject a zero or non-finite state
-    moments = _envelope_moments(u0, y, dy)
-    initial_norm = moments[0]
-    # records are transformed and measured a block of rows at a time where
-    # _BLOCK_SAMPLES holds more than two records, and one at a time on larger
-    # grids; rows divides _ANCHOR_INTERVAL, so every anchor starts a block
+    if not (measured := _block_moments(u0[np.newaxis], y, dy)):
+        raise DomainError("state has zero or non-finite norm")
+    initial_norm = measured[0][0]
+    # records are transformed and measured a block of rows at a time: as
+    # many as _BLOCK_SAMPLES holds where that is more than two, else one;
+    # rows divides _ANCHOR_INTERVAL, so every anchor starts a block
     rows = min(_ANCHOR_INTERVAL, _BLOCK_SAMPLES // grid.n_points) if 2 * grid.n_points < _BLOCK_SAMPLES else 1
     spectra = np.empty((rows, grid.n_points), dtype=complex)
     # carried is the spectrum that a block's first record advances from:
-    # record 0's, then the last of the block before.  A lone record's IFFT is
-    # out of place and leaves it in spectra, and blocks of an anchor interval
-    # start at anchors, which read none; shorter blocks can start off an
-    # anchor, so their last spectrum is copied before the in-place IFFT
-    # overwrites it (one N-point copy per block, where an out-of-place IFFT
-    # would double the block)
-    copied = 1 < rows < _ANCHOR_INTERVAL
-    carried = np.empty_like(spectra[-1]) if copied else spectra[-1]
-    np.fft.fft(u0, out=carried)
+    # record 0's, then the last of the block before, copied before the
+    # in-place IFFT overwrites it (one N-point copy per block, where an
+    # out-of-place IFFT would double the block)
+    carried = np.fft.fft(u0)
     mean_k0, mean_k20 = _spectral_moments(carried, grid.k_values())
     # step_r = exp(-i (theta(i_{r+1}) - theta(i_r))) advances the spectrum
     # to the next record on the stride, and turn = exp(i k F tau^2 / m)
@@ -365,16 +328,19 @@ def propagate(
     records = np.empty((len(schedule), len(Trace._fields)))
     # the block of records from record first: (step, t, F t, offset) of each,
     # their envelopes (the rows of v) and the moments of its vectorised pass
-    first, block, v, measured = 0, [(0, 0.0, 0.0, 0.0)], u0[np.newaxis], [moments]
+    first, block, v = 0, [(0, 0.0, 0.0, 0.0)], u0[np.newaxis]
     while True:
         # each record checked in turn, as if it were measured alone
         for j, (i, t, ft, offset) in enumerate(block):
             if not (math.isfinite(ft) and math.isfinite(offset)):
                 raise DomainError(f"non-finite amplitudes after step {i}")
-            # a lone record, or the one whose norm stopped the block's pass, is
-            # measured here; the latter raises
-            moments = measured[j] if j < len(measured) else _envelope_moments(v[j], y, dy, i)
-            norm, centroid, width, phase_grad = moments
+            if j == len(measured):
+                # the row whose norm stopped the pass; a finite sum has only
+                # finite samples, so they are scanned only here
+                if not np.all(np.isfinite(v[j])):
+                    raise DomainError(f"non-finite amplitudes after step {i}")
+                raise DomainError("state has zero or non-finite norm")
+            norm, centroid, width, phase_grad = measured[j]
             if norm > initial_norm * (1.0 + 1e-12):
                 raise DomainError(f"norm grew beyond roundoff at step {i}: {norm!r}")
             clearance = 4.0 * width
@@ -406,16 +372,17 @@ def propagate(
                     step *= turn
                 else:
                     _kinetic_phasor(grid, mass, t, ft * t, spectra[j])
-                    # FFT u(0) again: a copy held through the run would be a
-                    # fourth N-point complex array next to spectra, step, turn
-                    spectra[j] *= np.fft.fft(u0)
+                    # FFT u(0) again, into carried: only a block's first row
+                    # reads it, and the block's end overwrites it.  A copy
+                    # held through the run would be one more N-point complex
+                    # array next to spectra, carried, step and turn
+                    spectra[j] *= np.fft.fft(u0, out=carried)
                     if i == r * stride:
                         _kinetic_phasor(grid, mass, tau, force * tau * tau * (2 * r + 1), step)
                 block.append((i, t, ft, offset))
-            if copied:
-                np.copyto(carried, spectra[len(block) - 1])
-            v = np.fft.ifft(spectra[: len(block)], axis=-1, out=spectra[: len(block)] if rows > 1 else None)
-        measured = _block_moments(v, y, dy) if len(block) > 1 else []
+            np.copyto(carried, spectra[len(block) - 1])
+            v = np.fft.ifft(spectra[: len(block)], axis=-1, out=spectra[: len(block)])
+        measured = _block_moments(v, y, dy)
 
     del spectra, carried, step, turn  # before the final state's temporaries
     with np.errstate(over="ignore", invalid="ignore"):

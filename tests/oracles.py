@@ -1,8 +1,9 @@
 """Closed-form oracles that judge the package's numbers.
 
 The accelerating Gaussian (its moments and its wavefunction) judges the
-propagator, and the plane-wave residual of the 2D massive wave equation
-judges the dispersion branch.  Each restates its physics from scratch: this
+propagator, the scalar moments of one record (_envelope_moments) judge its
+vectorised moment pass bit for bit, and the plane-wave residual of the 2D
+massive wave equation judges the dispersion branch.  Each restates its physics from scratch: this
 module imports nothing from cavityfall but the error classes it raises, and
 no module of the package imports it (tests/test_error_messages.py checks
 both), so a judge never shares code with what it judges.
@@ -85,6 +86,57 @@ def exact_accelerating_gaussian(grid, sigma0: float, mass: float, g_tilde: float
     psi = psi_free * np.exp(-1j * phase)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.dy)
     return psi
+
+
+#: Weights of the 4 phase increments between the 5 samples s = -2..2 that
+#: give the least-squares a1 = sum(s phi)/10 and a2 = sum((s^2 - 2) phi)/14.
+_LINEAR_WEIGHTS = np.array([2.0, 3.0, 3.0, 2.0]) / 10.0
+_QUADRATIC_WEIGHTS = np.array([-2.0, -1.0, 1.0, 2.0]) / 14.0
+
+
+def _phase_gradient_at_centroid(u: np.ndarray, y: np.ndarray, centroid: float) -> float:
+    # Least-squares quadratic phi = a0 + a1 s + a2 s^2 through the phase of
+    # the 5 samples around the centroid, s = (y - y[idx])/dy in {-2..2},
+    # differentiated at the exact centroid position; the fit kills both the
+    # off-grid offset and the spreading chirp (whose phase is quadratic),
+    # leaving only roundoff.  Both sets of weights sum to zero, so summing by
+    # parts puts them on the wrapped phase increments angle(u[j+1] u[j]*),
+    # which unwraps the phase on the way (np.polyfit to roundoff).
+    dy = y[1] - y[0]
+    s_c = (centroid - y[0]) / dy
+    idx = min(max(int(round(s_c)), 2), len(y) - 3)
+    window = u[idx - 2 : idx + 3]
+    increments = np.angle(window[1:] * window[:-1].conj())
+    a1 = float(_LINEAR_WEIGHTS @ increments)
+    a2 = float(_QUADRATIC_WEIGHTS @ increments)
+    return (a1 + 2.0 * a2 * (s_c - idx)) / dy
+
+
+def _envelope_moments(
+    u: np.ndarray, y: np.ndarray, dy: float, step: int | None = None
+) -> tuple[float, float, float, float]:
+    """(norm, centroid, width, phase gradient at the centroid) of samples u.
+
+    A zero or non-finite norm raises a DomainError; with step given, one
+    caused by a non-finite sample names the step instead."""
+    # two N-point buffers, each expression rounded as written out in full:
+    # weights = (re*re + im*im)/total, width^2 = weights @ (y - centroid)**2
+    with np.errstate(over="ignore"):
+        weights = u.real * u.real
+        work = u.imag * u.imag
+        weights += work
+        total = float(weights.sum())
+    if not (total > 0.0 and math.isfinite(total)):
+        # a finite sum has only finite samples, so they are scanned only here
+        if step is not None and not np.all(np.isfinite(u)):
+            raise DomainError(f"non-finite amplitudes after step {step}")
+        raise DomainError("state has zero or non-finite norm")
+    weights /= total
+    centroid = float(weights @ y)
+    np.subtract(y, centroid, out=work)
+    work *= work
+    width = math.sqrt(float(weights @ work))
+    return total * dy, centroid, width, _phase_gradient_at_centroid(u, y, centroid)
 
 
 def kg_residual(cavity, k_par, omega):

@@ -25,13 +25,11 @@ from cavityfall.propagator import (
     _ANCHOR_INTERVAL,
     MAX_ROWS,
     _block_moments,
-    _envelope_moments,
-    _phase_gradient_at_centroid,
     _spectral_moments,
     recording_schedule,
 )
 from cavityfall.units import hbar as hbar_si
-from oracles import analytic_gaussian_oracle, exact_accelerating_gaussian
+from oracles import _envelope_moments, analytic_gaussian_oracle, exact_accelerating_gaussian
 
 GRID = Grid1D(-32.0, 32.0, 1024)
 # magnitudes from 1e-15 to 1e15: the sigma0/mass units of such a run stay
@@ -44,9 +42,10 @@ def l2_distance(u, v, dy):
 
 
 def measure(u, grid=GRID, mass=1.0, g_tilde=0.0, t=0.0):
-    """{Trace field: value} of the samples u at time t, measured as propagate
-    measures its record 0; mass and g_tilde define the Hamiltonian of the
-    energy, whose <V> = m*g_tilde*<y> exactly for a linear potential."""
+    """{Trace field: value} of the samples u at time t, measured by the
+    scalar reference moments as propagate measures its record 0; mass and
+    g_tilde define the Hamiltonian of the energy, whose <V> = m*g_tilde*<y>
+    exactly for a linear potential."""
     norm, centroid, width, phase_gradient = _envelope_moments(u, grid.y_values(), grid.dy)
     mean_k, mean_k2 = _spectral_moments(np.fft.fft(u), grid.k_values())
     energy = mean_k2 / (2.0 * mass) + mass * g_tilde * centroid
@@ -88,9 +87,9 @@ def allocating_propagate(grid, u0, *, mass, g_tilde, dt, n_steps, stride=1):
     """propagate's loop with every temporary written out: the wavenumbers
     held for the run, each phasor one expression, each record's envelope
     scanned for non-finite samples before its moments (propagate scans
-    only a record whose norm sum is not finite), and the records a list of
-    Trace rows.  Reference only; the moments and the spectral sums are
-    propagate's own."""
+    only a record whose norm sum is not finite), each record measured alone
+    by the scalar reference moments, and the records a list of Trace rows.
+    Reference only; the spectral sums are propagate's own."""
     schedule = recording_schedule(n_steps, stride)
     y, dy = grid.y_values(), grid.dy
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=dy)
@@ -180,8 +179,14 @@ class TestGrid1D:
     def test_accepts_an_extent_whose_square_is_finite(self):
         assert Grid1D(-5e153, 5e153, 8192).extent ** 2 == pytest.approx(1e308)
 
-    @pytest.mark.parametrize("n, extent", [(64, 1.0), (1024, 64.0), (4096, 0.3), (2**20, 7e5)])
+    @pytest.mark.parametrize(
+        "n, extent",
+        [(64, 1.0), (1024, 64.0), (4096, 0.3), (2**20, 7e5)]
+        + [(2**p, extent) for p in range(6, 21) for extent in (1e-300, 2.0 / 3.0, 1e154)],
+    )
     def test_wavenumbers_are_fftfreq_bit_for_bit(self, n, extent):
+        # every grid size, on extents whose spacing is inexact or extreme,
+        # on a grid placed asymmetrically about y = 0
         grid = Grid1D(-0.25 * extent, 0.75 * extent, n)
         expected = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dy)
         assert grid.k_values().tobytes() == expected.tobytes()
@@ -282,10 +287,30 @@ class TestObservables:
 
 
 class TestEnvelopeMoments:
-    """A record's non-finite samples are found through its norm sum, with no
-    warning (pytest turns RuntimeWarnings into errors)."""
+    """A record whose norm sum is zero or not finite stops the block pass
+    before it, and propagate finds its non-finite samples through that sum,
+    with no warning (pytest turns RuntimeWarnings into errors)."""
 
     Y = GRID.y_values()
+
+    @staticmethod
+    def propagate_with(u, step, monkeypatch):
+        """propagate on GRID with samples u as record 0 (step None), or with u
+        in place of the envelope of record step (1-15, the block after record
+        0) as the IFFT leaves it."""
+        u0 = init_gaussian(GRID, 1.0)
+        if step is None:
+            u0 = u
+        else:
+            ifft = np.fft.ifft
+
+            def replaced(a, *args, **kwargs):
+                v = ifft(a, *args, **kwargs)
+                v[step - 1] = u
+                return v
+
+            monkeypatch.setattr(np.fft, "ifft", replaced)
+        propagate(GRID, u0, mass=1.0, g_tilde=0.5, dt=1 / 64, n_steps=20)
 
     @pytest.mark.parametrize(
         "bad",
@@ -298,42 +323,55 @@ class TestEnvelopeMoments:
         ],
         ids=["nan", "inf", "imaginary-inf", "nan-beside-1e200", "1e200-then-nan"],
     )
-    def test_non_finite_sample_names_the_step(self, bad):
-        u = init_gaussian(GRID, 1.0)
+    def test_non_finite_sample_names_the_step(self, bad, monkeypatch):
+        good = init_gaussian(GRID, 1.0)
+        u = good.copy()
         for index, value in bad.items():
             u[index] = value
-        with pytest.raises(DomainError, match=r"^non-finite amplitudes after step 7$"):
-            _envelope_moments(u, self.Y, GRID.dy, 7)
+        assert _block_moments(np.stack([good, u, good]), self.Y, GRID.dy) == [_envelope_moments(good, self.Y, GRID.dy)]
         with pytest.raises(DomainError, match=r"^state has zero or non-finite norm$"):
-            _envelope_moments(u, self.Y, GRID.dy)
+            self.propagate_with(u, None, monkeypatch)
+        with pytest.raises(DomainError, match=r"^non-finite amplitudes after step 7$"):
+            self.propagate_with(u, 7, monkeypatch)
 
     @pytest.mark.parametrize("step", [None, 7])
-    def test_finite_state_whose_squares_overflow_has_no_norm(self, step):
+    def test_finite_state_whose_squares_overflow_has_no_norm(self, step, monkeypatch):
         u = np.full(GRID.n_points, 1e200 + 1e200j)
+        assert _block_moments(u[np.newaxis], self.Y, GRID.dy) == []
         with pytest.raises(DomainError, match=r"^state has zero or non-finite norm$"):
-            _envelope_moments(u, self.Y, GRID.dy, step)
+            self.propagate_with(u, step, monkeypatch)
 
     def test_finite_state_is_measured_as_without_a_step(self):
-        # centred at y = 3 (48 samples along) and moving at k = 0.5
+        # each row as the scalar reference measures it alone: centred at
+        # y = 3 (48 samples along) and moving at k = 0.5, and at rest
         u = np.roll(init_gaussian(GRID, 1.0), 48) * np.exp(1j * 0.5 * GRID.y_values())
-        assert _envelope_moments(u, self.Y, GRID.dy, 7) == _envelope_moments(u, self.Y, GRID.dy)
+        rows = np.stack([u, init_gaussian(GRID, 2.0)])
+        assert _block_moments(rows, self.Y, GRID.dy) == [_envelope_moments(row, self.Y, GRID.dy) for row in rows]
 
 
 class TestPhaseGradient:
     def test_closed_form_fit_matches_polyfit(self):
-        # random phases and centroids anywhere on the grid, edges included
-        # (where the 5-sample window is clamped inside the grid); reference:
-        # np.polyfit of the unwrapped window phases against y - centroid
+        # random phases on packets centred anywhere on the grid, most often
+        # near an edge, and as narrow as half a sample, so that centroids at
+        # the edges clamp the 5-sample window inside the grid; reference:
+        # np.polyfit of the unwrapped window phases against y - centroid, at
+        # the centroid the pass returns
         rng = np.random.default_rng(7)
         y = GRID.y_values()
-        for _ in range(200):
-            u = rng.uniform(0.5, 2.0, y.size) * np.exp(1j * rng.uniform(-math.pi, math.pi, y.size))
-            centroid = rng.uniform(GRID.y_min, GRID.y_max)
-            idx = min(max(int(np.argmin(np.abs(y - centroid))), 2), y.size - 3)
+        centre = GRID.y_min + GRID.extent * rng.beta(0.2, 0.2, (200, 1))
+        spread = GRID.dy * 10.0 ** rng.uniform(-0.3, 3.0, (200, 1))
+        envelope = np.exp(-(((y - centre) / spread) ** 2)) * rng.uniform(0.5, 2.0, (200, y.size))
+        u = envelope * np.exp(1j * rng.uniform(-math.pi, math.pi, (200, y.size)))
+        nyquist = math.pi / GRID.dy
+        clamped = 0
+        for row, (_, centroid, _, gradient) in zip(u, _block_moments(u, y, GRID.dy), strict=True):
+            nearest = int(np.argmin(np.abs(y - centroid)))
+            clamped += not 2 <= nearest <= y.size - 3
+            idx = min(max(nearest, 2), y.size - 3)
             window = slice(idx - 2, idx + 3)
-            reference = np.polyfit(y[window] - centroid, np.unwrap(np.angle(u[window])), 2)[1]
-            nyquist = math.pi / GRID.dy
-            assert abs(_phase_gradient_at_centroid(u, y, centroid) - reference) <= 1e-12 * nyquist
+            reference = np.polyfit(y[window] - centroid, np.unwrap(np.angle(row[window])), 2)[1]
+            assert abs(gradient - reference) <= 1e-12 * nyquist
+        assert clamped >= 10
 
 
 class TestStep:
@@ -513,13 +551,13 @@ class TestHeldBuffer:
     N-point arrays than a record needs."""
 
     def test_matches_the_allocating_loop_bit_for_bit(self):
-        # 64-256 points take 16-row blocks, 4096 points 8-row and 8192 points
-        # 4-row blocks, most of which advance from the carried spectrum of
-        # the block before; 16384 points take the per-record path
+        # 64-256 points take 16-row blocks, 4096 points 8-row, 8192 points
+        # 4-row and 16384 points 1-row blocks, most of which advance from the
+        # carried spectrum of the block before
         rng = np.random.default_rng(20261018)
         finished = {64: 0, 4096: 0, 8192: 0, 16384: 0}
         # runs that raise at a record of a block that starts off an anchor
-        raised_in_carried_block, block_rows = 0, {4096: 8, 8192: 4}
+        raised_in_carried_block, block_rows = 0, {4096: 8, 8192: 4, 16384: 1}
         for n in [None] * 200 + [4096] * 40 + [8192] * 40 + [16384] * 20:
             grid, u0, run = extreme_input(rng, n)
             expected, expected_warnings = outcome(allocating_propagate, grid, u0, run)
@@ -540,28 +578,29 @@ class TestHeldBuffer:
         assert raised_in_carried_block >= 3
 
     def test_no_n_point_array_beyond_the_allocating_loop(self):
-        # 16384 points, the smallest grid whose records are measured one at
-        # a time: 65 records, five of them anchors.  propagate peaks at
-        # 1.449 MB here (Python 3.11, numpy 2.4, glibc x86-64): 5.5 N-point
-        # complex arrays of 262144 bytes (grid, spectrum, two phasors, the
-        # record's envelope and its two real moment buffers) and ~7 kB of
-        # records and small objects.  The bound, 6 such arrays, is within 9 %
-        # of that peak; one more held N-point real array (131072 bytes) would
-        # exceed it.
+        # 16384 points, the smallest grid whose blocks hold one row: 65
+        # records, five of them anchors.  propagate peaks at 1.453 MB here
+        # (Python 3.11, numpy 2.4, glibc x86-64): 5.5 N-point complex arrays
+        # of 262144 bytes (grid, the row transformed in place, the carried
+        # spectrum, two phasors and the pass's two real moment buffers) and
+        # ~11 kB of records and small objects.  The bound, 6 such arrays, is
+        # within 9 % of that peak; one more held N-point real array (131072
+        # bytes), such as fftfreq's temporaries beside the wavenumbers,
+        # would exceed it.
         grid = Grid1D(-1024.0, 1024.0, 16384)
         assert propagate_peak(grid) <= 6 * 16 * grid.n_points
 
     def test_block_holds_one_anchor_interval_of_records(self):
         # 2048 points, the largest grid whose records are measured 16 at a
         # time: 65 records in blocks of up to 16.  propagate peaks at
-        # 1.272 MB here (Python 3.11, numpy 2.4, glibc x86-64): 38.5 N-point
+        # 1.305 MB here (Python 3.11, numpy 2.4, glibc x86-64): 39.8 N-point
         # complex arrays of 32768 bytes (grid, two phasors, the 16 rows of
-        # spectra transformed in place, the block pass's two 16-row real
-        # buffers, and numpy's 16384-double iterator buffers of its
-        # broadcasting subtract) and ~10 kB of records and small objects.
-        # The bound, 41 such arrays, is within 7 % of that peak; a block of
-        # envelopes beside the spectra (16 arrays), or one more 16-row real
-        # buffer (8), would exceed it.
+        # spectra transformed in place, the carried spectrum, the block
+        # pass's two 16-row real buffers, and numpy's 16384-double iterator
+        # buffers of its broadcasting subtract) and ~10 kB of records and
+        # small objects.  The bound, 41 such arrays, is within 3 % of that
+        # peak; a block of envelopes beside the spectra (16 arrays), or one
+        # more 16-row real buffer (8), would exceed it.
         grid = Grid1D(-128.0, 128.0, 2048)
         assert propagate_peak(grid) <= 41 * 16 * grid.n_points
 
@@ -664,9 +703,9 @@ class TestPropagate:
         assert np.all(np.diff(trace.t) > 0)
 
     def test_moments_taken_once_per_record(self, monkeypatch):
-        # record 0 reuses the moments that check the initial state; the other
-        # 15 records are block passes of up to 16 rows on 1024 points, 8 on
-        # 4096 and 4 on 8192, and one call each on 16384
+        # record 0 reuses the one-row pass that checks the initial state; the
+        # other 15 records are block passes of up to 16 rows on 1024 points,
+        # 8 on 4096, 4 on 8192 and one on 16384
         for grid, passes in (
             (GRID, [1, 15]),
             (Grid1D(-128.0, 128.0, 4096), [1, 7, 8]),
@@ -678,16 +717,11 @@ class TestPropagate:
             rows = []
 
             def counted(*args):
-                rows.append(1)
-                return _envelope_moments(*args)
-
-            def counted_block(*args):
                 measured = _block_moments(*args)
                 rows.append(len(measured))
                 return measured
 
-            monkeypatch.setattr(propagator, "_envelope_moments", counted)
-            monkeypatch.setattr(propagator, "_block_moments", counted_block)
+            monkeypatch.setattr(propagator, "_block_moments", counted)
             _, trace = propagate(grid, u0, mass=1.0, g_tilde=0.5, dt=1 / 64, n_steps=100, stride=7)
             assert rows == passes
             assert sum(rows) == len(trace.t) == len(recording_schedule(100, 7))
