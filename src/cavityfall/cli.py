@@ -2,7 +2,7 @@
 
 Commands (all scenario-driven, SI units in, SI units out):
 
-    dispersion        (k_par, omega, v_g) CSV over a wavenumber grid
+    dispersion        (k_par, omega, v_g) CSV for k_par from 0 to 2 omega0/c_medium
     freefall-analytic closed-form (t, y, v, k_y, phase gradient) CSV
     freefall-numeric  propagated envelope trace CSV plus run manifest
     fig2b             per-Q interference SNR CSVs plus summary JSON
@@ -132,35 +132,22 @@ def _derived_block(scenario: ScenarioFile) -> dict:
     return derived
 
 
-def _run_dispersion(
-    scenario: ScenarioFile, *, k_min: float = 0.0, k_max: float | None = None, k_points: int = 256
-) -> dict:
+def _run_dispersion(scenario: ScenarioFile, *, k_points: int = 256) -> dict:
     cav = scenario.cavity
-    # without --k-max the cavity sets k_max, and --k-min alone sets the span
-    k_max_key, span_key, note = "--k-max", "--k-min, --k-max", ""
-    if k_max is None:
-        k_max = 2.0 * cav.omega0 / cav.c_medium
-        k_max_key, span_key, note = "cavity", "--k-min", " (the default k_max = 2*omega0/c_medium)"
-    bounds = (("--k-min", k_min, ""), (k_max_key, k_max, note))
-    for key, value, about in bounds:
-        if not math.isfinite(value):
-            raise ValidationError(f"must be finite, got {value!r}{about}", key=key)
-    if not k_max > k_min:
-        raise ValidationError(f"needs k_max > k_min, got {k_max!r} <= {k_min!r}{note}", key=span_key)
-    if not math.isfinite(k_max - k_min):
-        raise ValidationError(
-            f"the span k_max - k_min is out of double range, got {k_min!r} to {k_max!r}{note}", key=span_key
-        )
-    # omega grows with |k|, so finite at both ends is finite on every sample
-    for key, value, about in bounds:
-        if not math.isfinite(float(photon_energy(cav, value)) / hbar):
-            raise ValidationError(f"the photon energy omega(k) is out of double range at k = {value!r}{about}", key=key)
+    # the cavity's own range, k = 0 to 2*omega0/c_medium: only the cavity can
+    # put it out of double range, so no check names a key
+    k_max = 2.0 * cav.omega0 / cav.c_medium
+    if not math.isfinite(k_max):
+        raise ValidationError(f"k_max = 2*omega0/c_medium must be finite, got {k_max!r}")
+    # omega grows with k, so finite at k_max is finite on every sample
+    if not math.isfinite(float(photon_energy(cav, k_max)) / hbar):
+        raise ValidationError(f"the photon energy omega(k) is out of double range at k_max = {k_max!r}")
     if not 1 <= k_points <= MAX_ROWS:
         raise ValidationError(f"must be between 1 and {MAX_ROWS}, got {k_points!r}", key="--k-points")
-    k_grid = np.linspace(k_min, k_max, k_points)
+    k_grid = np.linspace(0.0, k_max, k_points)
     columns = [k_grid, photon_energy(cav, k_grid) / hbar, group_velocity(cav, k_grid)]
     artifacts = {"dispersion.csv": (("k_par", "omega", "v_g"), columns)}
-    return {"command_args": {"k_min": k_min, "k_max": k_max, "k_points": k_points}, "artifacts": artifacts}
+    return {"command_args": {"k_points": k_points}, "artifacts": artifacts}
 
 
 def _freefall(scenario: ScenarioFile):
@@ -380,9 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true", default=False, help="suppress per-file progress lines")
         return p
 
-    p_disp = command("dispersion", "dump (k_par, omega, v_g) over a wavenumber grid")
-    p_disp.add_argument("--k-min", type=float, help=f"default: {defaults['k_min']}")
-    p_disp.add_argument("--k-max", type=float, help="default: 2*omega0/c_medium")
+    p_disp = command("dispersion", "dump (k_par, omega, v_g) for k_par from 0 to 2*omega0/c_medium")
     p_disp.add_argument("--k-points", type=int, help=f"default: {defaults['k_points']}")
 
     command("freefall-analytic", "closed-form free-fall trace")

@@ -112,13 +112,9 @@ def _phase_gradient_at_centroid(u: np.ndarray, y: np.ndarray, centroid: float) -
     return (a1 + 2.0 * a2 * (s_c - idx)) / dy
 
 
-def _envelope_moments(
-    u: np.ndarray, y: np.ndarray, dy: float, step: int | None = None
-) -> tuple[float, float, float, float]:
-    """(norm, centroid, width, phase gradient at the centroid) of samples u.
-
-    A zero or non-finite norm raises a DomainError; with step given, one
-    caused by a non-finite sample names the step instead."""
+def _envelope_moments(u: np.ndarray, y: np.ndarray, dy: float) -> tuple[float, float, float, float]:
+    """(norm, centroid, width, phase gradient at the centroid) of samples u;
+    a zero or non-finite norm raises a DomainError."""
     # two N-point buffers, each expression rounded as written out in full:
     # weights = (re*re + im*im)/total, width^2 = weights @ (y - centroid)**2
     with np.errstate(over="ignore"):
@@ -127,9 +123,6 @@ def _envelope_moments(
         weights += work
         total = float(weights.sum())
     if not (total > 0.0 and math.isfinite(total)):
-        # a finite sum has only finite samples, so they are scanned only here
-        if step is not None and not np.all(np.isfinite(u)):
-            raise DomainError(f"non-finite amplitudes after step {step}")
         raise DomainError("state has zero or non-finite norm")
     weights /= total
     centroid = float(weights @ y)

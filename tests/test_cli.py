@@ -382,43 +382,32 @@ class TestMainEntryPoint:
         assert "--k-points" in capsys.readouterr().err
         assert not (tmp_path / "dispersion.csv").exists()
 
-    @pytest.mark.parametrize("option, value", [("--k-max", "inf"), ("--k-min", "-inf"), ("--k-max", "nan")])
-    def test_non_finite_k_bounds_exit_two(self, scenario_dir, tmp_path, capsys, option, value):
-        # rejected before np.linspace would fill the rows with nan/inf
-        argv = ["dispersion", "--scenario", str(scenario_dir / "freefall_caf2.json"), "--out", str(tmp_path)]
-        assert main(argv + [f"{option}={value}", "--k-points", "4", "--quiet"]) == 2
-        assert f"{option}: must be finite" in capsys.readouterr().err
-        assert not (tmp_path / "dispersion.csv").exists()
-
-    @pytest.mark.parametrize(
-        "bounds, named",
-        [
-            # omega = E/hbar overflows at the upper end
-            (["--k-min=1e200", "--k-max=1.7e308"], "--k-max: the photon energy"),
-            # k_max - k_min overflows, and linspace would fill rows with nan
-            (["--k-min=-1.7e308", "--k-max=1.7e308"], "--k-min, --k-max: the span"),
-        ],
-    )
-    def test_wavenumbers_out_of_double_range_exit_two(self, scenario_dir, tmp_path, capsys, bounds, named):
-        argv = ["dispersion", "--scenario", str(scenario_dir / "freefall_caf2.json"), "--out", str(tmp_path)]
-        assert main(argv + bounds + ["--k-points", "3", "--quiet"]) == 2
-        assert named in capsys.readouterr().err
-        assert not (tmp_path / "dispersion.csv").exists()
-
-    def test_overflowing_default_k_max_names_the_cavity(self, scenario_dir, tmp_path, capsys):
-        # a valid cavity whose default k_max = 2*omega0/c_medium overflows:
-        # the message names the cavity, not an option that was never given
+    @staticmethod
+    def _dispersion_on(cavity, scenario_dir, tmp_path, capsys):
+        """main()'s exit code and stderr of dispersion on freefall_caf2.json
+        with cavity in its place; asserts that no CSV was written."""
         doc = json.loads((scenario_dir / "freefall_caf2.json").read_text())
-        doc["cavity"] = {"L": 1e-300, "j": 1000000000, "n_s": 1e10}
-        doc["gravity"]["n_s"] = 1e10
+        doc["cavity"] = cavity
+        doc["gravity"]["n_s"] = cavity["n_s"]
         scenario_path = tmp_path / "tiny.json"
         scenario_path.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        assert main(["dispersion", "--scenario", str(scenario_path), "--out", str(out), "--k-points", "4", "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("validation error: cavity: ") and "(the default k_max = 2*omega0/c_medium)" in err
-        assert "--k-max" not in err
+        code = main(["dispersion", "--scenario", str(scenario_path), "--out", str(out), "--k-points", "4", "--quiet"])
         assert not (out / "dispersion.csv").exists()
+        return code, capsys.readouterr().err
+
+    def test_wavenumbers_out_of_double_range_exit_two(self, scenario_dir, tmp_path, capsys):
+        # a valid cavity whose k_max = 2*omega0/c_medium is finite, but
+        # omega = E/hbar overflows there
+        code, err = self._dispersion_on({"L": 1e-300, "j": 1, "n_s": 11}, scenario_dir, tmp_path, capsys)
+        assert code == 2
+        assert err.startswith("validation error: cavity: the photon energy omega(k) is out of double range at k_max")
+
+    def test_overflowing_default_k_max_names_the_cavity(self, scenario_dir, tmp_path, capsys):
+        # a valid cavity whose k_max = 2*omega0/c_medium overflows
+        code, err = self._dispersion_on({"L": 1e-300, "j": 1000000000, "n_s": 1e10}, scenario_dir, tmp_path, capsys)
+        assert code == 2
+        assert err == "validation error: cavity: k_max = 2*omega0/c_medium must be finite, got inf\n"
 
     def test_leftover_temp_directory_does_not_block_a_write(self, scenario_dir, tmp_path):
         # each write goes through its own temp file, so a stale or concurrent
@@ -719,19 +708,10 @@ def _log_uniform(low_exp, high_exp):
     return st.floats(low_exp, high_exp).map(lambda e: 10.0**e)
 
 
-# a wavenumber bound [rad/m]: around the shipped grid's 1.7e7, +/- 1e-300
-# to 1e308, zero, or not finite
-_WAVENUMBER = st.one_of(
-    _log_uniform(-3, 8),
-    st.tuples(st.sampled_from([-1.0, 1.0]), _log_uniform(-300, 308)).map(lambda pair: pair[0] * pair[1]),
-    st.sampled_from([0.0, float("inf"), float("-inf"), float("nan")]),
-)
 # options of the dispersion command, each drawn or left at its default
 _DISPERSION_OPTIONS = st.fixed_dictionaries(
     {},
     optional={
-        "--k-min": _WAVENUMBER,
-        "--k-max": _WAVENUMBER,
         "--k-points": st.one_of(st.integers(-1, 300), st.just(10**7)),
     },
 )
@@ -773,13 +753,8 @@ _KEYS = {
     *_SECTIONS,
     *(f"{section}.{field.name}" for section, cls in _SECTIONS.items() for field in fields(cls)),
     "cavity.lambda0",
-    *("--k-min", "--k-max", "--k-points", "--q", "--q-lo", "--q-hi", "--width-model"),
+    *("--k-points", "--q", "--q-lo", "--q-hi", "--width-model"),
 }
-
-
-def _names_keys(key):
-    # a check of two options together names both: "--k-min, --k-max"
-    return key is not None and all(part in _KEYS for part in key.split(", "))
 
 
 @contextlib.contextmanager
@@ -817,7 +792,7 @@ def _run_document(command, doc, options):
         with _errors_raised() as raised:
             code = main([command, "--scenario", str(scenario_path), "--out", str(out), "--quiet", *_argv(options)])
         if code in (2, 3):
-            assert len(raised) == 1 and _names_keys(raised[0].key), [str(exc) for exc in raised]
+            assert len(raised) == 1 and raised[0].key in _KEYS, [str(exc) for exc in raised]
         if code == 0:
             manifest = json.loads((out / "run_manifest.json").read_text())
             outputs = manifest["outputs"]
@@ -940,13 +915,12 @@ class TestExitCodes:
         options=_DISPERSION_OPTIONS,
         expected=st.none(),
     )
-    # omega = E/hbar overflows at k_max; the span k_max - k_min overflows
-    @example(lambda0=1.064e-6, geometry=None, n_s=1.43, options={"--k-min": 1e200, "--k-max": 1.7e308, "--k-points": 3}, expected=2)
-    @example(lambda0=1.064e-6, geometry=None, n_s=1.43, options={"--k-min": -1.7e308, "--k-max": 1.7e308, "--k-points": 3}, expected=2)
-    # a valid cavity whose default k_max = 2*omega0/c_medium overflows
+    # valid cavities whose k_max = 2*omega0/c_medium overflows, and whose
+    # omega(k_max) does
     @example(lambda0=None, geometry=(1e-300, 10**9), n_s=1e10, options={"--k-points": 3}, expected=2)
+    @example(lambda0=None, geometry=(1e-300, 1), n_s=11.0, options={"--k-points": 3}, expected=2)
     def test_generated_dispersion_options_exit_documented(self, lambda0, geometry, n_s, options, expected):
-        # SMALL_FREEFALL with the cavity, and its wavenumber grid, drawn
+        # SMALL_FREEFALL with the cavity, and the number of wavenumbers, drawn
         doc = json.loads(json.dumps(SMALL_FREEFALL))
         doc["cavity"] = {"lambda0": lambda0} if geometry is None else dict(zip(("L", "j"), geometry))
         doc["cavity"]["n_s"] = doc["gravity"]["n_s"] = n_s
@@ -1333,7 +1307,7 @@ class TestCommandTable:
             ("freefall-numeric", "small", {"q_values": [7e10]}),
             ("freefall-analytic", "small", {"k_points": 8}),
             ("fig2b", "reference", {"q_lo": 1e9}),
-            ("qthreshold", "reference", {"k_max": 1.0}),
+            ("qthreshold", "reference", {"k_points": 8}),
             # the width model is the scenario's experiment's: no command takes it as an option
             ("dispersion", "both", {"width_model": "paper"}),
             ("freefall-analytic", "both", {"width_model": "paper"}),

@@ -1,8 +1,8 @@
 """Lints of the package's sources: error messages name no key path of
 their own, the package exports exactly what it imports, the tests'
 closed-form oracles and the package import nothing of each other's but the
-error classes, and no private function keeps a default that none of its
-callers overrides.
+error classes, and no private function of the package or of the tests keeps
+a default that none of its callers overrides.
 
 A check raises with the name of its field or parameter as the error's key,
 and only the scenario reader (scenario.py) knows the section names: it puts
@@ -19,7 +19,8 @@ from pathlib import Path
 import cavityfall
 
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "cavityfall"
-ORACLES = Path(__file__).resolve().parent / "oracles.py"
+TESTS = Path(__file__).resolve().parent
+ORACLES = TESTS / "oracles.py"
 ERRORS = {"ValidationError", "DomainError"}
 SECTION = re.compile(r"(cavity|gravity|propagation|experiment|output)\b")
 OPTION = re.compile(r"--[a-z]")
@@ -151,11 +152,13 @@ def test_private_functions_have_no_default_that_no_call_passes():
     # a default every caller leaves alone is a knob nothing sets: its value
     # belongs in the body.  Runners, called through cli._COMMANDS and never
     # by name, are out of scope: their defaults are the command options'.
-    assert _defaults(SOURCES)[1] == []
-    # the lint reads the functions it is meant to, whether or not any of
-    # them has a default: a parse that found none would pass on anything
-    examined = {node.name for node, _ in _private_calls(SOURCES)}
-    assert len(examined) >= 30 and "_block_moments" in examined
+    # The tests' own helpers, oracles included, are read apart from src.
+    for sources, at_least, reached in ((SOURCES, 30, "_block_moments"), (TESTS, 20, "_envelope_moments")):
+        assert _defaults(sources)[1] == []
+        # the lint reads the functions it is meant to, whether or not any of
+        # them has a default: a parse that found none would pass on anything
+        examined = {node.name for node, _ in _private_calls(sources)}
+        assert len(examined) >= at_least and reached in examined
 
 
 def test_unpassed_default_lint_flags_a_knob_nothing_sets(tmp_path):

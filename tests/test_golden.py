@@ -9,7 +9,10 @@ difference; only the values are portable there, to a few ulps.
 
 The benchmark file holds, for each workload, seed in BENCH_SEEDS and
 operation index, the exit code, the stderr and the artifact digests of the
-operation that bench/workloads.py generates, run through cli.main.
+operation that bench/workloads.py generates, run through cli.main.  Each
+operation must also pass bench/checks.py, the benchmark's own oracles, so
+that the file is judged, not only pinned: an operation that fails them
+fails the test, and the rewrite below then writes neither file.
 
 A documented artifact change rewrites both files:
 
@@ -37,7 +40,9 @@ SCENARIOS = ROOT / "scenarios"
 BENCH_SEEDS = (1, 2, 3)
 sys.path.insert(0, str(ROOT / "bench"))
 
+import checks  # noqa: E402
 import workloads  # noqa: E402
+
 #: the shipped runs, as command and options, and their scenario files
 SHIPPED = {
     "dispersion": "freefall_caf2.json",
@@ -80,7 +85,9 @@ def shipped_digests(work: Path) -> dict:
 
 def bench_outcomes(work: Path) -> dict:
     """{workload: {seed: [{exit, stderr, sha256} of each operation]}}; each
-    output directory is removed once digested."""
+    output directory is removed once checked by bench/checks.py and
+    digested.  An operation that exits other than 0 or fails its checks
+    raises AssertionError naming it."""
     outcomes: dict = {}
     for name in workloads.WORKLOADS:
         for seed in BENCH_SEEDS:
@@ -94,9 +101,11 @@ def bench_outcomes(work: Path) -> dict:
                 stderr = io.StringIO()
                 with contextlib.redirect_stderr(stderr):
                     code = cli.main(workloads.argv(op, paths[op.scenario], out))
-                digests = _digests(out) if out.exists() else {}
-                runs.append({"exit": code, "stderr": stderr.getvalue(), "sha256": digests})
-                shutil.rmtree(out, ignore_errors=True)
+                doc = workload.documents[op.scenario]
+                problems = checks.check(op, doc, out).problems if code == 0 else [f"exit code {code}"]
+                assert not problems, f"{name} seed {seed} operation {j}: {'; '.join(problems)}"
+                runs.append({"exit": code, "stderr": stderr.getvalue(), "sha256": _digests(out)})
+                shutil.rmtree(out)
     return outcomes
 
 
@@ -122,7 +131,10 @@ def test_bench_operations_match_the_golden_file(tmp_path):
 
 
 if __name__ == "__main__":
+    # both collected before either is written: a failed run writes neither
+    goldens = {}
     for path, field, collect in ((GOLDEN, "sha256", shipped_digests), (BENCH_GOLDEN, "outcomes", bench_outcomes)):
         with tempfile.TemporaryDirectory() as work:
-            golden = {"key": golden_key(), field: collect(Path(work))}
+            goldens[path] = {"key": golden_key(), field: collect(Path(work))}
+    for path, golden in goldens.items():
         path.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")

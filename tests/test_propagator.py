@@ -768,6 +768,27 @@ class TestPropagate:
         with pytest.raises(DomainError):
             propagate(GRID, u0, mass=1.0, g_tilde=1.0, dt=0.1, n_steps=5)
 
+    def test_norm_growth_names_the_step(self, monkeypatch):
+        # record 7's envelope (row 6 of the block after record 0) scaled by
+        # 1 + 1e-9, as a step that is not unitary would leave it
+        ifft = np.fft.ifft
+
+        def grown(a, *args, **kwargs):
+            v = ifft(a, *args, **kwargs)
+            v[6] *= 1.0 + 1e-9
+            return v
+
+        monkeypatch.setattr(np.fft, "ifft", grown)
+        with pytest.raises(DomainError, match=r"^norm grew beyond roundoff at step 7: "):
+            propagate(GRID, init_gaussian(GRID, 1.0), mass=1.0, g_tilde=0.5, dt=1 / 64, n_steps=20)
+
+    def test_final_state_out_of_double_range_names_the_last_step(self):
+        # every record passes its checks, then F t y overflows in the phase
+        # that returns the final state to the lab frame
+        grid = Grid1D(-1.3e154, 3e152, 1024)
+        with pytest.raises(DomainError, match=r"^non-finite amplitudes after step 3$"):
+            propagate(grid, init_gaussian(grid, 6e151), mass=1.0, g_tilde=1e154, dt=0.5, n_steps=3, stride=1)
+
 
 class TestAnalyticOracle:
     def test_release_point(self):
