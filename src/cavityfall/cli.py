@@ -47,7 +47,7 @@ import numpy as np
 from . import __version__
 from .dispersion import CavitySpec, effective_mass, group_velocity, photon_energy
 from .errors import CavityFallError, DomainError, ValidationError
-from .gravity import freefall_trajectory, phase_gradient
+from .gravity import FreefallState, freefall_trajectory, phase_gradient
 from .interferometry import q_threshold, snr_peak, snr_trace
 from .propagator import MAX_GRID_POINTS, MAX_ROWS, init_gaussian, propagate, recording_schedule
 from .scenario import WIDTH_MODEL_ALIASES, ScenarioFile, load_scenario, scenario_to_dict
@@ -150,21 +150,21 @@ def _run_dispersion(scenario: ScenarioFile, *, k_points: int = 256) -> dict:
     return {"command_args": {"k_points": k_points}, "artifacts": artifacts}
 
 
-def _freefall(scenario: ScenarioFile):
-    """The recorded times and the closed-form fall at them; raises where the
-    fall leaves its validity domain, for both free-fall commands alike."""
+def _freefall(scenario: ScenarioFile) -> FreefallState:
+    """The closed-form fall at the recorded times, its column t; raises where
+    the fall leaves its validity domain, for both free-fall commands alike."""
     prop = scenario.propagation
     # step indices can pass int64, so each time is a Python int times dt
     times = np.array([i * prop.dt for i in recording_schedule(prop.n_steps, scenario.output.stride)])
-    return times, freefall_trajectory(scenario.cavity, scenario.gravity, times)
+    return freefall_trajectory(scenario.cavity, scenario.gravity, times)
 
 
 def _run_freefall_analytic(scenario: ScenarioFile) -> dict:
     cav, profile = scenario.cavity, scenario.gravity
-    times, state = _freefall(scenario)
-    grads = phase_gradient(cav.omega0, profile, times)
+    state = _freefall(scenario)
+    grads = phase_gradient(cav, profile, state.t)
     header = ("t_si", "y_si", "v_si", "k_si", "phase_grad_si")
-    columns = [times, state.y, state.v, state.k_y, grads]
+    columns = [state.t, state.y, state.v, state.k_y, grads]
     return {"command_args": {}, "artifacts": {"freefall_analytic.csv": (header, columns)}}
 
 
@@ -197,7 +197,6 @@ def _run_freefall_numeric(scenario: ScenarioFile) -> dict:
         energy_drift = float(np.max(np.abs(trace.energy - trace.energy[0]) / abs(trace.energy[0])))
     convergence = {
         "n_steps": prop.n_steps,
-        "record_stride": stride,
         "splitting_order": 2,
         "norm_drift": float(np.max(np.abs(trace.norm - trace.norm[0]))),
         "energy_drift": energy_drift if math.isfinite(energy_drift) else None,

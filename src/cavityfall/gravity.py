@@ -14,18 +14,18 @@ conservation for a packet released at rest then gives the Newtonian chain
 with the renormalized acceleration g_tilde = g/n_s**2: the medium drags the
 fall, and the mass m cancels from the trajectory (equivalence principle).
 The envelope phase gradient d(phi)/dy = m*g_tilde*t/hbar collapses to
-omega0*g*t/c**2, independent of n_s.
+omega0*g*t/c**2, with omega0 the cavity's rest frequency: independent of n_s.
 
 All formulas here are the non-relativistic, linearized-potential limit.
 freefall_trajectory refuses a fall past |v| = 1e-3*c/n_s instead of
 extrapolating, and that one rule bounds both: below it the weak-field term
 at the centroid, |g*y|/c**2 = n_s**2*v**2/(2*c**2), stays under 5e-7.
 
-freefall_trajectory and phase_gradient take one time or a whole column of
-times.  A column is evaluated with one array expression per quantity, which
-rounds exactly as the one-time form does, and its invariants are checked
-once per call.  An error names the first time, in column order, that fails
-any check, with the message that time alone would raise.
+freefall_trajectory and phase_gradient take the cavity, its field and one
+time or a column of times.  A column is evaluated with one array expression
+per quantity, which rounds exactly as the one-time form does, and its
+invariants are checked once per call.  An error names the first time, in
+column order, that fails any check, with the message that time alone raises.
 """
 
 from __future__ import annotations
@@ -130,19 +130,17 @@ def freefall_trajectory(cavity: CavitySpec, profile: GravityProfile, t: float | 
     return FreefallState(t=times, y=y, v=v, k_y=k_y)
 
 
-def phase_gradient(omega0: float, profile: GravityProfile, t: float | np.ndarray) -> float | np.ndarray:
-    """Gravity-induced envelope phase gradient omega0*g*t/c**2 [rad/m].
+def phase_gradient(cavity: CavitySpec, profile: GravityProfile, t: float | np.ndarray) -> float | np.ndarray:
+    """Gravity-induced envelope phase gradient cavity.omega0*g*t/c**2 [rad/m].
 
     Equals m_s*|v(t)|/hbar evaluated through the dielectric free-fall chain,
     with every n_s factor cancelling: the observable is medium independent.
     t is one time, giving a float, or a column of times, giving an array;
     an error names the column's first invalid or overflowing time.
     """
-    if not (omega0 > 0.0 and math.isfinite(omega0)):
-        raise ValidationError(f"must be > 0, got {omega0!r}", key="omega0")
     times = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        gradient = omega0 * profile.g * times / c**2
+        gradient = cavity.omega0 * profile.g * times / c**2
     failure = _first_failure(_invalid_times(times), ~np.isfinite(gradient))
     if failure is not None:
         check, i = failure

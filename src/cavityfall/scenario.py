@@ -37,7 +37,9 @@ WIDTH_MODEL_ALIASES = {"paper": "paper_verbatim", "paper_verbatim": "paper_verba
 @dataclass(frozen=True)
 class PropagationSettings:
     """SI-valued propagation request (grid and sigma0 in meters, dt and
-    t_final in seconds), passed to the propagator unchanged."""
+    t_final in seconds), passed to the propagator unchanged.  t_final/dt
+    rounds to the step count n_steps, and the last recorded time
+    n_steps*dt must be a finite number too."""
 
     grid: Grid1D
     dt: float
@@ -51,6 +53,10 @@ class PropagationSettings:
             raise ValidationError("must be >= dt", key="t_final")
         if not math.isfinite(self.t_final / self.dt):
             raise ValidationError(f"t_final/dt must be finite, got {self.t_final!r}/{self.dt!r}", key="t_final")
+        # t_final/dt can round up past t_final: every recorded time i*dt is at most n_steps*dt
+        if not math.isfinite(self.n_steps * self.dt):
+            last = f"{self.n_steps}*{self.dt!r}"
+            raise ValidationError(f"the last recorded time n_steps*dt must be finite, got {last}", key="t_final")
         if not self.sigma0 > 0.0:
             raise ValidationError("must be > 0", key="sigma0")
 

@@ -809,7 +809,7 @@ class TestAnalyticOracle:
         profile = GravityProfile(g=9.81, n_s=1.43)
         t = 0.37
         m = analytic_gaussian_oracle(0.1, effective_mass(cav) / hbar_si, profile.g_tilde, t)
-        assert m.phase_gradient == pytest.approx(phase_gradient(cav.omega0, profile, t), rel=1e-12)
+        assert m.phase_gradient == pytest.approx(phase_gradient(cav, profile, t), rel=1e-12)
         assert m.mean_k == pytest.approx(-m.phase_gradient, rel=1e-15)
 
     def test_negative_time_rejected(self):
