@@ -48,13 +48,12 @@ from . import __version__
 from .dispersion import CavitySpec, effective_mass, group_velocity, photon_energy
 from .errors import CavityFallError, DomainError, ValidationError
 from .gravity import FreefallState, freefall_trajectory, phase_gradient
-from .interferometry import q_threshold, snr_peak, snr_trace
+from .interferometry import TRACE_SAMPLES, q_threshold, snr_peak, snr_trace
 from .propagator import MAX_GRID_POINTS, MAX_ROWS, init_gaussian, propagate, recording_schedule
 from .scenario import WIDTH_MODEL_ALIASES, ScenarioFile, load_scenario, scenario_to_dict
 from .units import c, hbar
 
 DEFAULT_Q_SWEEP = (3e10, 5e10, 7e10)
-_FIG2B_SAMPLES = 2001
 _DEFAULT_RECORDS = 256
 # twice the largest grid's complex array: 32 MiB, the largest mmap threshold
 # glibc accepts on 64-bit
@@ -209,8 +208,8 @@ def _run_fig2b(scenario: ScenarioFile, *, q_values=DEFAULT_Q_SWEEP) -> dict:
     q_values = tuple(q_values)
     if not q_values:
         raise ValidationError("needs at least one value", key="--q")
-    if len(q_values) * _FIG2B_SAMPLES > MAX_ROWS:
-        limit = f"at most {MAX_ROWS // _FIG2B_SAMPLES} values ({_FIG2B_SAMPLES} rows each, {MAX_ROWS} in all)"
+    if len(q_values) * TRACE_SAMPLES > MAX_ROWS:
+        limit = f"at most {MAX_ROWS // TRACE_SAMPLES} values ({TRACE_SAMPLES} rows each, {MAX_ROWS} in all)"
         raise ValidationError(f"takes {limit}, got {len(q_values)}", key="--q")
     # two values that print alike under {q:g} would overwrite one another's CSV
     names = [f"fig2b_Q{q:g}.csv" for q in q_values]
@@ -222,10 +221,10 @@ def _run_fig2b(scenario: ScenarioFile, *, q_values=DEFAULT_Q_SWEEP) -> dict:
     other = "corrected" if base.width_model == "paper_verbatim" else "paper_verbatim"
     for name, q in zip(names, q_values):
         cfg = replace(base, Q=q)
-        trace = snr_trace(cfg, n_samples=_FIG2B_SAMPLES)
+        trace = snr_trace(cfg)
         peak_by_model = {
             base.width_model: trace.sn_peak,
-            other: snr_peak(replace(cfg, width_model=other), n_samples=_FIG2B_SAMPLES)[1],
+            other: snr_peak(replace(cfg, width_model=other))[1],
         }
         corrected = peak_by_model["corrected"]
         # a corrected peak that underflows to 0 leaves the ratio undefined
@@ -248,7 +247,7 @@ def _run_fig2b(scenario: ScenarioFile, *, q_values=DEFAULT_Q_SWEEP) -> dict:
         )
     artifacts["fig2b_summary.json"] = {
         "width_model": base.width_model,
-        "n_samples": _FIG2B_SAMPLES,
+        "n_samples": TRACE_SAMPLES,
         "traces": traces_summary,
         "width_model_divergence": divergence,
     }

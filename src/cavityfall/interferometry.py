@@ -48,6 +48,8 @@ WIDTH_MODELS = ("corrected", "paper_verbatim")
 #: the CaF2 reference for Q from 7.28e10 to 2.86e11.  There the peak found is
 #: the value at the window's edge (ROADMAP.md, item 7).
 TRACE_LIFETIMES = 10.0
+#: Samples of the trace window in snr_peak and snr_trace.
+TRACE_SAMPLES = 2001
 
 _PEAK_REL_TOL = 1e-9
 _CROSS_REL_TOL = 1e-9
@@ -55,7 +57,7 @@ _CROSS_REL_TOL = 1e-9
 _Q_REL_TOL = 1e-4
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _C_SQUARED = c**2
-#: Samples of the trace window in snr_peak, snr_trace and the Q bisection.
+#: Samples of the trace window in the Q bisection's scans.
 _N_SAMPLES = 512
 
 
@@ -261,11 +263,12 @@ def _refine_crossing(f, a: float, b: float) -> float:
 
 def _sampled_peak(cfg: ExperimentConfig, n_samples: int, q: float):
     # ((t, I, Sn, index of the largest sample), (t_peak, Sn_peak), Sn at one
-    # time of the window) of cfg at quality factor q.  Each intermediate value
-    # of Sn(t) is monotone in t, so a scan finite at both ends of the window
-    # is finite at every time the refinement takes.
-    if n_samples < 16:
-        raise ValidationError(f"must be >= 16, got {n_samples!r}", key="n_samples")
+    # time of the window) of cfg at quality factor q, on n_samples points.  A
+    # largest last sample is refined only where the parabola through the last
+    # three samples falls at the window's end, keeping the larger of the
+    # refined and sampled values: a scan still rising there costs no more.
+    # Each intermediate value of Sn(t) is monotone in t, so a scan finite at
+    # both ends of the window is finite at every time the refinement takes.
     window = TRACE_LIFETIMES * q / cfg.omega0
     if not 0.0 < window < math.inf:
         raise ValidationError(
@@ -287,38 +290,41 @@ def _sampled_peak(cfg: ExperimentConfig, n_samples: int, q: float):
         return math.sqrt(_signal(k, ti) * photons)
 
     idx = int(np.argmax(sn))
-    if 0 < idx < n_samples - 1 and sn[idx] > 0.0:
+    t_peak, sn_peak = float(t[idx]), float(sn[idx])
+    if 0 < idx < n_samples - 1 and sn_peak > 0.0:
         t_peak, sn_peak = _refine_peak(sn_at, float(t[idx - 1]), float(t[idx + 1]))
-    else:
-        t_peak, sn_peak = float(t[idx]), float(sn[idx])
+    elif idx == n_samples - 1 and 3.0 * sn[-1] - 4.0 * sn[-2] + sn[-3] < 0.0:
+        refined = _refine_peak(sn_at, float(t[-2]), t_peak)
+        if refined[1] > sn_peak:
+            t_peak, sn_peak = refined
     return (t, i_signal, sn, idx), (t_peak, sn_peak), sn_at
 
 
-def snr_peak(cfg: ExperimentConfig, n_samples: int = _N_SAMPLES) -> tuple[float, float]:
+def snr_peak(cfg: ExperimentConfig) -> tuple[float, float]:
     """(t_peak, Sn_peak): the maximum of Sn(t) at cfg.Q on the trace window
-    [0, cfg.window], sampled at n_samples points and refined to much better
-    than 1e-6 relative in t.  The same values as snr_trace's, without its
-    crossing search.
+    [0, cfg.window], sampled at TRACE_SAMPLES points and refined to much
+    better than 1e-6 relative in t, also where it lies between the last two
+    samples.  The same values as snr_trace's, without its crossing search.
 
-    The maximum is taken on the window only: where the global peak lies past
-    it (see TRACE_LIFETIMES), this is the value at the window's edge.  A
+    The maximum is taken on the window only: where Sn still rises at the
+    window's end (see TRACE_LIFETIMES), this is the value at the edge.  A
     window that is not finite and positive, or on which the signal model
     overflows, is an error keyed Q (no key for an overflow at t = 0).
     """
-    return _sampled_peak(cfg, n_samples, cfg.Q)[1]
+    return _sampled_peak(cfg, TRACE_SAMPLES, cfg.Q)[1]
 
 
-def snr_trace(cfg: ExperimentConfig, n_samples: int = _N_SAMPLES) -> SnrTrace:
-    """Uniformly sampled Sn(t) at cfg.Q on the trace window [0, cfg.window]
-    with refined peak and crossing.
+def snr_trace(cfg: ExperimentConfig) -> SnrTrace:
+    """Sn(t) at cfg.Q on TRACE_SAMPLES uniform points of the trace window
+    [0, cfg.window], with refined peak and crossing.
 
-    The peak and the first Sn = 1 crossing (when one exists) are located to
-    much better than 1e-6 relative in t.  Both are searched on the window
-    only, so a global peak past it (see TRACE_LIFETIMES) is reported as the
-    value at the window's edge.  The window and the signal model on it are
-    checked as in snr_peak.
+    The peak, as snr_peak finds it, and the first Sn = 1 crossing (when one
+    exists) are located to much better than 1e-6 relative in t.  Both are
+    searched on the window only, so where Sn still rises at the window's end
+    (see TRACE_LIFETIMES) the peak is the value at the edge.  The window and
+    the signal model on it are checked as in snr_peak.
     """
-    (t, i_signal, sn, idx), (t_peak, sn_peak), sn_at = _sampled_peak(cfg, n_samples, cfg.Q)
+    (t, i_signal, sn, idx), (t_peak, sn_peak), sn_at = _sampled_peak(cfg, TRACE_SAMPLES, cfg.Q)
     t_cross: float | None = None
     above = np.nonzero(sn >= 1.0)[0]
     if above.size:

@@ -182,7 +182,7 @@ def test_criterion_5_dispersion_exactness():
 def test_criterion_6_fig2b_reproduction():
     cfg = replace(REFERENCE, width_model="paper_verbatim")
     started = time.perf_counter()
-    traces = {q: snr_trace(replace(cfg, Q=q), n_samples=2001) for q in (3e10, 5e10, 7e10)}
+    traces = {q: snr_trace(replace(cfg, Q=q)) for q in (3e10, 5e10, 7e10)}
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
 

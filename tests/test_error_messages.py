@@ -104,60 +104,96 @@ def test_oracles_and_the_package_share_no_code():
     assert reaching == []
 
 
-def _passes(call: ast.Call, index: int | None, name: str) -> bool:
-    """Whether call passes the parameter name, at position index (None for
-    a keyword-only one); a *args or **kwargs may pass anything."""
-    if any(keyword.arg in (name, None) for keyword in call.keywords):
-        return True
+def _argument(call: ast.Call, index: int | None, name: str) -> ast.expr | None:
+    """What call passes for the parameter name, at position index (None for
+    a keyword-only one): its expression, a *args or **kwargs that may pass
+    it, or None for nothing."""
+    for keyword in call.keywords:
+        if keyword.arg in (name, None):
+            return keyword.value
     if index is None:
-        return False
-    return index < len(call.args) or any(isinstance(arg, ast.Starred) for arg in call.args)
+        return None
+    for arg in call.args[: index + 1]:
+        if isinstance(arg, ast.Starred):
+            return arg
+    return call.args[index] if index < len(call.args) else None
 
 
-def _private_calls(sources: Path) -> list[tuple[ast.FunctionDef, list[ast.Call]]]:
-    """(definition, calls naming it) of each function named with one leading
-    underscore that some call in sources names directly."""
-    nodes = [node for path in sorted(sources.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))]
-    calls: dict[str, list[ast.Call]] = {}
-    for node in nodes:
-        if isinstance(node, ast.Call):
-            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
-            calls.setdefault(callee, []).append(node)
-    return [
-        (node, calls[node.name])
-        for node in nodes
-        if isinstance(node, ast.FunctionDef) and re.match(r"_[^_]", node.name) and node.name in calls
-    ]
+def _module_names(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level by assignment or import."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def _called_functions(sources: Path) -> list[tuple[ast.FunctionDef, list[tuple[ast.Call, set[str]]]]]:
+    """(definition, calls naming it directly, each with the module-level
+    names of its file) of each function in sources, dunders aside, that
+    some call in sources names."""
+    definitions, calls = [], {}
+    for path in sorted(sources.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        constants = _module_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                definitions.append(node)
+            elif isinstance(node, ast.Call):
+                callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append((node, constants))
+    return [(node, calls[node.name]) for node in definitions if node.name in calls]
+
+
+def _private(node: ast.FunctionDef) -> bool:
+    return re.match(r"_[^_]", node.name) is not None
 
 
 def _defaults(sources: Path) -> tuple[int, list[str]]:
-    """(defaults checked, function.parameter of each that no call in sources
-    passes), over the functions of _private_calls."""
-    checked, unpassed = 0, []
-    for node, calls in _private_calls(sources):
+    """(defaults checked, function.parameter of each knob that nothing
+    varies) over the functions of _called_functions: a default of a private
+    function that no call in sources passes, or a default of any function
+    that every call in sources passes as one and the same literal or
+    module-level name."""
+    checked, knobs = 0, []
+    for node, calls in _called_functions(sources):
         positional = [*node.args.posonlyargs, *node.args.args]
+        # a method's calls pass its self or cls before the first argument
+        shift = 1 if positional and positional[0].arg in ("self", "cls") else 0
         first_default = len(positional) - len(node.args.defaults)
-        defaulted = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first_default]
+        defaulted = [(i - shift, arg.arg) for i, arg in enumerate(positional) if i >= first_default]
         defaulted += [
             (None, arg.arg) for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults) if default is not None
         ]
         checked += len(defaulted)
         for index, name in defaulted:
-            if not any(_passes(call, index, name) for call in calls):
-                unpassed.append(f"{node.name}.{name}")
-    return checked, unpassed
+            passed = [(_argument(call, index, name), constants) for call, constants in calls]
+            if all(arg is None for arg, _ in passed):
+                if _private(node):
+                    knobs.append(f"{node.name}.{name}")
+            elif all(
+                isinstance(arg, ast.Constant) or (isinstance(arg, ast.Name) and arg.id in constants)
+                for arg, constants in passed
+            ) and len({ast.dump(arg) for arg, _ in passed}) == 1:
+                knobs.append(f"{node.name}.{name}")
+    return checked, knobs
 
 
 def test_private_functions_have_no_default_that_no_call_passes():
-    # a default every caller leaves alone is a knob nothing sets: its value
-    # belongs in the body.  Runners, called through cli._COMMANDS and never
-    # by name, are out of scope: their defaults are the command options'.
-    # The tests' own helpers, oracles included, are read apart from src.
+    # a default every caller leaves alone, or that every caller sets to one
+    # constant, is a knob nothing varies: its value belongs in the body.
+    # Runners, called through cli._COMMANDS and never by name, are out of
+    # scope: their defaults are the command options'.  The tests' own
+    # helpers, oracles included, are read apart from src.
     for sources, at_least, reached in ((SOURCES, 30, "_block_moments"), (TESTS, 20, "_envelope_moments")):
         assert _defaults(sources)[1] == []
         # the lint reads the functions it is meant to, whether or not any of
         # them has a default: a parse that found none would pass on anything
-        examined = {node.name for node, _ in _private_calls(sources)}
+        examined = {node.name for node, _ in _called_functions(sources) if _private(node)}
         assert len(examined) >= at_least and reached in examined
 
 
@@ -167,7 +203,18 @@ def test_unpassed_default_lint_flags_a_knob_nothing_sets(tmp_path):
         "    return a\n"
         "def _scan(n, width=2):\n"
         "    return n\n"
+        "SAMPLES = 2001\n"
+        "def trace(cfg, n_samples=512, *, model='a'):\n"
+        "    return cfg\n"
+        "def peak(cfg, n_samples=512):\n"
+        "    return cfg\n"
         "def public(n=3):\n"
         "    return _bisect(abs, 0, n, tol=1e-3) + _scan(n, 4) + _scan(**{})\n"
+        "def other(n):\n"
+        "    return trace(n, SAMPLES) + trace(n, n_samples=SAMPLES, model=n) + peak(n, SAMPLES) + peak(n, 2001)\n"
     )
-    assert _defaults(tmp_path) == (4, ["_bisect.level", "_bisect.steps"])
+    # flagged: a private default no call passes, and a default, public or
+    # not, that every call sets to one literal or module constant.  Not:
+    # _scan's width (**{} may pass anything), trace's model (n is no
+    # constant), peak's n_samples (2001 is the constant's value, not it)
+    assert _defaults(tmp_path) == (7, ["_bisect.level", "_bisect.tol", "_bisect.steps", "trace.n_samples"])

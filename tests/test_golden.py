@@ -109,6 +109,19 @@ def bench_outcomes(work: Path) -> dict:
     return outcomes
 
 
+def test_a_peak_between_the_last_two_samples_passes_the_checks(tmp_path):
+    # snr seed 101, document 1: at Q = 8.86e10 the corrected model's Sn peaks
+    # at 9.99855 lifetimes, between the last two of the trace's samples
+    workload = workloads.generate("snr", 101, SCENARIOS)
+    op = workloads.Op("fig2b", 1, ("--width-model", "paper", "--q", "23500000000.0", "41700000000.0", "88600000000.0"))
+    assert op in workload.ops
+    doc = workload.documents[op.scenario]
+    path, out = tmp_path / "s001.json", tmp_path / "out"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(workloads.argv(op, path, out)) == 0
+    assert checks.check(op, doc, out).problems == []
+
+
 def _golden(path: Path) -> dict:
     golden = json.loads(path.read_text())
     if golden["key"] != golden_key():

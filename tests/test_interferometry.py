@@ -25,7 +25,8 @@ from cavityfall import (
     snr_peak,
     snr_trace,
 )
-from cavityfall.interferometry import _N_SAMPLES, _Q_REL_TOL, WIDTH_MODELS, _sampled_peak
+from cavityfall import interferometry
+from cavityfall.interferometry import _N_SAMPLES, _Q_REL_TOL, TRACE_SAMPLES, WIDTH_MODELS, _sampled_peak
 from cavityfall.units import c, hbar
 from oracles import analytic_gaussian_oracle
 
@@ -234,38 +235,50 @@ class TestSnr:
 class TestSnrTrace:
     def test_frozen_peaks_paper_model(self):
         for q, expected in SN_PEAK_PAPER.items():
-            trace = snr_trace(replace(PAPER, Q=q), n_samples=2001)
+            trace = snr_trace(replace(PAPER, Q=q))
             assert trace.sn_peak == pytest.approx(expected, rel=1e-9)
 
     def test_frozen_peaks_corrected_model(self):
         for q, expected in SN_PEAK_CORRECTED.items():
-            trace = snr_trace(replace(CORRECTED, Q=q), n_samples=2001)
+            trace = snr_trace(replace(CORRECTED, Q=q))
             assert trace.sn_peak == pytest.approx(expected, rel=1e-9)
 
     def test_crossing_found_and_refined(self):
-        trace = snr_trace(PAPER, n_samples=2001)
+        trace = snr_trace(PAPER)
         assert trace.t_cross is not None
         assert trace.t_cross == pytest.approx(T_CROSS_7E10, rel=1e-6)
         assert float(snr(PAPER, trace.t_cross)) == pytest.approx(1.0, abs=1e-6)
 
     def test_no_crossing_below_threshold(self):
-        trace = snr_trace(replace(PAPER, Q=3e10), n_samples=2001)
+        trace = snr_trace(replace(PAPER, Q=3e10))
         assert trace.t_cross is None
         assert trace.sn_peak < 1.0
 
     def test_crossing_inside_the_refined_peak(self):
         # just above the threshold Q every sample stays below 1 (the largest
         # 0.99999859 at 512 samples, 0.99999982 at 2001), and only the refined
-        # peak, 1 + 4.9e-11, reaches it: the crossing lies before that peak
+        # peak, 1 + 4.9e-11, reaches it: the crossing lies before that peak.
+        # The 512-sample scan is the Q bisection's, which seeks no crossing
         cfg = replace(PAPER, Q=3.6955286106e10)
-        for n_samples in (512, 2001):
-            trace = snr_trace(cfg, n_samples=n_samples)
-            assert np.max(trace.sn) < 1.0 <= trace.sn_peak
-            assert trace.t_cross < trace.t_peak
-            assert float(snr(cfg, trace.t_cross)) == pytest.approx(1.0, abs=1e-6)
+        (_, _, sn, _), (_, sn_peak), _ = _sampled_peak(cfg, _N_SAMPLES, cfg.Q)
+        assert np.max(sn) < 1.0 <= sn_peak
+        trace = snr_trace(cfg)
+        assert np.max(trace.sn) < 1.0 <= trace.sn_peak
+        assert trace.t_cross < trace.t_peak
+        assert float(snr(cfg, trace.t_cross)) == pytest.approx(1.0, abs=1e-6)
+
+    def test_peak_inside_the_last_sample_interval(self):
+        # Sn peaks 0.37 of a sample interval before the window's end: the
+        # largest sample is the last, 3.8e-8 below the peak
+        cfg = replace(CORRECTED, Q=1e11, y_out=0.42545)
+        t = np.linspace(0.0, cfg.window, TRACE_SAMPLES)
+        dense = np.asarray(snr(cfg, np.linspace(t[-2], t[-1], 10001)))
+        t_peak, sn_peak = snr_peak(cfg)
+        assert t[-2] < t_peak < t[-1]
+        assert sn_peak == pytest.approx(float(np.max(dense)), rel=1e-9)
 
     def test_trace_invariants(self):
-        trace = snr_trace(PAPER, n_samples=512)
+        trace = snr_trace(PAPER)
         assert np.all(trace.i_signal >= 0.0)
         assert np.all(trace.sn >= 0.0)
         assert trace.i_signal[0] == 0.0
@@ -277,7 +290,7 @@ class TestSnrTrace:
         assert np.all(sn_by_q[1] < sn_by_q[2])
 
     def test_vanishing_power_gives_flat_zero(self):
-        trace = snr_trace(replace(PAPER, P_avg=1e-300), n_samples=64)
+        trace = snr_trace(replace(PAPER, P_avg=1e-300))
         assert trace.t_cross is None
         assert np.max(trace.sn) < 1e-100
 
@@ -285,7 +298,7 @@ class TestSnrTrace:
         # Sn passes 1 below t = 5e-324 s: the crossing bisection runs out of
         # floats between 0 and its upper end and stops at t_cross = 0
         cfg = replace(PAPER, sigma0=1.0, eta_det=1.0, T_int=4.41e196, g=1.439e221)
-        trace = snr_trace(cfg, n_samples=2001)
+        trace = snr_trace(cfg)
         assert trace.t_cross == 0.0
         assert 0.0 < trace.t_peak < cfg.window
 
@@ -293,12 +306,8 @@ class TestSnrTrace:
         # the window, 2.6e-321 s, holds about 500 subnormal floats: the golden
         # section runs out of floats before its bracket is 1e-9 relative wide
         cfg = replace(CORRECTED, Q=2e-306, lambda0=2.4e-7, sigma0=0.23, g=2.2e265, T_int=9.6e175)
-        trace = snr_trace(cfg, n_samples=2001)
+        trace = snr_trace(cfg)
         assert 0.0 < trace.t_peak < cfg.window
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            snr_trace(PAPER, n_samples=8)
 
 
 class TestRefinementKeepsItsBits:
@@ -335,14 +344,9 @@ class TestRefinementKeepsItsBits:
             replace(CORRECTED, Q=2e-306, lambda0=2.4e-7, sigma0=0.23, g=2.2e265, T_int=9.6e175),
         ],
     )
-    @pytest.mark.parametrize("n_samples", [16, 512, 2001])
-    def test_snr_peak_is_the_trace_peak(self, cfg, n_samples):
-        trace = snr_trace(cfg, n_samples=n_samples)
-        assert snr_peak(cfg, n_samples=n_samples) == (trace.t_peak, trace.sn_peak)
-
-    def test_snr_peak_validation(self):
-        with pytest.raises(ValidationError):
-            snr_peak(PAPER, n_samples=8)
+    def test_snr_peak_is_the_trace_peak(self, cfg):
+        trace = snr_trace(cfg)
+        assert snr_peak(cfg) == (trace.t_peak, trace.sn_peak)
 
 
 class TestQThreshold:
@@ -378,14 +382,38 @@ class TestQThreshold:
         # the peak at q_lo is already above 1
         assert err.value.key == "q_lo"
 
+    def test_default_bisection_scans_cost_no_end_of_window_refinement(self, monkeypatch):
+        # the default bisection on the CaF2 reference evaluates Sn on 19 scans
+        # and at 110 times of their interior peaks' refinements; 16 scans end on
+        # a rising edge, and the end-of-window rule may add at most one
+        # evaluation to each scan that ends on its largest sample
+        arrays, scalars, ends_on_last = [], [], []
+        signal, sampled_peak = interferometry._signal, interferometry._sampled_peak
+
+        def counting_signal(k, t):
+            (arrays if np.ndim(t) else scalars).append(t)
+            return signal(k, t)
+
+        def counting_scan(cfg, n_samples, q):
+            scan = sampled_peak(cfg, n_samples, q)
+            ends_on_last.append(scan[0][3] == n_samples - 1)
+            return scan
+
+        monkeypatch.setattr(interferometry, "_signal", counting_signal)
+        monkeypatch.setattr(interferometry, "_sampled_peak", counting_scan)
+        assert q_threshold(CORRECTED, 1e9, 1e12).q_min == pytest.approx(1.78792915e11, rel=1e-8)
+        assert (len(arrays), sum(ends_on_last)) == (19, 16)
+        assert len(scalars) <= 110 + sum(ends_on_last)
+
 
 def bisect_by_config(cfg, q_lo, q_hi):
     """(q_min, sn_peak, iterations) of the Q bisection with a config of its
-    own at every Q it evaluates, each peak from snr_peak: the reference that
-    q_threshold, which builds no config, must match bit for bit."""
+    own at every Q it evaluates, each peak from the bisection's scan of that
+    config: the reference that q_threshold, which builds no config, must
+    match bit for bit."""
 
     def peak(q):
-        return snr_peak(replace(cfg, Q=q))[1]
+        return _sampled_peak(replace(cfg, Q=q), _N_SAMPLES, q)[1][1]
 
     assert peak(q_lo) < 1.0 < peak(q_hi)
     iterations = []
