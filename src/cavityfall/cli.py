@@ -13,8 +13,13 @@ run_manifest.json: resolved parameters, derived quantities, the sha256 and
 size of the bytes written for each artifact, and the environment (cavityfall, Python and
 numpy versions, platform, numpy's ufunc dispatch targets, the malloc
 thresholds main() pinned).  Re-running a command with the manifest's
-resolved scenario reproduces the CSV bytes exactly.  Floats are printed as
-shortest round-trip decimals to keep regression diffs clean.
+resolved scenario reproduces the CSV bytes exactly on a host with the same
+numpy version, ufunc dispatch, OpenBLAS kernel and BLAS thread count (the
+manifest records the first two only): the propagator's moments reduce with
+OpenBLAS ddot, so freefall_numeric.csv changes under the Haswell,
+Sandybridge and Prescott kernels (OPENBLAS_CORETYPE), and 16384-point
+freefall-numeric CSVs change between 1 and 2 BLAS threads.  Floats are
+printed as shortest round-trip decimals to keep regression diffs clean.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-domain error, 4 I/O;
 an error prints its key (an option or scenario key path) and message.
@@ -82,11 +87,12 @@ def _write(path: Path, text: str) -> dict:
 
 
 def _csv(header: tuple[str, ...], columns: list[np.ndarray]) -> str:
-    # repr of a Python float is its shortest round-trip decimal.  Values are
-    # converted one at a time: col.tolist() is a little faster, but its
-    # lists of every column's floats fragment the heap and raise the peak
-    # memory of a long run of CSV-heavy commands by a quarter.
-    cells = [map(repr, map(float, col)) for col in columns]
+    # repr of a Python float is its shortest round-trip decimal.  Each cell
+    # is read straight from its column's float64 buffer (strided or not) as
+    # one Python float, with no NumPy scalar in between.  No col.tolist():
+    # its lists of every column's floats fragment the heap and raise the
+    # peak memory of a long run of CSV-heavy commands by a quarter.
+    cells = [map(repr, memoryview(np.asarray(col, dtype=float))) for col in columns]
     return "\n".join([",".join(header), *map(",".join, zip(*cells)), ""])
 
 

@@ -247,16 +247,34 @@ class TestDeterminismAndReplay:
 
     def test_csv_bytes_match_per_value_repr(self, tmp_path):
         # the column-wise formatting writes the bytes of repr(float(v)) per
-        # value, signed zeros, subnormals and huge values included
+        # value, signed zeros, subnormals, huge and non-finite values
+        # included, for every kind of column a command hands it: strided
+        # rows of a transposed array (as Trace's columns are), integer and
+        # float32 columns (printed as their float64 values), and empty ones
+        def expected(header, columns):
+            rows = [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+            return "\n".join([",".join(header), *rows]) + "\n"
+
         rng = np.random.default_rng(3)
         columns = [rng.standard_normal(2001) * 10.0 ** rng.integers(-300, 300, 2001) for _ in range(3)]
-        for col, special in zip(columns, ([0.0, -0.0], [5e-324, -5e-324], [1e308, -1.7976931348623157e308])):
+        specials = (
+            [0.0, -0.0, math.nan],
+            [5e-324, -5e-324, math.inf],
+            [1e308, -1.7976931348623157e308, -math.inf],
+        )
+        for col, special in zip(columns, specials):
             col[: len(special)] = special
+        records = rng.standard_normal((2001, 3)) * 1e5
         columns.append(np.arange(2001, dtype=float))
-        header = ("a", "b", "c", "i")
-        rows = [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
-        expected = "\n".join([",".join(header), *rows]) + "\n"
-        assert _csv(header, columns) == expected
+        columns.extend(records.T)
+        columns.append(np.arange(-1000, 1001, dtype=np.int64) * (2**53 + 1) // 1000)
+        columns.append((rng.standard_normal(2001) * 1e3).astype(np.float32))
+        assert not columns[4].flags.contiguous
+        header = ("a", "b", "c", "i", "r0", "r1", "r2", "n", "f")
+        assert _csv(header, columns) == expected(header, columns)
+        assert _csv(("n",), [np.array([3], dtype=np.int64)]) == "n\n3.0\n"
+        empty = [np.empty(0), np.empty((0, 2)).T[0], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)]
+        assert _csv(("a", "b", "c", "d"), empty) == expected(("a", "b", "c", "d"), empty) == "a,b,c,d\n"
 
     def test_csv_floats_are_shortest_round_trip(self, small_scenario, tmp_path):
         run("freefall-analytic", small_scenario, tmp_path)

@@ -732,6 +732,24 @@ class TestPropagate:
                 initial["phase_gradient"],
             )
 
+    def test_anchors_transform_u0_into_the_carried_spectrum(self, monkeypatch):
+        # 40 records at stride 1 cross the anchors at records 16 and 32:
+        # record 0's FFT u(0) allocates the carried spectrum, and each
+        # anchor's transform is written into it rather than a fresh array
+        fft = np.fft.fft
+        outs = []
+
+        def recorded(a, *args, **kwargs):
+            outs.append(kwargs.get("out"))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", recorded)
+        _, trace = propagate(GRID, init_gaussian(GRID, 1.0), mass=1.0, g_tilde=0.5, dt=1 / 64, n_steps=39)
+        assert len(trace.t) == 40
+        assert len(outs) == 3
+        assert outs[0] is None
+        assert all(out is not None for out in outs[1:])
+
     @pytest.mark.parametrize("n_steps, stride", [(1024, 1), (2048, 2), (2047, 2)])
     def test_work_budget_checked_before_any_allocation(self, n_steps, stride):
         # one record past 2**30 samples on the largest grid, counted as the
