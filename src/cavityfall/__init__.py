@@ -4,6 +4,9 @@ Exact in-plane dispersion and effective mass of light standing in a planar
 cavity, weak-field gravitational optics and the Newtonian free fall of the
 standing wavepacket, split-step spectral propagation of the envelope, and
 the shot-noise SNR model of the free-fall interferometry experiment.
+
+propagate records a run's observables as one Trace; evolve returns the
+lab-frame state at its end, carrier and global phase included.
 """
 
 __version__ = "0.1.0"
@@ -35,6 +38,7 @@ from .interferometry import (
 from .propagator import (
     Grid1D,
     Trace,
+    evolve,
     init_gaussian,
     propagate,
 )
@@ -64,6 +68,7 @@ __all__ = [
     "Trace",
     "init_gaussian",
     "propagate",
+    "evolve",
     "ExperimentConfig",
     "SnrTrace",
     "QThresholdResult",

@@ -177,7 +177,7 @@ def _run_freefall_numeric(scenario: ScenarioFile) -> dict:
     cav, profile, prop, stride = scenario.cavity, scenario.gravity, scenario.propagation, scenario.output.stride
     _freefall(scenario)
     # SI throughout: hbar enters only through the propagator mass m/hbar [s/m^2]
-    _, trace = propagate(
+    trace = propagate(
         prop.grid,
         init_gaussian(prop.grid, prop.sigma0),
         mass=effective_mass(cav) / hbar,

@@ -24,8 +24,9 @@ and beyond.
 
 Records are evaluated in the falling frame, u = exp(-i F t y) * v with
 v = IFFT[exp(-i theta(k)) * FFT u(0)] (v leaves out theta's k-independent
-term, a global phase that only the returned final state carries).  Records
-on the stride s, at steps i_r = r s, lie tau = s dt apart, and
+term, a global phase that no record sees and that evolve, which returns
+the lab-frame state, carries).  Records on the stride s, at steps
+i_r = r s, lie tau = s dt apart, and
 
     theta(i_{r+1}) - theta(i_r) = [k^2 tau - k F tau^2 (2r + 1)] / (2m),
 
@@ -254,13 +255,67 @@ def _kinetic_phasor(grid: Grid1D, mass: float, a: float, b: float, out: np.ndarr
     return np.exp(out, out=out)
 
 
+def _fall_phases(force: float, t: float, dt: float) -> tuple[float, float]:
+    """(F t, F^2 (t^3/3 - t dt^2/12)) at time t: the carrier's wavenumber and
+    2m times theta's k-independent term.  Products, not float powers: t**3
+    would raise OverflowError where t*t*t gives inf, which the callers'
+    non-finite checks report."""
+    ft = force * t
+    return ft, force * ft * (t * t / 3.0 - dt * dt / 12.0)
+
+
+def _checked_run(
+    grid: Grid1D, u0: np.ndarray, *, mass: float, g_tilde: float, dt: float, n_steps: int, stride: int
+) -> np.ndarray:
+    """u0 as complex128 samples, after the checks of a run's parameters, its
+    work budget (a ValidationError keyed stride) and its samples' shape, in
+    that order and before anything of the grid's size is allocated."""
+    if not (mass > 0.0 and math.isfinite(mass)):
+        raise ValidationError(f"m/hbar must be finite and > 0, got {mass!r}", key="mass")
+    if not (g_tilde >= 0.0 and math.isfinite(g_tilde)):
+        raise ValidationError(f"must be >= 0, got {g_tilde!r}", key="g_tilde")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValidationError(f"must be > 0, got {dt!r}", key="dt")
+    if not (type(n_steps) is int and n_steps >= 1):
+        raise ValidationError(f"must be an integer >= 1, got {n_steps!r}", key="n_steps")
+    if not (type(stride) is int and stride >= 1):
+        raise ValidationError(f"must be an integer >= 1, got {stride!r}", key="stride")
+    if (n_records := _record_count(n_steps, stride)) * grid.n_points > MAX_RECORD_SAMPLES:
+        work = f"{n_records} records of n_points = {grid.n_points} samples"
+        raise ValidationError(f"{work} are over the work budget of {MAX_RECORD_SAMPLES} samples", key="stride")
+    if np.shape(u0) != (grid.n_points,):
+        raise ValidationError(f"must hold the grid's {grid.n_points} samples, got shape {np.shape(u0)}", key="u0")
+    # complex128 throughout, so that every transform is a double one
+    return np.asarray(u0, dtype=complex)
+
+
+def _no_norm(u: np.ndarray, i: int) -> DomainError:
+    """The error of samples u after step i whose norm sum is zero or not
+    finite; only then are they scanned, since a finite sum has finite ones."""
+    if not np.all(np.isfinite(u)):
+        return DomainError(f"non-finite amplitudes after step {i}")
+    return DomainError("state has zero or non-finite norm")
+
+
+def _check_clearance(grid: Grid1D, centroid: float, width: float, i: int, t: float) -> None:
+    """Raise unless the packet after step i (time t) keeps 4 sigma from the
+    domain edges, where the periodic wrap breaks the linear potential."""
+    clearance = 4.0 * width
+    if centroid - clearance < grid.y_min or centroid + clearance > grid.y_max:
+        needed = abs(centroid) + clearance
+        raise DomainError(
+            f"packet within 4 sigma of the domain edge at step {i} "
+            f"(t = {t:g}); enlarge the grid to at least +/- {1.25 * needed:g}"
+        )
+
+
 def propagate(
     grid: Grid1D, u0: np.ndarray, *, mass: float, g_tilde: float, dt: float, n_steps: int, stride: int = 1
-) -> tuple[np.ndarray, Trace]:
-    """Evolve the samples u0 on grid n_steps Strang steps of size dt from
-    t = 0 under the acceleration g_tilde, recording observables every
-    stride steps.  mass is m/hbar in whatever units the grid, dt and g_tilde
-    use.
+) -> Trace:
+    """Record the observables of the samples u0 on grid over n_steps Strang
+    steps of size dt from t = 0 under the acceleration g_tilde, every
+    stride steps.  mass is m/hbar in whatever units the grid, dt and
+    g_tilde use.
 
     Each record is the composed Strang state at its step index, evaluated
     in the falling frame (see the module docstring): the spectrum advances
@@ -278,31 +333,14 @@ def propagate(
     sigma of clearance from the domain edges (checked at every recorded
     sample); violations raise a DomainError suggesting a larger grid.  Norm growth
     beyond roundoff or non-finite amplitudes abort the run naming the step.
-    The returned array is the lab-frame envelope at t = n_steps dt, carrier
-    and global phase included.
+    evolve returns the lab-frame state itself.
     """
-    if not (mass > 0.0 and math.isfinite(mass)):
-        raise ValidationError(f"m/hbar must be finite and > 0, got {mass!r}", key="mass")
-    if not (g_tilde >= 0.0 and math.isfinite(g_tilde)):
-        raise ValidationError(f"must be >= 0, got {g_tilde!r}", key="g_tilde")
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise ValidationError(f"must be > 0, got {dt!r}", key="dt")
-    if not (type(n_steps) is int and n_steps >= 1):
-        raise ValidationError(f"must be an integer >= 1, got {n_steps!r}", key="n_steps")
-    if not (type(stride) is int and stride >= 1):
-        raise ValidationError(f"must be an integer >= 1, got {stride!r}", key="stride")
-    if (n_records := _record_count(n_steps, stride)) * grid.n_points > MAX_RECORD_SAMPLES:
-        work = f"{n_records} records of n_points = {grid.n_points} samples"
-        raise ValidationError(f"{work} are over the work budget of {MAX_RECORD_SAMPLES} samples", key="stride")
-    if np.shape(u0) != (grid.n_points,):
-        raise ValidationError(f"must hold the grid's {grid.n_points} samples, got shape {np.shape(u0)}", key="u0")
+    u0 = _checked_run(grid, u0, mass=mass, g_tilde=g_tilde, dt=dt, n_steps=n_steps, stride=stride)
     schedule = recording_schedule(n_steps, stride)
     y, dy = grid.y_values(), grid.dy
     force = mass * g_tilde
     # record spacing on the stride; a stride past n_steps has no such record
     tau = min(stride, n_steps) * dt
-    # complex128 throughout, so that every transform is a double one
-    u0 = np.asarray(u0, dtype=complex)
     # record 0's moments, which also reject a zero or non-finite state
     if not (measured := _block_moments(u0[np.newaxis], y, dy)):
         raise DomainError("state has zero or non-finite norm")
@@ -332,24 +370,17 @@ def propagate(
     while True:
         # each record checked in turn, as if it were measured alone
         for j, (i, t, ft, offset) in enumerate(block):
+            # offset is the global phase that evolve carries: a record whose
+            # phase leaves double range fails as the lab-frame state would
             if not (math.isfinite(ft) and math.isfinite(offset)):
                 raise DomainError(f"non-finite amplitudes after step {i}")
             if j == len(measured):
-                # the row whose norm stopped the pass; a finite sum has only
-                # finite samples, so they are scanned only here
-                if not np.all(np.isfinite(v[j])):
-                    raise DomainError(f"non-finite amplitudes after step {i}")
-                raise DomainError("state has zero or non-finite norm")
+                # the row whose norm stopped the pass
+                raise _no_norm(v[j], i)
             norm, centroid, width, phase_grad = measured[j]
             if norm > initial_norm * (1.0 + 1e-12):
                 raise DomainError(f"norm grew beyond roundoff at step {i}: {norm!r}")
-            clearance = 4.0 * width
-            if centroid - clearance < grid.y_min or centroid + clearance > grid.y_max:
-                needed = abs(centroid) + clearance
-                raise DomainError(
-                    f"packet within 4 sigma of the domain edge at step {i} "
-                    f"(t = {t:g}); enlarge the grid to at least +/- {1.25 * needed:g}"
-                )
+            _check_clearance(grid, centroid, width, i, t)
             kinetic = (mean_k20 - 2.0 * ft * mean_k0 + ft * ft) / (2.0 * mass)
             records[first + j] = (t, centroid, width, mean_k0 - ft, norm, kinetic + force * centroid, phase_grad - ft)
         first += len(block)
@@ -363,10 +394,7 @@ def propagate(
             for j, i in enumerate(schedule[first : first // rows * rows + rows]):
                 r = first + j
                 t = i * dt
-                ft = force * t
-                # products, not float powers: t**3 would raise OverflowError where
-                # t*t*t gives inf, which the non-finite check above reports
-                offset = force * ft * (t * t / 3.0 - dt * dt / 12.0)
+                ft, offset = _fall_phases(force, t, dt)
                 if i == r * stride and r % _ANCHOR_INTERVAL:
                     np.multiply(spectra[j - 1] if j else carried, step, out=spectra[j])
                     step *= turn
@@ -384,9 +412,29 @@ def propagate(
             v = np.fft.ifft(spectra[: len(block)], axis=-1, out=spectra[: len(block)])
         measured = _block_moments(v, y, dy)
 
-    del spectra, carried, step, turn  # before the final state's temporaries
+    return Trace(*records.T)
+
+
+def evolve(grid: Grid1D, u0: np.ndarray, *, mass: float, g_tilde: float, dt: float, n_steps: int) -> np.ndarray:
+    """The lab-frame state, carrier and global phase included, that n_steps
+    Strang steps of size dt make of the samples u0 on grid under the
+    acceleration g_tilde: exp(-i F t y) IFFT[exp(-i theta(k)) FFT u0] at
+    t = n_steps dt (see the module docstring).  mass is m/hbar, as in
+    propagate.  The envelope is bit for bit that of propagate's closed-form
+    anchor record at the same step.  Parameters are checked as by
+    propagate(..., stride=n_steps), and the state as that run checks its
+    final record: non-finite amplitudes, a zero norm or a packet within
+    4 sigma of the domain edges raise a DomainError with the same message.
+    """
+    u0 = _checked_run(grid, u0, mass=mass, g_tilde=g_tilde, dt=dt, n_steps=n_steps, stride=n_steps)
+    y, t = grid.y_values(), n_steps * dt
+    ft, offset = _fall_phases(mass * g_tilde, t, dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        u = np.exp(-1j * (ft * y + offset / (2.0 * mass))) * v[-1]
-    if not np.all(np.isfinite(u.view(float))):
-        raise DomainError(f"non-finite amplitudes after step {schedule[-1]}")
-    return u, Trace(*records.T)
+        spectrum = _kinetic_phasor(grid, mass, t, ft * t, np.empty_like(u0))
+        spectrum *= np.fft.fft(u0)
+        u = np.exp(-1j * (ft * y + offset / (2.0 * mass))) * np.fft.ifft(spectrum)
+    if not (measured := _block_moments(u[np.newaxis], y, grid.dy)):
+        raise _no_norm(u, n_steps)
+    _, centroid, width, _ = measured[0]
+    _check_clearance(grid, centroid, width, n_steps, t)
+    return u

@@ -87,6 +87,67 @@ def test_the_benchmark_metrics_are_summarized():
     assert len(lines) == 1 + len(metrics)
 
 
+PARENT_OPS = [100.0, 101.0, 102.0, 103.0, 104.0, 100.0, 101.0, 102.0, 103.0, 104.0]
+
+
+@pytest.mark.parametrize(
+    "deltas, shown",
+    [
+        # better in 9 of 10 pairs, the medians 3 apart against an IQR of 2
+        ([3.0] * 9 + [-1.0], True),
+        ([3.0] * 8 + [-1.0] * 2, False),
+        # a tie counts for neither side: 9 wins of 10 pairs, then 8
+        ([3.0] * 9 + [0.0], True),
+        ([3.0] * 8 + [0.0] * 2, False),
+        # better in every pair, by less than the parent's IQR
+        ([1.0] * 10, False),
+        # better in every pair, by 3, but only 9 pairs ran
+        ([3.0] * 9, False),
+    ],
+)
+def test_gain_shown_needs_nine_tenths_and_the_iqr(deltas, shown):
+    # parent quartiles 101 and 103; op_tail_s mirrors ops_per_s, lower being better there
+    change = [ops + delta for ops, delta in zip(PARENT_OPS, deltas)]
+    runs = runs_of([(ops, 0.02 - ops / 1e4) for ops in PARENT_OPS], [(ops, 0.02 - ops / 1e4) for ops in change])
+    summary = bench_pairs.summarize(runs, METRICS)
+    assert summary["ops_per_s"]["parent_quartiles"] == [101.0, 103.0]
+    assert summary["ops_per_s"]["gain_shown"] is shown
+    assert summary["op_tail_s"]["gain_shown"] is shown
+    assert not summary["ops_per_s"]["unresolved"]
+    assert ("gain shown" in bench_pairs.report_lines("drop", 10, summary)[1]) is shown
+
+
+@pytest.mark.parametrize(
+    "change, unresolved",
+    [
+        # the parent's IQR is 40 % of its median, past the 0.25 bound
+        ([90.0, 100.0, 110.0, 95.0, 105.0], True),
+        # ... unless every change run beats every parent run
+        ([150.0, 160.0, 170.0, 155.0, 165.0], False),
+        ([30.0, 40.0, 50.0, 35.0, 45.0], True),
+    ],
+)
+def test_unresolved_where_the_parent_spreads_past_the_bound(change, unresolved):
+    parent = [60.0, 80.0, 100.0, 120.0, 140.0]
+    # op_tail_s = 1/ops_per_s, lower being better there, spreads alike (42 %)
+    runs = runs_of([(ops, 1.0 / ops) for ops in parent], [(ops, 1.0 / ops) for ops in change])
+    summary = bench_pairs.summarize(runs, METRICS)
+    assert summary["ops_per_s"]["parent_iqr_rel"] == pytest.approx(0.4)
+    assert summary["ops_per_s"]["unresolved"] is unresolved
+    assert summary["op_tail_s"]["unresolved"] is unresolved
+    assert ("UNRESOLVED" in bench_pairs.report_lines("drop", 5, summary)[1]) is unresolved
+    # 5 pairs are too few to show a gain, even where every change run is better
+    assert not summary["ops_per_s"]["gain_shown"]
+
+
+def test_a_narrow_parent_is_resolved():
+    # an IQR of 4 % of the median: each reading is resolved, better or worse
+    parent = [(98.0, 0.010), (100.0, 0.010), (102.0, 0.010), (104.0, 0.010), (106.0, 0.010)]
+    for change in ([(90.0, 0.011)] * 5, [(110.0, 0.009)] * 5):
+        summary = bench_pairs.summarize(runs_of(parent, change), METRICS)
+        assert not summary["ops_per_s"]["unresolved"] and not summary["op_tail_s"]["unresolved"]
+
+
 @pytest.mark.parametrize("text, seeds", [("801-803", [801, 802, 803]), ("7", [7]), ("5-5", [5])])
 def test_seed_range(text, seeds):
     assert bench_pairs.seed_range(text) == seeds

@@ -250,10 +250,15 @@ class TestDeterminismAndReplay:
         # value, signed zeros, subnormals, huge and non-finite values
         # included, for every kind of column a command hands it: strided
         # rows of a transposed array (as Trace's columns are), integer and
-        # float32 columns (printed as their float64 values), and empty ones
-        def expected(header, columns):
+        # float32 columns (printed as their float64 values), and empty ones.
+        # Lines are compared one by one: a failure names the first row that
+        # differs, where a diff of the whole ~200 KB texts takes a minute
+        def assert_rows_match(header, columns):
             rows = [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
-            return "\n".join([",".join(header), *rows]) + "\n"
+            lines, expected = _csv(header, columns).split("\n"), [",".join(header), *rows, ""]
+            row = next((j for j, pair in enumerate(zip(lines, expected)) if pair[0] != pair[1]), None)
+            assert row is None, f"line {row}: {lines[row]!r} != {expected[row]!r}"
+            assert len(lines) == len(expected)
 
         rng = np.random.default_rng(3)
         columns = [rng.standard_normal(2001) * 10.0 ** rng.integers(-300, 300, 2001) for _ in range(3)]
@@ -271,10 +276,11 @@ class TestDeterminismAndReplay:
         columns.append((rng.standard_normal(2001) * 1e3).astype(np.float32))
         assert not columns[4].flags.contiguous
         header = ("a", "b", "c", "i", "r0", "r1", "r2", "n", "f")
-        assert _csv(header, columns) == expected(header, columns)
+        assert_rows_match(header, columns)
         assert _csv(("n",), [np.array([3], dtype=np.int64)]) == "n\n3.0\n"
         empty = [np.empty(0), np.empty((0, 2)).T[0], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)]
-        assert _csv(("a", "b", "c", "d"), empty) == expected(("a", "b", "c", "d"), empty) == "a,b,c,d\n"
+        assert_rows_match(("a", "b", "c", "d"), empty)
+        assert _csv(("a", "b", "c", "d"), empty) == "a,b,c,d\n"
 
     def test_csv_floats_are_shortest_round_trip(self, small_scenario, tmp_path):
         run("freefall-analytic", small_scenario, tmp_path)
@@ -442,6 +448,18 @@ class TestMainEntryPoint:
         argv = ["dispersion", "--scenario", str(scenario_dir / "freefall_caf2.json"), "--out", str(tmp_path)]
         assert main(argv + ["--k-points", "4", "--quiet"]) == 4
         assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("umask", [0o077, 0o022])
+    def test_artifacts_and_manifest_are_0644_whatever_the_umask(self, scenario_dir, tmp_path, umask):
+        # each write's temp file is made 0600 and set to 0644 before its rename
+        argv = ["qthreshold", "--scenario", str(scenario_dir / "caf2_wgmc.json"), "--out", str(tmp_path), "--quiet"]
+        previous = os.umask(umask)
+        try:
+            assert main(argv) == 0
+        finally:
+            os.umask(previous)
+        modes = {path.name: oct(path.stat().st_mode & 0o777) for path in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(["qthreshold_iterations.csv", "qthreshold_result.json", "run_manifest.json"], "0o644")
 
     def test_domain_escape_reports_si_time_and_grid(self, scenario_dir, tmp_path, capsys):
         # the shipped drop run for 2 s leaves its +/- 64 m grid at t = 0.14 s

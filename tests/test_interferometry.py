@@ -134,7 +134,7 @@ class TestModeWidth:
         cfg = CORRECTED
         mass_over_hbar = cfg.n_s**2 * cfg.omega0 / c**2
         grid = Grid1D(-3.2, 3.2, 1024)
-        _, trace = propagate(
+        trace = propagate(
             grid, init_gaussian(grid, cfg.sigma0), mass=mass_over_hbar, g_tilde=0.0, dt=2e-5, n_steps=80, stride=20
         )
         for t, width in zip(trace.t[1:], trace.width[1:]):

@@ -14,8 +14,13 @@ with the parent.
 For each end-to-end metric of BENCHMARK.json the summary gives both medians,
 the parent's inclusive quartiles, the change's relative worsening
 (change_worse_by, negative where the change is better), the number of pairs
-the change read better (ties count for neither) and whether the worsening is
-within the metric's bound.  --json FILE stores the runs, the summary and the
+the change read better (ties count for neither), whether the worsening is
+within the metric's bound, and two verdicts: gain_shown, where at least 10
+pairs ran, the change read better in at least 9 of 10 of them and its median
+beats the parent's by more than the parent's interquartile range; and
+unresolved, where that range is wider than the bound, unless every change
+run beats every parent run.
+--json FILE stores the runs, the summary and the
 first run's environment under end_to_end.<W> of FILE, keeping what FILE
 already holds, so that several workloads collect into one record.
 """
@@ -70,7 +75,8 @@ def run_once(tree: Path, work: Path, workload: str, seed: int, seconds: float, s
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per metric: medians, the parent's inclusive quartiles, the change's
-    relative worsening, pairs the change read better and the bound test.
+    relative worsening, pairs the change read better, the bound test and
+    the gain_shown and unresolved verdicts.
 
     runs holds one dict per run with its seed, version ("parent" or
     "change") and each metric's value; metrics are BENCHMARK.json's
@@ -85,16 +91,19 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         parent_median, change_median = statistics.median(parent), statistics.median(change)
         q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1 else parent * 3
         worse_by = sign * (change_median - parent_median) / parent_median
+        better = sum(sign * (by_side["change"][s][name] - by_side["parent"][s][name]) < 0 for s in paired)
+        gain = sign * (parent_median - change_median)
+        every_change_run_better = max(sign * v for v in change) < min(sign * v for v in parent)
         summary[name] = {
             "parent_median": parent_median,
             "change_median": change_median,
             "parent_quartiles": [q1, q3],
             "parent_iqr_rel": (q3 - q1) / parent_median,
             "change_worse_by": worse_by,
-            "pairs_change_better": sum(
-                sign * (by_side["change"][s][name] - by_side["parent"][s][name]) < 0 for s in paired
-            ),
+            "pairs_change_better": better,
             "within_bound": worse_by <= metric["bound"],
+            "gain_shown": len(paired) >= 10 and 10 * better >= 9 * len(paired) and gain > q3 - q1,
+            "unresolved": (q3 - q1) / parent_median > metric["bound"] and not every_change_run_better,
         }
     return summary
 
@@ -108,6 +117,8 @@ def report_lines(workload: str, pairs: int, summary: dict) -> list[str]:
             f"  worse by {100 * s['change_worse_by']:+.1f} % (parent IQR {100 * s['parent_iqr_rel']:.1f} %)"
             f"  change better in {s['pairs_change_better']}/{pairs}"
             f"  {'within' if s['within_bound'] else 'OUTSIDE'} bound"
+            + ("  gain shown" if s["gain_shown"] else "")
+            + ("  UNRESOLVED" if s["unresolved"] else "")
         )
     return lines
 
